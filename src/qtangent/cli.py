@@ -4,18 +4,21 @@ statistics and transform-identity verification, emitted as CSV/JSON.
 Exit codes: 0 success, 1 usage or validation error, 2 failed verification
 verdict (so CI can gate on `qtangent verify` and `qtangent tangent`).
 Identical argv and seed produce byte-identical output files; floats are
-printed with shortest round-trip representation.
+printed with shortest round-trip representation.  The scipy-backed modules
+(freeprob, tangent, verify) are imported only by the subcommands that use
+them, so density, simulate and jumps start without loading scipy.
 """
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 
 import numpy as np
 
-from . import __version__, freeprob, simulate as sim, tangent as tg
+from . import __version__, simulate as sim
 from .errors import QTangentError
 from .kernels import (
     biane_half_pdf,
@@ -29,7 +32,6 @@ from .kernels import (
 )
 from .qspecial import QParams
 from .sampling import SeedSpec
-from .verify import kernels_verification_report, tangent_verification_report
 
 __all__ = ["main", "parse_and_dispatch"]
 
@@ -60,8 +62,8 @@ def _parse_grid(spec):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise _UsageError(f"grid must be lo:hi:count, got {spec!r}") from exc
-    if count < 2 or not hi > lo:
-        raise _UsageError(f"grid needs lo < hi and count >= 2, got {spec!r}")
+    if count < 2 or not -math.inf < lo < hi < math.inf:
+        raise _UsageError(f"grid needs finite lo < hi and count >= 2, got {spec!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -127,7 +129,6 @@ def _build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--init", default=None,
                    help="stationary | origin | fixed:X (defaults: qou stationary, qbm origin)")
-    s.add_argument("--threads", type=int, default=os.cpu_count())
     s.add_argument("--output-dir", default=".", help="directory for path_###.csv files")
 
     t = subs.add_parser("tangent", help="convergence study of a tangent-process limit")
@@ -156,7 +157,6 @@ def _build_parser():
     j.add_argument("--paths", type=int, default=500)
     j.add_argument("--steps", type=int, default=500)
     j.add_argument("--seed", type=int, default=0)
-    j.add_argument("--threads", type=int, default=os.cpu_count())
     j.add_argument("--output", "-o", default=None)
 
     b = subs.add_parser("biane", help="Biane transition transform against the closed kernel")
@@ -218,7 +218,10 @@ def _parse_init(spec, process):
     if spec == "origin":
         return sim.Origin()
     if spec.startswith("fixed:"):
-        return sim.Fixed(float(spec.split(":", 1)[1]))
+        try:
+            return sim.Fixed(float(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            raise _UsageError(f"fixed start needs a number, got {spec!r}") from exc
     raise _UsageError(f"unknown init {spec!r}; use stationary | origin | fixed:X")
 
 
@@ -226,8 +229,7 @@ def _cmd_simulate(args):
     p = QParams(args.q)
     grid = sim.TimeGrid(args.t0, args.t1, args.steps)
     init = _parse_init(args.init, args.process)
-    paths = sim.simulate_ensemble(args.process, p, grid, init, args.seed, args.paths,
-                                  threads=max(1, args.threads))
+    paths = sim.simulate_ensemble(args.process, p, grid, init, args.seed, args.paths)
     os.makedirs(args.output_dir, exist_ok=True)
     names = []
     for i, path in enumerate(paths):
@@ -239,6 +241,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_tangent(args):
+    from . import tangent as tg
+
     case = tg.TangentCase(args.case, args.q, x=args.x, s=args.s)
     window = tg.default_window(case, coverage=args.coverage, horizon=args.horizon)
     report = tg.convergence_study(
@@ -251,8 +255,7 @@ def _cmd_tangent(args):
 
 def _cmd_jumps(args):
     seed = SeedSpec(args.seed)
-    stats = sim.sup_jump_estimate(args.q, args.S, args.T, args.a, args.paths,
-                                  args.steps, seed, threads=max(1, args.threads))
+    stats = sim.sup_jump_estimate(args.q, args.S, args.T, args.a, args.paths, args.steps, seed)
     bound = sim.jump_bound(args.q, args.S, args.T, args.a)
     result = {
         "q": args.q, "S": args.S, "T": args.T, "a": args.a,
@@ -269,6 +272,8 @@ def _cmd_jumps(args):
 
 
 def _cmd_biane(args):
+    from . import freeprob
+
     grid = _parse_grid(args.grid)
     if grid[0] <= 0.0:
         raise _UsageError("biane grid must have lo > 0")
@@ -290,6 +295,9 @@ def _cmd_biane(args):
 
 
 def _cmd_verify(args):
+    from . import freeprob
+    from .verify import kernels_verification_report, tangent_verification_report
+
     seed = SeedSpec(args.seed)
     report = []
     if args.suite in ("freeprob", "all"):

@@ -37,6 +37,10 @@ class InvalidThreshold(QTangentError):
     """A threshold argument is outside its admissible range."""
 
 
+class InvalidCount(QTangentError):
+    """A count argument (paths, samples) is below its minimum."""
+
+
 class UnknownProcess(QTangentError):
     """Process tag not recognised."""
 

@@ -39,9 +39,11 @@ __all__ = [
     "support_of",
 ]
 
-# Batches up to this size evaluate the k-product as one (K, ...) array;
-# larger batches loop over k to keep the working set flat.
-_VECTOR_K_LIMIT = 1_500_000
+# Above this many broadcast points the k-product runs as a loop over k that
+# keeps the working set at one points-sized array; at or below it, as one
+# (K, points) array, which costs fewer numpy calls.  Measured crossover:
+# about 1,000 points for every K.
+_LOOP_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -80,53 +82,63 @@ def _phi0_qou(q, delta, x, y):
     return e2 * (1.0 - q) * (x - y) ** 2 + u * u * (e1 * (4.0 - (1.0 - q) * x * y) + u * u)
 
 
-def _qou_tail_product(q, delta, x, y, policy):
-    """prod_{k>=1} (1 - e^{-2d} q^k) psi_{q,k}(y) / phi_{q,k}(d, x, y), broadcast over x, y.
+@lru_cache(maxsize=256)
+def _q_powers(q, K):
+    """q^k and (1 + q^k)^2 for k = 1..K, read-only (shared by every caller)."""
+    qk = np.power(q, np.arange(1, K + 1, dtype=float))
+    a = (1.0 + qk) * (1.0 + qk)
+    qk.setflags(write=False)
+    a.setflags(write=False)
+    return qk, a
 
-    The factored cross term of phi expands to
-    e1 qk (y - e1 qk x)(e1 qk y - x) = e1^2 qk^2 (x^2 + y^2) - e1 qk (1 + e1^2 qk^2) x y,
-    so each k costs a few fused array operations on precomputed squares.
+
+def _tail_product(factor, coeffs, args):
+    """prod_k factor(coeffs[k], *args) over the broadcast shape of args.
+
+    ``coeffs`` is a tuple of length-K arrays.  Small batches evaluate every
+    factor at once into (K, points) buffers; large ones loop over k with
+    points-sized buffers.  Both run the same in-place factor code and
+    multiply in k order, so they agree bit for bit.
     """
-    K = series_terms(q, policy)
-    e1 = math.exp(-delta)
-    e2 = e1 * e1
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    bshape = np.broadcast_shapes(xa.shape, ya.shape)
-    ks = np.arange(1, K + 1, dtype=float)
-    qk_all = np.power(q, ks)
-    size = K * max(int(np.prod(bshape)), 1)
-    c1 = 1.0 - q
-    if size <= _VECTOR_K_LIMIT:
-        qk = qk_all.reshape((K,) + (1,) * len(bshape))
-        psi = (1.0 + qk) ** 2 - c1 * ya * ya * qk
-        phi = (1.0 - e2 * qk * qk) ** 2 + c1 * e1 * qk * (ya - e1 * qk * xa) * (
-            e1 * qk * ya - xa
-        )
-        return np.prod((1.0 - e2 * qk) * psi / phi, axis=0)
-    y2 = np.broadcast_to(ya * ya, bshape)
-    x2 = xa * xa
-    xy = np.broadcast_to(xa * ya, bshape)
+    bshape = np.broadcast_shapes(*(np.shape(v) for v in args))
+    if math.prod(bshape) <= _LOOP_POINTS:
+        col = (-1,) + (1,) * len(bshape)
+        bufs = [np.empty(coeffs[0].shape + bshape) for _ in range(3)]
+        return np.prod(factor([c.reshape(col) for c in coeffs], *args, *bufs), axis=0)
+    bufs = [np.empty(bshape) for _ in range(3)]
     acc = np.ones(bshape)
-    tmp = np.empty(bshape)
-    num = np.empty(bshape)
-    for qk in qk_all:
-        a_psi = (1.0 + qk) ** 2
-        b_psi = c1 * qk
-        s_phi = (1.0 - e2 * qk * qk) ** 2
-        sq = c1 * e2 * qk * qk
-        cx = c1 * e1 * qk * (1.0 + e2 * qk * qk)
-        scale = 1.0 - e2 * qk
-        # num = scale * (a_psi - b_psi * y2)
-        np.multiply(y2, -b_psi * scale, out=num)
-        num += a_psi * scale
-        # tmp = s_phi + sq * (x2 + y2) - cx * xy
-        np.multiply(y2, sq, out=tmp)
-        tmp += sq * x2 + s_phi
-        tmp -= cx * xy
-        num /= tmp
-        acc *= num
+    for ck in zip(*coeffs):
+        acc *= factor(ck, *args, *bufs)
     return acc
+
+
+def _qou_factor(c, x, y, cyy, out, phi, tmp):
+    # (1 - e2 qk) psi_{q,k}(y) / phi_{q,k}(d, x, y) into out, with g = e1 qk
+    # and the cross term of phi factored: (1-q) g (y - g x)(g y - x)
+    qk, a, g, c1g, s, sc = c
+    np.multiply(cyy, qk, out=out)
+    np.subtract(a, out, out=out)
+    out *= sc
+    np.multiply(x, g, out=phi)
+    np.subtract(y, phi, out=phi)
+    phi *= c1g
+    np.multiply(y, g, out=tmp)
+    tmp -= x
+    phi *= tmp
+    phi += s
+    out /= phi
+    return out
+
+
+def _qou_tail_product(q, delta, x, y, policy):
+    """prod_{k>=1} (1 - e^{-2d} q^k) psi_{q,k}(y) / phi_{q,k}(d, x, y), broadcast over x, y."""
+    qk, a = _q_powers(q, series_terms(q, policy))
+    e1 = math.exp(-delta)
+    g = e1 * qk
+    s = 1.0 - g * g
+    c1 = 1.0 - q
+    coeffs = (qk, a, g, c1 * g, s * s, 1.0 - (e1 * e1) * qk)
+    return _tail_product(_qou_factor, coeffs, (x, y, c1 * y * y))
 
 
 def qnormal_pdf(p: QParams, x, policy=DEFAULT_POLICY):
@@ -153,10 +165,10 @@ def qou_transition_pdf(p: QParams, delta, x, y, policy=DEFAULT_POLICY):
     Depends on (s, t) only through delta = t - s.  Zero for target states
     |y| >= x_plus; the conditioning state x must lie in [x_minus, x_plus].
     """
-    if not delta > 0.0:
-        raise InvalidTime(f"q-OU kernel requires delta > 0, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise InvalidTime(f"q-OU kernel requires finite delta > 0, got {delta}")
     q = p.q
-    if np.max(np.abs(x)) > p.x_plus * (1.0 + 1e-12):
+    if not np.max(np.abs(x)) <= p.x_plus * (1.0 + 1e-12):
         raise InvalidState(f"conditioning state x={x} outside [{p.x_minus}, {p.x_plus}]")
     xarr = np.asarray(x, dtype=float)
     yarr = np.asarray(y, dtype=float)
@@ -169,49 +181,32 @@ def qou_transition_pdf(p: QParams, delta, x, y, policy=DEFAULT_POLICY):
     return _as_float_or_array(y, out)
 
 
+def _qbm_factor(c, y1, y2, cyy, t2y1, out, phi, tmp):
+    # psi*_{q,k}(t1,t2,y2) / phi*_{q,k}(t1,t2,y1,y2) into out, with the cross
+    # term of phi* factored: (1-q) qk (y2 - qk y1)(t1 qk y2 - t2 y1)
+    qk, ta, pref, c1qk, t1qk, s = c
+    np.multiply(cyy, qk, out=out)
+    np.subtract(ta, out, out=out)
+    out *= pref
+    np.multiply(y1, qk, out=phi)
+    np.subtract(y2, phi, out=phi)
+    phi *= c1qk
+    np.multiply(y2, t1qk, out=tmp)
+    tmp -= t2y1
+    phi *= tmp
+    phi += s
+    out /= phi
+    return out
+
+
 def _qbm_tail_product(q, t1, t2, y1, y2, policy):
     """prod_{k>=1} psi*_{q,k}(t1,t2,y2) / phi*_{q,k}(t1,t2,y1,y2), broadcast over y1, y2."""
-    K = series_terms(q, policy)
-    y1a = np.asarray(y1, dtype=float)
-    y2a = np.asarray(y2, dtype=float)
-    bshape = np.broadcast_shapes(y1a.shape, y2a.shape)
-    ks = np.arange(1, K + 1, dtype=float)
-    qk_all = np.power(q, ks)
-    size = K * max(int(np.prod(bshape)), 1)
+    qk, a = _q_powers(q, series_terms(q, policy))
+    t1qk = t1 * qk
+    s = t2 - t1qk * qk
     c1 = 1.0 - q
-    if size <= _VECTOR_K_LIMIT:
-        qk = qk_all.reshape((K,) + (1,) * len(bshape))
-        psi = (t2 - t1 * qk) * (1.0 - q * qk) * (
-            t2 * (1.0 + qk) ** 2 - c1 * y2a * y2a * qk
-        )
-        phi = (t2 - t1 * qk * qk) ** 2 + c1 * qk * (y2a - qk * y1a) * (
-            t1 * qk * y2a - t2 * y1a
-        )
-        return np.prod(psi / phi, axis=0)
-    # large batches: per-k fused operations on precomputed cross terms (the
-    # factored phi* expands to t1 qk^2 y2^2 - qk (t2 + t1 qk^2) y1 y2 + t2 qk^2 y1^2)
-    y2sq = np.broadcast_to(y2a * y2a, bshape)
-    y1sq = y1a * y1a
-    y1y2 = np.broadcast_to(y1a * y2a, bshape)
-    acc = np.ones(bshape)
-    tmp = np.empty(bshape)
-    num = np.empty(bshape)
-    for qk in qk_all:
-        pref = (t2 - t1 * qk) * (1.0 - q * qk)
-        a_psi = pref * t2 * (1.0 + qk) ** 2
-        b_psi = pref * c1 * qk
-        s_phi = (t2 - t1 * qk * qk) ** 2
-        a_phi = c1 * qk * qk * t1
-        b_phi = c1 * qk * (t2 + t1 * qk * qk)
-        c_phi = c1 * qk * qk * t2
-        np.multiply(y2sq, -b_psi, out=num)
-        num += a_psi
-        np.multiply(y2sq, a_phi, out=tmp)
-        tmp -= b_phi * y1y2
-        tmp += c_phi * y1sq + s_phi
-        num /= tmp
-        acc *= num
-    return acc
+    coeffs = (qk, t2 * a, (t2 - t1qk) * (1.0 - q * qk), c1 * qk, t1qk, s * s)
+    return _tail_product(_qbm_factor, coeffs, (y1, y2, c1 * y2 * y2, t2 * y1))
 
 
 def qbm_transition_pdf(p: QParams, t1, t2, y1, y2, policy=DEFAULT_POLICY):
@@ -221,14 +216,14 @@ def qbm_transition_pdf(p: QParams, t1, t2, y1, y2, policy=DEFAULT_POLICY):
     the time-t2 support [-2 sqrt(t2/(1-q)), 2 sqrt(t2/(1-q))].
     """
     q = p.q
-    if t1 < 0.0 or not t2 > t1:
-        raise InvalidTime(f"q-BM kernel requires 0 <= t1 < t2, got t1={t1}, t2={t2}")
+    if not 0.0 <= t1 < t2 < math.inf:
+        raise InvalidTime(f"q-BM kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
     if t1 == 0.0:
         if np.any(np.asarray(y1) != 0.0):
             raise InvalidState("t1 = 0 requires y1 = 0 (path starts at the origin)")
     else:
         b1 = 2.0 * math.sqrt(t1 / (1.0 - q))
-        if np.max(np.abs(y1)) > b1 * (1.0 + 1e-12):
+        if not np.max(np.abs(y1)) <= b1 * (1.0 + 1e-12):
             raise InvalidState(f"y1={y1} outside the time-t1 support [-{b1}, {b1}]")
     y1a = np.asarray(y1, dtype=float)
     y2a = np.asarray(y2, dtype=float)
@@ -248,8 +243,11 @@ def qbm_transition_pdf(p: QParams, t1, t2, y1, y2, policy=DEFAULT_POLICY):
 
 def cauchy_transition_pdf(t1, t2, y1, y2):
     """Cauchy process kernel f^(1): (t2-t1)/pi / ((y2-y1)^2 + (t2-t1)^2)."""
-    if t1 < 0.0 or not t2 > t1:
-        raise InvalidTime(f"Cauchy kernel requires 0 <= t1 < t2, got t1={t1}, t2={t2}")
+    if not 0.0 <= t1 < t2 < math.inf:
+        raise InvalidTime(f"Cauchy kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
+    # math.isfinite keeps the scalar calls of quadrature loops cheap
+    if not (math.isfinite(y1) if isinstance(y1, float) else np.isfinite(y1).all()):
+        raise InvalidState(f"y1={y1} is not finite")
     y2a = np.asarray(y2, dtype=float)
     dt = t2 - t1
     out = dt / math.pi / ((y2a - y1) ** 2 + dt * dt)
@@ -258,9 +256,9 @@ def cauchy_transition_pdf(t1, t2, y1, y2):
 
 def biane_half_pdf(t1, t2, y1, y2):
     """1/2-stable Biane process kernel f^(1/2); the time-t support is [t^2/4, inf)."""
-    if t1 < 0.0 or not t2 > t1:
-        raise InvalidTime(f"Biane kernel requires 0 <= t1 < t2, got t1={t1}, t2={t2}")
-    if y1 <= t1 * t1 / 4.0 and not (t1 == 0.0 and y1 == 0.0):
+    if not 0.0 <= t1 < t2 < math.inf:
+        raise InvalidTime(f"Biane kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
+    if not (t1 * t1 / 4.0 < y1 < math.inf or (t1 == 0.0 and y1 == 0.0)):
         raise InvalidState(f"y1={y1} outside the time-t1 support ({t1 * t1 / 4.0}, inf)")
     y2a = np.asarray(y2, dtype=float)
     dt = t2 - t1
@@ -274,9 +272,9 @@ def biane_half_pdf(t1, t2, y1, y2):
 
 def biane_shifted_pdf(t1, t2, y1, y2):
     """Kernel of the drift-and-time-scaled Biane process Z^(1/2)_{2t} - t^2 on (0, inf)."""
-    if not 0.0 < t1 < t2:
-        raise InvalidTime(f"shifted Biane kernel requires 0 < t1 < t2, got t1={t1}, t2={t2}")
-    if not y1 > 0.0:
+    if not 0.0 < t1 < t2 < math.inf:
+        raise InvalidTime(f"shifted Biane kernel requires 0 < t1 < t2 < inf, got t1={t1}, t2={t2}")
+    if not 0.0 < y1 < math.inf:
         raise InvalidState(f"y1={y1} outside the support (0, inf)")
     y2a = np.asarray(y2, dtype=float)
     dt = t2 - t1
@@ -288,8 +286,8 @@ def biane_shifted_pdf(t1, t2, y1, y2):
 
 def half_stable_marginal(t, x):
     """Free 1/2-stable marginal t sqrt(4x - t^2) / (2 pi x^2) on (t^2/4, inf)."""
-    if not t > 0.0:
-        raise InvalidTime(f"marginal requires t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise InvalidTime(f"marginal requires finite t > 0, got {t}")
     xarr = np.asarray(x, dtype=float)
     sq = np.sqrt(np.clip(4.0 * xarr - t * t, 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -300,8 +298,8 @@ def half_stable_marginal(t, x):
 
 def cauchy_marginal(t, x):
     """Cauchy law with scale t: t / (pi (x^2 + t^2))."""
-    if not t > 0.0:
-        raise InvalidTime(f"marginal requires t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise InvalidTime(f"marginal requires finite t > 0, got {t}")
     xarr = np.asarray(x, dtype=float)
     out = t / (math.pi * (xarr * xarr + t * t))
     return _as_float_or_array(x, out)
@@ -312,8 +310,8 @@ def half_stable_cdf(t, x):
 
     F_t(x) = (2/pi) [arctan(w) - w t^2 / (4x)] with w = sqrt(4x/t^2 - 1).
     """
-    if not t > 0.0:
-        raise InvalidTime(f"cdf requires t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise InvalidTime(f"cdf requires finite t > 0, got {t}")
     xarr = np.asarray(x, dtype=float)
     u = xarr / (t * t)
     w = np.sqrt(np.clip(4.0 * u - 1.0, 0.0, None))

@@ -5,7 +5,9 @@ cumulative built from per-subinterval Gauss-Legendre masses on nodes that
 cluster toward the support endpoints (densities here typically vanish like a
 square root there).  Sampling is monotone interpolation of the quantile
 function; randomness flows exclusively from :class:`SeedSpec` streams, so
-every consumer is reproducible.
+every consumer is reproducible.  The simulator tabulates many conditionals
+at once as cumulative rows (:func:`batch_cdf_tables`) and inverts them with
+a monotone-cubic quantile (:func:`pchip_quantile`).
 """
 
 import math
@@ -22,6 +24,8 @@ __all__ = [
     "build_cdf",
     "sample",
     "uniform_stream",
+    "batch_cdf_tables",
+    "pchip_quantile",
 ]
 
 _GL_RULES = {order: np.polynomial.legendre.leggauss(order) for order in (4, 8)}
@@ -197,23 +201,20 @@ def sample(table: CdfTable, u):
     return float(out) if np.ndim(u) == 0 else out
 
 
-def batch_cdf_tables(density_matrix, nodes, support, truncated_at=(None, None), order=_GL_ORDER):
-    """Build one CdfTable per row of a density matrix.
+def batch_cdf_tables(density_matrix, nodes, order=_GL_ORDER):
+    """Cumulative rows of a batch of densities, one row per conditional.
 
-    ``density_matrix`` has shape (batch, m) where m = gauss points of the
-    ``nodes`` subintervals laid out as in gauss_points; ``nodes`` is either
-    one shared grid or one grid row per batch entry.  Used by the simulator
-    to amortise kernel evaluations across many conditioning states.
+    ``density_matrix`` has shape (batch, m): row r holds a density at the
+    gauss_points of node row ``nodes[r]`` ((batch, n) array).  Returns the
+    (batch, n) cumulative masses at the nodes, each row renormalized to end
+    at exactly 1.  Used by the simulator to amortise kernel evaluations
+    across many conditioning states.
     """
     glw = _GL_RULES[order][1]
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim == 1:
-        nodes = np.broadcast_to(nodes, (density_matrix.shape[0], len(nodes)))
     half = 0.5 * np.diff(nodes, axis=1)
-    k = nodes.shape[1] - 1
-    vals = density_matrix.reshape(density_matrix.shape[0], k, order)
+    vals = density_matrix.reshape(half.shape + (order,))
     masses = np.clip(vals @ glw, 0.0, None) * half
-    cdf = np.zeros((density_matrix.shape[0], nodes.shape[1]))
+    cdf = np.zeros(nodes.shape)
     np.cumsum(masses, axis=1, out=cdf[:, 1:])
     totals = cdf[:, -1].copy()
     if not np.all(np.isfinite(totals)) or np.any(totals <= 0.0):
@@ -221,15 +222,88 @@ def batch_cdf_tables(density_matrix, nodes, support, truncated_at=(None, None), 
     cdf /= totals[:, None]
     cdf[:, 0] = 0.0
     cdf[:, -1] = 1.0
-    return [CdfTable(support, nodes[i], cdf[i], truncated_at) for i in range(cdf.shape[0])]
+    return cdf
+
+
+def _pchip_slopes(c, v):
+    """Fritsch-Carlson shape-preserving slopes of each row of v against the same row of c.
+
+    Ties in c (zero-mass intervals) get zero secants; samples can never land
+    strictly inside such an interval, so their slopes are irrelevant as long
+    as they stay finite.
+    """
+    h = np.diff(c, axis=1)
+    safe_h = np.where(h > 0.0, h, 1.0)
+    d = np.where(h > 0.0, np.diff(v, axis=1) / safe_h, 0.0)
+    m = np.zeros_like(v)
+    d0, d1 = d[:, :-1], d[:, 1:]
+    h0, h1 = safe_h[:, :-1], safe_h[:, 1:]
+    pos = d0 * d1 > 0.0
+    w1 = 2.0 * h1 + h0
+    w2 = h1 + 2.0 * h0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        har = (w1 + w2) / (w1 / np.where(pos, d0, 1.0) + w2 / np.where(pos, d1, 1.0))
+    m[:, 1:-1] = np.where(pos, har, 0.0)
+    for edge, inner in ((0, 1), (-1, -2)):
+        ha, hb, da, db = safe_h[:, edge], safe_h[:, inner], d[:, edge], d[:, inner]
+        slope = ((2.0 * ha + hb) * da - ha * db) / (ha + hb)
+        overshoot = (da * db < 0.0) & (np.abs(slope) > 3.0 * np.abs(da))
+        m[:, edge] = np.where(slope * da <= 0.0, 0.0, np.where(overshoot, 3.0 * da, slope))
+    return m
+
+
+def _row_search(cdf, row, u):
+    """For each i, the last index j with cdf[row[i], j] <= u[i], by bisection.
+
+    Equals np.searchsorted(cdf[row[i]], u[i], side="right") - 1 for u >= 0,
+    since every row starts at 0 and never decreases.
+    """
+    lo = np.zeros(len(u), dtype=np.intp)
+    hi = np.full(len(u), cdf.shape[1], dtype=np.intp)
+    for _ in range(cdf.shape[1].bit_length()):
+        mid = (lo + hi) >> 1
+        below = cdf[row, mid] <= u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def pchip_quantile(nodes, cdf, row, u):
+    """Monotone-cubic quantile: entry i inverts cumulative row ``row[i]`` at u[i].
+
+    ``nodes`` and ``cdf`` are (batch, n) rows as from batch_cdf_tables, u
+    lies in [0, 1).  Linear quantile interpolation smears the heavy flanks
+    that small-step transition kernels inherit from their Cauchy tangents;
+    the shape-preserving (PCHIP) cubic keeps the flank quantiles faithful at
+    the same node count.
+    """
+    m = _pchip_slopes(cdf, nodes)
+    i = np.minimum(_row_search(cdf, row, u), cdf.shape[1] - 2)
+    c0, v0, m0 = cdf[row, i], nodes[row, i], m[row, i]
+    c1, v1, m1 = cdf[row, i + 1], nodes[row, i + 1], m[row, i + 1]
+    hc = c1 - c0
+    safe = np.where(hc > 0.0, hc, 1.0)
+    t = np.clip((u - c0) / safe, 0.0, 1.0)
+    t2 = t * t
+    t3 = t2 * t
+    out = (v0 * (2.0 * t3 - 3.0 * t2 + 1.0)
+           + safe * m0 * (t3 - 2.0 * t2 + t)
+           + v1 * (-2.0 * t3 + 3.0 * t2)
+           + safe * m1 * (t3 - t2))
+    return np.clip(out, nodes[row, 0], nodes[row, -1])
 
 
 def gauss_points(nodes, order=_GL_ORDER):
-    """Gauss-Legendre evaluation points matching batch_cdf_tables' layout."""
+    """Gauss-Legendre evaluation points of the intervals of each node row.
+
+    For (..., n) nodes returns (..., (n-1) * order) points, the layout
+    batch_cdf_tables expects.
+    """
     glx = _GL_RULES[order][0]
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    half = 0.5 * np.diff(nodes)
-    return (mid[:, None] + half[:, None] * glx[None, :]).ravel()
+    mid = 0.5 * (nodes[..., :-1] + nodes[..., 1:])
+    half = 0.5 * np.diff(nodes, axis=-1)
+    pts = mid[..., None] + half[..., None] * glx
+    return pts.reshape(nodes.shape[:-1] + (-1,))
 
 
 def cheb_nodes(lo, hi, n):

@@ -2,26 +2,24 @@
 the deterministic transform between the two processes, and the jump/moment
 statistics with closed-form counterparts.
 
-Every step draws from the exact one-step transition kernel through a cached
-inverse-CDF table; conditioning states are quantized to 1e-4 of the support
-width so nearby conditionals share a table (the quantization error is second
-order against the table interpolation error).  Paths are embarrassingly
-parallel: path i consumes stream_index i of the base seed, so results are
-reproducible and independent of batching or thread count.
+Every grid step is one batch over all paths: the states are quantized to
+1e-4 of the support width (the quantization error is second order against
+the table interpolation error) and deduplicated, the transition kernel is
+evaluated once on the (states x nodes x Gauss points) array, and every path
+draws from its state's row through a monotone-cubic inverse CDF.  Path i
+consumes stream_index i of the base seed, and every stage works row by row,
+so a path's values do not depend on which other paths share its batch.
 """
 
 import math
-import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInit, InvalidThreshold, InvalidTime, UnknownProcess
-from .kernels import Support, qbm_transition_pdf, qnormal_pdf, qou_transition_pdf
+from .errors import InvalidCount, InvalidInit, InvalidThreshold, InvalidTime, UnknownProcess
+from .kernels import qbm_transition_pdf, qnormal_pdf, qou_transition_pdf
 from .qspecial import QParams, TruncationPolicy
-from .sampling import SeedSpec, batch_cdf_tables, cheb_nodes, gauss_points
+from .sampling import SeedSpec, batch_cdf_tables, cheb_nodes, gauss_points, pchip_quantile
 
 __all__ = [
     "TimeGrid",
@@ -59,8 +57,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.t0 < 0.0 or not self.t1 > self.t0:
-            raise InvalidTime(f"need 0 <= t0 < t1, got [{self.t0}, {self.t1}]")
+        if not 0.0 <= self.t0 < self.t1 < math.inf:
+            raise InvalidTime(f"need 0 <= t0 < t1 < inf, got [{self.t0}, {self.t1}]")
         if self.steps < 1:
             raise InvalidTime("need at least one step")
 
@@ -121,113 +119,15 @@ class JumpStats:
         return math.sqrt(max(f * (1.0 - f), 0.0) / self.ensemble_size)
 
 
-class TableCache:
-    """Thread-safe FIFO cache of conditional CDF tables keyed by quantized state."""
-
-    def __init__(self, maxsize=8192):
-        self.maxsize = maxsize
-        self._data = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            return self._data.get(key)
-
-    def put(self, key, value):
-        with self._lock:
-            if key not in self._data:
-                self._data[key] = value
-                while len(self._data) > self.maxsize:
-                    self._data.popitem(last=False)
-
-    def clear(self):
-        with self._lock:
-            self._data.clear()
+def _stationary_draw(p: QParams, u, n_nodes=257, policy=_SIM_POLICY):
+    """q-normal samples at the uniforms u (Chebyshev nodes, 8-point Gauss masses)."""
+    nodes = cheb_nodes(p.x_minus, p.x_plus, n_nodes)[None, :]
+    cdf = batch_cdf_tables(qnormal_pdf(p, gauss_points(nodes), policy), nodes)
+    return pchip_quantile(nodes, cdf, np.zeros(len(u), dtype=np.intp), u)
 
 
-_DEFAULT_CACHE = TableCache()
-_STATIONARY_CACHE = TableCache(maxsize=64)
-
-
-def _pchip_slopes(c, v):
-    """Fritsch-Carlson shape-preserving slopes of v against c (both 1-D).
-
-    Ties in c (zero-mass intervals) get zero secants; samples can never land
-    strictly inside such an interval, so their slopes are irrelevant as long
-    as they stay finite.
-    """
-    h = np.diff(c)
-    safe_h = np.where(h > 0.0, h, 1.0)
-    d = np.where(h > 0.0, np.diff(v) / safe_h, 0.0)
-    m = np.zeros_like(v)
-    d0, d1 = d[:-1], d[1:]
-    h0, h1 = safe_h[:-1], safe_h[1:]
-    pos = d0 * d1 > 0.0
-    w1 = 2.0 * h1 + h0
-    w2 = h1 + 2.0 * h0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        har = (w1 + w2) / (w1 / np.where(pos, d0, 1.0) + w2 / np.where(pos, d1, 1.0))
-    m[1:-1] = np.where(pos, har, 0.0)
-    for edge, (ha, hb, da, db) in ((0, (safe_h[0], safe_h[1], d[0], d[1])),
-                                   (-1, (safe_h[-1], safe_h[-2], d[-1], d[-2]))):
-        slope = ((2.0 * ha + hb) * da - ha * db) / (ha + hb)
-        if slope * da <= 0.0:
-            slope = 0.0
-        elif da * db < 0.0 and abs(slope) > 3.0 * abs(da):
-            slope = 3.0 * da
-        m[edge] = slope
-    return m
-
-
-class _QuantileTable:
-    """A CdfTable with a monotone-cubic (PCHIP) quantile on top.
-
-    Linear quantile interpolation smears the heavy flanks that small-step
-    transition kernels inherit from their Cauchy tangents; the shape-
-    preserving cubic keeps the flank quantiles faithful at the same node
-    count.
-    """
-
-    __slots__ = ("table", "_slopes")
-
-    def __init__(self, table):
-        self.table = table
-        self._slopes = _pchip_slopes(table.cdf_values, table.nodes)
-
-    def draw(self, u):
-        c, v, m = self.table.cdf_values, self.table.nodes, self._slopes
-        i = np.clip(np.searchsorted(c, u, side="right") - 1, 0, len(c) - 2)
-        hc = c[i + 1] - c[i]
-        safe = np.where(hc > 0.0, hc, 1.0)
-        t = np.clip((u - c[i]) / safe, 0.0, 1.0)
-        t2 = t * t
-        t3 = t2 * t
-        out = (v[i] * (2.0 * t3 - 3.0 * t2 + 1.0)
-               + safe * m[i] * (t3 - 2.0 * t2 + t)
-               + v[i + 1] * (-2.0 * t3 + 3.0 * t2)
-               + safe * m[i + 1] * (t3 - t2))
-        return np.clip(out, v[0], v[-1])
-
-
-def _quantize(x, width):
-    step = _QUANTUM * width
-    return np.round(np.asarray(x, dtype=float) / step) * step
-
-
-def _stationary_table(p: QParams, n_nodes=257, policy=_SIM_POLICY):
-    key = (p.q, n_nodes, policy.rel_tol)
-    table = _STATIONARY_CACHE.get(key)
-    if table is None:
-        sup = Support(p.x_minus, p.x_plus)
-        nodes = cheb_nodes(sup.lo, sup.hi, n_nodes)
-        dens = qnormal_pdf(p, gauss_points(nodes), policy)[None, :]
-        table = _QuantileTable(batch_cdf_tables(dens, nodes, sup)[0])
-        _STATIONARY_CACHE.put(key, table)
-    return table
-
-
-def _core_scale(process, p, t1, t2, x):
-    """Width of the transition kernel's core around the conditioning state.
+def _core_scales(process, p, t1, t2, x):
+    """Width of the transition kernel's core around each conditioning state x.
 
     Small time steps concentrate the kernel in a near-Cauchy spike of scale
     ~ c_{q,x} * step (the tangent-process scale), which uniform node grids
@@ -236,16 +136,14 @@ def _core_scale(process, p, t1, t2, x):
     """
     q = p.q
     if process == "qou":
-        d = t2 - t1
-        c = math.sqrt(max(4.0 / (1.0 - q) - x * x, 0.0))
-        return d * c + d * d * 4.0 / math.sqrt(1.0 - q)
-    if t1 == 0.0:
+        d, xi, outer = t2 - t1, x, 1.0
+    elif t1 == 0.0:
         return None
-    # q-BM via the deterministic OU time change: step 0.5 log(t2/t1) at x/sqrt(t1)
-    d = 0.5 * math.log(t2 / t1)
-    xi = x / math.sqrt(t1)
-    c = math.sqrt(max(4.0 / (1.0 - q) - xi * xi, 0.0))
-    return math.sqrt(t2) * (d * c + d * d * 4.0 / math.sqrt(1.0 - q))
+    else:
+        # q-BM via the deterministic OU time change: step 0.5 log(t2/t1) at x/sqrt(t1)
+        d, xi, outer = 0.5 * math.log(t2 / t1), x / math.sqrt(t1), math.sqrt(t2)
+    c = np.sqrt(np.maximum(4.0 / (1.0 - q) - xi * xi, 0.0))
+    return outer * (d * c + d * d * 4.0 / math.sqrt(1.0 - q))
 
 
 def _conditional_nodes(lo, hi, xs, scales, n_nodes):
@@ -269,53 +167,39 @@ def _conditional_nodes(lo, hi, xs, scales, n_nodes):
     return np.clip(rows, lo, hi)
 
 
-def _conditional_tables(process, p, t1, t2, xs, cache, n_nodes=_SIM_NODES, policy=_SIM_POLICY):
-    """Tables for the one-step conditionals at the (already quantized) states xs."""
+def _step(process, p, t1, t2, x, u, n_nodes=_SIM_NODES, policy=_SIM_POLICY):
+    """Draw the time-t2 state of every path from its time-t1 state x, one uniform each."""
     if process == "qou":
-        sup = Support(p.x_minus, p.x_plus)
-        key_base = ("qou", p.q, round(t2 - t1, 12), n_nodes)
+        b1 = hi = p.x_plus
     elif process == "qbm":
-        b = 2.0 * math.sqrt(t2 / (1.0 - p.q))
-        sup = Support(-b, b)
-        key_base = ("qbm", p.q, t1, t2, n_nodes)
+        b1 = 2.0 * math.sqrt(t1 / (1.0 - p.q))
+        hi = 2.0 * math.sqrt(t2 / (1.0 - p.q))
     else:
         raise UnknownProcess(f"cannot simulate process {process!r}")
-    out = {}
-    missing = []
-    for x in xs:
-        table = cache.get(key_base + (x,))
-        if table is None:
-            missing.append(x)
-        else:
-            out[x] = table
-    if missing:
-        xcol = np.asarray(missing, dtype=float)[:, None]
-        width = sup.hi - sup.lo
-        scales = [_core_scale(process, p, t1, t2, x) for x in missing]
-        if any(s is None for s in scales):
-            scales = None
-        else:
-            scales = np.clip(np.asarray(scales), width * 1e-9, width / 2.0)
-        nodes = _conditional_nodes(sup.lo, sup.hi, missing, scales, n_nodes)
-        pts = np.stack([gauss_points(row, _SIM_GL) for row in nodes])
-        if process == "qou":
-            dens = qou_transition_pdf(p, t2 - t1, xcol, pts, policy)
-        else:
-            dens = qbm_transition_pdf(p, t1, t2, xcol, pts, policy)
-        tables = batch_cdf_tables(np.atleast_2d(dens), nodes, sup, order=_SIM_GL)
-        for x, table in zip(missing, tables):
-            qt = _QuantileTable(table)
-            cache.put(key_base + (x,), qt)
-            out[x] = qt
-    return out
+    width = 2.0 * hi
+    quantum = _QUANTUM * width
+    # rounding may push a state just past its support bound; clamp back
+    xq = np.clip(np.round(x / quantum) * quantum, -b1, b1)
+    states, row = np.unique(xq, return_inverse=True)
+    scales = _core_scales(process, p, t1, t2, states)
+    if scales is not None:
+        scales = np.clip(scales, width * 1e-9, width / 2.0)
+    nodes = _conditional_nodes(-hi, hi, states, scales, n_nodes)
+    pts = gauss_points(nodes, _SIM_GL)
+    if process == "qou":
+        dens = qou_transition_pdf(p, t2 - t1, states[:, None], pts, policy)
+    else:
+        dens = qbm_transition_pdf(p, t1, t2, states[:, None], pts, policy)
+    cdf = batch_cdf_tables(dens, nodes, order=_SIM_GL)
+    return pchip_quantile(nodes, cdf, row, u)
 
 
 def _initial_states(process, p, t0, init, u0):
     if process == "qou":
         if isinstance(init, Stationary):
-            return _stationary_table(p).draw(u0), "stationary"
+            return _stationary_draw(p, u0), "stationary"
         if isinstance(init, Fixed):
-            if abs(init.x) > p.x_plus:
+            if not abs(init.x) <= p.x_plus:
                 raise InvalidInit(f"x={init.x} outside [{p.x_minus}, {p.x_plus}]")
             return np.full_like(np.asarray(u0, dtype=float), init.x), f"fixed:{init.x}"
         raise InvalidInit("q-OU accepts Stationary or Fixed initial conditions")
@@ -328,84 +212,43 @@ def _initial_states(process, p, t0, init, u0):
             # time-t0 marginal of the origin-started process: sqrt(t0)-dilated q-normal
             if t0 <= 0.0:
                 raise InvalidInit("marginal q-BM start requires t0 > 0")
-            return math.sqrt(t0) * _stationary_table(p).draw(u0), "marginal"
+            return math.sqrt(t0) * _stationary_draw(p, u0), "marginal"
         if isinstance(init, Fixed):
             if t0 <= 0.0:
                 raise InvalidInit("Fixed q-BM start requires t0 > 0")
             b = 2.0 * math.sqrt(t0 / (1.0 - p.q))
-            if abs(init.x) > b:
+            if not abs(init.x) <= b:
                 raise InvalidInit(f"x={init.x} outside the time-t0 support [-{b}, {b}]")
             return np.full_like(np.asarray(u0, dtype=float), init.x), f"fixed:{init.x}"
         raise InvalidInit("q-BM accepts Origin, Stationary (marginal) or Fixed starts")
     raise UnknownProcess(f"cannot simulate process {process!r}")
 
 
-def _widths(process, p, times):
-    if process == "qou":
-        return np.full(len(times), p.x_plus - p.x_minus)
-    return 4.0 * np.sqrt(np.maximum(times, times[-1] * 1e-12) / (1.0 - p.q))
+def _simulate(process, p, grid, init, seeds):
+    times = grid.times
+    U = np.stack([s.generator().random(len(times)) for s in seeds])
+    values = np.empty(U.shape)
+    values[:, 0], init_label = _initial_states(process, p, times[0], init, U[:, 0])
+    for j in range(grid.steps):
+        values[:, j + 1] = _step(process, p, times[j], times[j + 1], values[:, j], U[:, j + 1])
+    return [PathSample(process, p.q, times, v, s, init_label) for v, s in zip(values, seeds)]
 
 
-def _ensemble_chunk(process, p, times, init, seeds, cache):
-    n_steps = len(times) - 1
-    gens = [s.generator() for s in seeds]
-    U = np.stack([g.random(n_steps + 1) for g in gens])
-    values = np.empty((len(seeds), n_steps + 1))
-    x0, init_label = _initial_states(process, p, times[0], init, U[:, 0])
-    values[:, 0] = x0
-    widths = _widths(process, p, times)
-    for j in range(n_steps):
-        xq = _quantize(values[:, j], widths[j + 1])
-        # rounding may push a state just past its support bound; clamp back
-        if process == "qou":
-            xq = np.clip(xq, p.x_minus, p.x_plus)
-        else:
-            b = 2.0 * math.sqrt(times[j] / (1.0 - p.q)) if times[j] > 0.0 else 0.0
-            xq = np.clip(xq, -b, b)
-        uniq = np.unique(xq)
-        tables = _conditional_tables(process, p, times[j], times[j + 1], uniq, cache)
-        nxt = np.empty(len(seeds))
-        for x in uniq:
-            m = xq == x
-            nxt[m] = tables[x].draw(U[m, j + 1])
-        values[:, j + 1] = nxt
-    return values, init_label
-
-
-def simulate_path(process, p: QParams, grid: TimeGrid, init, seed: SeedSpec, cache=None):
+def simulate_path(process, p: QParams, grid: TimeGrid, init, seed: SeedSpec):
     """One trajectory, sampling each step from the exact transition kernel."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
-    values, init_label = _ensemble_chunk(process, p, grid.times, init, [seed], cache)
-    return PathSample(process, p.q, grid.times, values[0], seed, init_label)
+    return _simulate(process, p, grid, init, [seed])[0]
 
 
-def simulate_ensemble(process, p: QParams, grid: TimeGrid, init, base_seed, n_paths,
-                      threads=1, cache=None):
+def simulate_ensemble(process, p: QParams, grid: TimeGrid, init, base_seed, n_paths):
     """n_paths trajectories; path i uses stream_index i of base_seed.
 
-    Results are identical for any thread count: streams are pre-assigned and
-    the per-step conditional tables are deterministic functions of their key.
+    Path i equals simulate_path(..., SeedSpec(base_seed, i)) bit for bit,
+    whatever n_paths is: every stage of a step works row by row.
     """
-    cache = cache if cache is not None else _DEFAULT_CACHE
+    if n_paths < 1:
+        raise InvalidCount(f"need at least one path, got {n_paths}")
     seeds = [SeedSpec(base_seed, i) for i in range(n_paths)]
-    times = grid.times
-    if threads <= 1 or n_paths < 4:
-        values, init_label = _ensemble_chunk(process, p, times, init, seeds, cache)
-    else:
-        chunks = np.array_split(np.arange(n_paths), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(_ensemble_chunk, process, p, times, init,
-                            [seeds[i] for i in ch], cache)
-                for ch in chunks if len(ch)
-            ]
-            parts = [f.result() for f in futs]
-        values = np.vstack([v for v, _ in parts])
-        init_label = parts[0][1]
-    return [
-        PathSample(process, p.q, times, values[i], seeds[i], init_label)
-        for i in range(n_paths)
-    ]
+    return _simulate(process, p, grid, init, seeds)
 
 
 def ou_to_bm(path: PathSample):
@@ -436,7 +279,7 @@ def moment4_closed(q, s, t):
     return (2.0 + q) * d * d + 2.0 * (1.0 - q) * s * d
 
 
-def moment4_estimate(q, s, t, n_samples, seed: SeedSpec, cache=None):
+def moment4_estimate(q, s, t, n_samples, seed: SeedSpec):
     """Monte Carlo fourth moment of the increment W_t - W_s with its standard error.
 
     W_s is drawn from its sqrt(s)-dilated q-normal marginal, then W_t from the
@@ -445,31 +288,17 @@ def moment4_estimate(q, s, t, n_samples, seed: SeedSpec, cache=None):
     """
     if s < 0.0 or not t > s:
         raise InvalidTime(f"need 0 <= s < t, got s={s}, t={t}")
-    cache = cache if cache is not None else _DEFAULT_CACHE
+    if n_samples < 1:
+        raise InvalidCount(f"need at least one sample, got {n_samples}")
     p = QParams(q)
     gen = seed.generator()
+    if s == 0.0:
+        w_s = np.zeros(n_samples)
+    else:
+        w_s = math.sqrt(s) * _stationary_draw(p, gen.random(n_samples))
     # moment estimation weights the tails; finer tables keep the quantile
     # interpolation bias well below the Monte Carlo error
-    n_nodes = 257
-    if s == 0.0:
-        u = gen.random(n_samples)
-        tables = _conditional_tables("qbm", p, 0.0, t, np.array([0.0]), cache, n_nodes)
-        w_t = tables[0.0].draw(u)
-        d = w_t
-    else:
-        u0 = gen.random(n_samples)
-        u1 = gen.random(n_samples)
-        w_s = math.sqrt(s) * _stationary_table(p).draw(u0)
-        width = 4.0 * math.sqrt(t / (1.0 - q))
-        b_s = 2.0 * math.sqrt(s / (1.0 - q))
-        xq = np.clip(_quantize(w_s, width), -b_s, b_s)
-        uniq = np.unique(xq)
-        tables = _conditional_tables("qbm", p, s, t, uniq, cache, n_nodes)
-        w_t = np.empty(n_samples)
-        for x in uniq:
-            m = xq == x
-            w_t[m] = tables[x].draw(u1[m])
-        d = w_t - w_s
+    d = _step("qbm", p, s, t, w_s, gen.random(n_samples), n_nodes=257) - w_s
     d4 = d ** 4
     est = float(np.mean(d4))
     if n_samples < 2:
@@ -487,7 +316,7 @@ def jump_bound(q, S, T, a):
     return min(1.0, (1.0 - q) * (T * T - S * S) / a ** 4)
 
 
-def max_increments(q, S, T, n_paths, steps, seed_base, threads=1, cache=None):
+def max_increments(q, S, T, n_paths, steps, seed_base):
     """Largest absolute grid increment of each of n_paths q-BM paths on [S, T].
 
     Paths start at the origin for S = 0 and from the time-S marginal otherwise.
@@ -495,12 +324,11 @@ def max_increments(q, S, T, n_paths, steps, seed_base, threads=1, cache=None):
     p = QParams(q)
     grid = TimeGrid(S, T, steps)
     init = Origin() if S == 0.0 else Stationary()
-    paths = simulate_ensemble("qbm", p, grid, init, seed_base, n_paths,
-                              threads=threads, cache=cache)
+    paths = simulate_ensemble("qbm", p, grid, init, seed_base, n_paths)
     return np.array([np.max(np.abs(path.increments())) for path in paths])
 
 
-def sup_jump_estimate(q, S, T, a, n_paths, steps, seed: SeedSpec, threads=1, cache=None):
+def sup_jump_estimate(q, S, T, a, n_paths, steps, seed: SeedSpec):
     """Fraction of simulated paths whose largest grid increment exceeds a.
 
     The grid maximum converges to the supremum of the jump sizes as the mesh
@@ -508,6 +336,6 @@ def sup_jump_estimate(q, S, T, a, n_paths, steps, seed: SeedSpec, threads=1, cac
     """
     if not a >= 0.0:
         raise InvalidThreshold(f"threshold a must be nonnegative, got {a}")
-    mx = max_increments(q, S, T, n_paths, steps, seed.base_seed, threads=threads, cache=cache)
+    mx = max_increments(q, S, T, n_paths, steps, seed.base_seed)
     exceed = int(np.sum(mx > a))
     return JumpStats(float(np.max(mx)), a, exceed, n_paths)

@@ -63,7 +63,7 @@ def test_criterion_2_large_jump_bound():
     failures = []
     for q in (0.0, 0.5, 0.9):
         ens = simulate_ensemble("qbm", QParams(q), TimeGrid(0.0, 1.0, 500),
-                                Origin(), 2002, 500, threads=2)
+                                Origin(), 2002, 500)
         mx = np.array([np.max(np.abs(np.diff(p.values))) for p in ens])
         for a in (0.5, 1.0, 2.0):
             frac = float(np.mean(mx > a))
@@ -189,7 +189,7 @@ def test_criterion_7_trajectory_regime():
     violations = 0
     for q in (0.0, 0.5, 0.95):
         ens = simulate_ensemble("qbm", QParams(q), TimeGrid(0.0, 4.0, 2000),
-                                Origin(), 3003, 100, threads=2)
+                                Origin(), 3003, 100)
         for path in ens:
             bound = 2.0 * np.sqrt(path.times / (1.0 - q))
             violations += int(np.any(np.abs(path.values) > bound + 1e-9))

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qtangent
 from qtangent.cli import parse_and_dispatch
 
 
@@ -12,6 +16,44 @@ def run(argv, capsys):
     code = parse_and_dispatch(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(args, cwd):
+    """Run python ARGS in a new interpreter that imports qtangent from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtangent.__file__)))
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def assert_usage_error(code, err):
+    assert code == 1
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("qtangent: error:"), err
+
+
+class TestInputValidation:
+    """Bad input exits 1 with one error line: no traceback, no NaN output."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--process", "qbm", "--q", "0.5", "--t1", "1", "--steps", "5",
+         "--paths", "0"],
+        ["jumps", "--q", "0.5", "--T", "1", "--a", "1", "--steps", "5", "--paths", "0"],
+        ["simulate", "--process", "qou", "--q", "0.5", "--t1", "1", "--steps", "5",
+         "--init", "fixed:abc"],
+        ["simulate", "--process", "qou", "--q", "0.5", "--t1", "1", "--steps", "5",
+         "--init", "fixed:nan"],
+        ["simulate", "--process", "qbm", "--q", "0.5", "--t1", "inf", "--steps", "5"],
+        ["density", "--process", "qou", "--q", "0.5", "--delta", "0.3", "--x", "nan",
+         "--grid", "-1:1:5"],
+        ["density", "--process", "half_stable", "--t", "inf", "--grid", "0.5:2:5"],
+        ["density", "--process", "qnormal", "--q", "0", "--grid", "0:inf:5"],
+    ], ids=["simulate-paths-0", "jumps-paths-0", "init-fixed-abc", "init-fixed-nan",
+            "simulate-t1-inf", "density-x-nan", "density-t-inf", "density-grid-inf"])
+    def test_exits_one_with_one_line(self, argv, tmp_path, capsys):
+        code, out, err = run(argv + (["--output-dir", str(tmp_path)] if argv[0] == "simulate"
+                                     else []), capsys)
+        assert_usage_error(code, err)
+        assert "nan" not in out
 
 
 class TestDensityCommand:
@@ -93,6 +135,28 @@ class TestSimulateCommand:
         data = np.array([[float(v) for v in r.split(",")] for r in rows])
         bound = 2 * np.sqrt(data[:, 0] / (1 - 0.95))
         assert np.all(np.abs(data[:, 1]) <= bound + 1e-9)
+
+    def test_qou_reruns_byte_identical(self, tmp_path):
+        # fresh processes with default arguments, as a user would run them
+        argv = ["-m", "qtangent.cli", "simulate", "--process", "qou", "--q", "0.5",
+                "--t1", "20", "--steps", "400", "--paths", "20", "--seed", "11"]
+        for name in ("r1", "r2"):
+            proc = run_fresh(argv + ["--output-dir", name], tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        files = sorted(f.name for f in (tmp_path / "r1").iterdir())
+        assert len(files) == 20
+        for name in files:
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # density, simulate and jumps never call scipy; importing it costs most of
+    # their start-up, so only the subcommands that use it may load it
+    proc = run_fresh(["-c", "import sys, qtangent.cli; "
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                     tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestTangentCommand:

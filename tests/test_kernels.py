@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qtangent import kernels
 from qtangent.errors import InvalidState, InvalidTime, UnknownProcess
 from qtangent.kernels import (
     Support,
@@ -18,7 +19,7 @@ from qtangent.kernels import (
     qou_transition_pdf,
     support_of,
 )
-from qtangent.qspecial import QParams, phi_star, psi_star, q_pochhammer_inf
+from qtangent.qspecial import QParams, TruncationPolicy, phi_star, psi_star, q_pochhammer_inf
 
 
 class TestQNormal:
@@ -89,6 +90,13 @@ class TestQOUKernel:
         p = QParams(0.5)
         with pytest.raises(InvalidState):
             qou_transition_pdf(p, 0.5, p.x_plus * 1.01, 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidState):
+                qou_transition_pdf(p, 0.5, bad, 0.0)
+            with pytest.raises(InvalidState):
+                qbm_transition_pdf(p, 1.0, 2.0, bad, 0.0)
+        with pytest.raises(InvalidTime):
+            qou_transition_pdf(p, math.inf, 0.0, 0.0)
 
     def test_minphi_upper_bound(self):
         # kernel <= p(y) (e^{-2d}; q)_inf e^{2d} / ([16 sinh^4(d/2) + (1-q)(x-y)^2] (|q|)_inf^4)
@@ -171,6 +179,49 @@ class TestQBMKernel:
             assert qbm_transition_pdf(p, t1, t2, y1, y2) == pytest.approx(direct, rel=5e-9)
 
 
+class TestTailProductForms:
+    """The (K, points) array form and the per-k loop of each tail product
+    must agree bit for bit, so results do not depend on the batch size."""
+
+    @staticmethod
+    def _both_forms(monkeypatch, fn, *args):
+        monkeypatch.setattr(kernels, "_LOOP_POINTS", 10**9)
+        vector = fn(*args)
+        monkeypatch.setattr(kernels, "_LOOP_POINTS", 0)
+        loop = fn(*args)
+        return vector, loop
+
+    @pytest.mark.parametrize("rel_tol", [1e-14, 1e-4])
+    def test_qou_forms_bitwise_equal(self, monkeypatch, rel_tol):
+        gen = np.random.default_rng(21)
+        policy = TruncationPolicy(rel_tol)
+        for _ in range(40):
+            q = gen.uniform(-0.95, 0.95)
+            xp = QParams(q).x_plus
+            delta = 10.0 ** gen.uniform(-6.0, 0.5)
+            x = gen.uniform(-1.0, 1.0, (3, 1)) * xp
+            y = gen.uniform(-1.0, 1.0, (3, 40)) * xp
+            vector, loop = self._both_forms(
+                monkeypatch, kernels._qou_tail_product, q, delta, x, y, policy)
+            assert np.all(np.isfinite(vector))
+            np.testing.assert_array_equal(vector, loop)
+
+    @pytest.mark.parametrize("rel_tol", [1e-14, 1e-4])
+    def test_qbm_forms_bitwise_equal(self, monkeypatch, rel_tol):
+        gen = np.random.default_rng(22)
+        policy = TruncationPolicy(rel_tol)
+        for _ in range(40):
+            q = gen.uniform(-0.95, 0.95)
+            t1 = gen.uniform(0.0, 2.0) * (gen.random() > 0.2)
+            t2 = t1 + 10.0 ** gen.uniform(-6.0, 0.5)
+            y1 = gen.uniform(-1.0, 1.0, (3, 1)) * 2.0 * math.sqrt(t1 / (1.0 - q))
+            y2 = gen.uniform(-1.0, 1.0, (3, 40)) * 2.0 * math.sqrt(t2 / (1.0 - q))
+            vector, loop = self._both_forms(
+                monkeypatch, kernels._qbm_tail_product, q, t1, t2, y1, y2, policy)
+            assert np.all(np.isfinite(vector))
+            np.testing.assert_array_equal(vector, loop)
+
+
 class TestStableKernels:
     def test_cauchy_peak(self):
         assert cauchy_transition_pdf(0.0, 1.0, 0.0, 0.0) == pytest.approx(1 / math.pi)
@@ -236,6 +287,20 @@ class TestStableKernels:
             half_stable_marginal(0.0, 1.0)
         with pytest.raises(InvalidTime):
             cauchy_marginal(-1.0, 0.0)
+        for fn in (half_stable_marginal, cauchy_marginal, half_stable_cdf):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(InvalidTime):
+                    fn(bad, 1.0)
+
+    def test_two_time_kernels_reject_non_finite_arguments(self):
+        with pytest.raises(InvalidTime):
+            cauchy_transition_pdf(0.0, math.inf, 0.0, 0.0)
+        with pytest.raises(InvalidState):
+            cauchy_transition_pdf(0.0, 1.0, math.nan, 0.0)
+        with pytest.raises(InvalidState):
+            biane_half_pdf(1.0, 2.0, math.inf, 1.0)
+        with pytest.raises(InvalidState):
+            biane_shifted_pdf(1.0, 2.0, math.nan, 1.0)
 
 
 class TestSelfSimilarity:

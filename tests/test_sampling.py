@@ -14,7 +14,15 @@ from qtangent.kernels import (
     qnormal_pdf,
 )
 from qtangent.qspecial import QParams
-from qtangent.sampling import CdfTable, SeedSpec, build_cdf, sample, uniform_stream
+from qtangent.sampling import (
+    CdfTable,
+    SeedSpec,
+    batch_cdf_tables,
+    build_cdf,
+    pchip_quantile,
+    sample,
+    uniform_stream,
+)
 
 
 class TestBuildCdf:
@@ -142,3 +150,53 @@ def test_truncated_table_mass_against_quadrature():
     mass, _ = quad(lambda x: half_stable_marginal(1.0, x), table.nodes[i], table.nodes[j],
                    limit=200)
     assert table.cdf_values[j] - table.cdf_values[i] == pytest.approx(mass, abs=1e-6)
+
+
+def _reference_quantile(c, v, u):
+    """One cumulative row at a time: searchsorted and Fritsch-Carlson slopes with
+    scalar edge rules, then the cubic Hermite quantile."""
+    h = np.diff(c)
+    safe_h = np.where(h > 0.0, h, 1.0)
+    d = np.where(h > 0.0, np.diff(v) / safe_h, 0.0)
+    m = np.zeros_like(v)
+    d0, d1, h0, h1 = d[:-1], d[1:], safe_h[:-1], safe_h[1:]
+    pos = d0 * d1 > 0.0
+    w1, w2 = 2.0 * h1 + h0, h1 + 2.0 * h0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m[1:-1] = np.where(pos, (w1 + w2) / (w1 / np.where(pos, d0, 1.0)
+                                             + w2 / np.where(pos, d1, 1.0)), 0.0)
+    for edge, inner in ((0, 1), (-1, -2)):
+        ha, hb, da, db = safe_h[edge], safe_h[inner], d[edge], d[inner]
+        slope = ((2.0 * ha + hb) * da - ha * db) / (ha + hb)
+        if slope * da <= 0.0:
+            slope = 0.0
+        elif da * db < 0.0 and abs(slope) > 3.0 * abs(da):
+            slope = 3.0 * da
+        m[edge] = slope
+    i = np.clip(np.searchsorted(c, u, side="right") - 1, 0, len(c) - 2)
+    hc = c[i + 1] - c[i]
+    safe = np.where(hc > 0.0, hc, 1.0)
+    t = np.clip((u - c[i]) / safe, 0.0, 1.0)
+    t2, t3 = t * t, t * t * t
+    out = (v[i] * (2.0 * t3 - 3.0 * t2 + 1.0) + safe * m[i] * (t3 - 2.0 * t2 + t)
+           + v[i + 1] * (-2.0 * t3 + 3.0 * t2) + safe * m[i + 1] * (t3 - t2))
+    return np.clip(out, v[0], v[-1])
+
+
+@pytest.mark.parametrize("n_nodes", [64, 96, 257])
+def test_pchip_quantile_matches_per_row_reference(n_nodes):
+    # rows with zero-mass intervals (ties in the cumulative), uniforms that hit
+    # node values exactly, and rows shared by many draws
+    gen = np.random.default_rng(n_nodes)
+    n_rows = 7
+    nodes = np.sort(gen.uniform(-3.0, 3.0, (n_rows, n_nodes)), axis=1)
+    masses = gen.exponential(1.0, (n_rows, n_nodes - 1)) * (gen.random((n_rows, n_nodes - 1)) > 0.2)
+    dens = np.repeat(masses / (0.5 * np.diff(nodes, axis=1)), 4, axis=1)
+    cdf = batch_cdf_tables(dens, nodes, order=4)
+    row = gen.integers(0, n_rows, 3000)
+    u = gen.random(3000)
+    u[:200] = cdf[row[:200], gen.integers(0, n_nodes - 1, 200)]
+    u[200:210] = 0.0
+    got = pchip_quantile(nodes, cdf, row, u)
+    for r in range(n_rows):
+        np.testing.assert_array_equal(got[row == r], _reference_quantile(cdf[r], nodes[r], u[row == r]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qtangent.errors import InvalidInit, InvalidThreshold, InvalidTime
+from qtangent.errors import InvalidCount, InvalidInit, InvalidThreshold, InvalidTime
 from qtangent.kernels import qnormal_pdf
 from qtangent.qspecial import QParams
 from qtangent.sampling import SeedSpec
@@ -37,6 +37,8 @@ class TestTimeGrid:
             TimeGrid(1.0, 0.5, 10)
         with pytest.raises(InvalidTime):
             TimeGrid(0.0, 1.0, 0)
+        with pytest.raises(InvalidTime):
+            TimeGrid(0.0, math.inf, 10)
 
 
 class TestSimulatePath:
@@ -64,6 +66,8 @@ class TestSimulatePath:
             simulate_path("qou", p, g, Origin(), SeedSpec(1))
         with pytest.raises(InvalidInit):
             simulate_path("qbm", p, TimeGrid(1.0, 2.0, 5), Origin(), SeedSpec(1))
+        with pytest.raises(InvalidInit):
+            simulate_path("qou", p, g, Fixed(math.nan), SeedSpec(1))
 
     def test_qbm_support_confinement(self):
         p = QParams(0.9)
@@ -80,20 +84,31 @@ class TestSimulatePath:
 
 class TestEnsemble:
     def test_matches_individual_paths(self):
+        # 300 paths put (states x 380) kernel points past the loop crossover of
+        # the tail product, a single path stays below it: the two must agree
         p = QParams(0.5)
-        g = TimeGrid(0.0, 1.0, 20)
-        ens = simulate_ensemble("qbm", p, g, Origin(), 11, 6)
-        for i in (0, 2, 5):
-            single = simulate_path("qbm", p, g, Origin(), SeedSpec(11, i))
-            np.testing.assert_array_equal(ens[i].values, single.values)
+        for grid, n_paths, picks in ((TimeGrid(0.0, 1.0, 20), 6, (0, 2, 5)),
+                                     (TimeGrid(0.0, 1.0, 5), 300, (0, 7, 150, 299))):
+            ens = simulate_ensemble("qbm", p, grid, Origin(), 11, n_paths)
+            for i in picks:
+                single = simulate_path("qbm", p, grid, Origin(), SeedSpec(11, i))
+                np.testing.assert_array_equal(ens[i].values, single.values)
 
-    def test_thread_count_invariance(self):
+    def test_batch_size_invariance(self):
+        # two paths evaluate the tail product as one (K, points) array, 200 as
+        # a loop over k; the paths they share must agree bit for bit
         p = QParams(0.3)
         g = TimeGrid(0.0, 1.0, 15)
-        a = simulate_ensemble("qou", p, g, Stationary(), 5, 9, threads=1)
-        b = simulate_ensemble("qou", p, g, Stationary(), 5, 9, threads=2)
+        a = simulate_ensemble("qou", p, g, Stationary(), 5, 2)
+        b = simulate_ensemble("qou", p, g, Stationary(), 5, 200)
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.values, pb.values)
+
+    def test_rejects_empty_ensemble(self):
+        with pytest.raises(InvalidCount):
+            simulate_ensemble("qbm", QParams(0.5), TimeGrid(0.0, 1.0, 5), Origin(), 1, 0)
+        with pytest.raises(InvalidCount):
+            moment4_estimate(0.5, 0.0, 1.0, 0, SeedSpec(1))
 
     def test_stationary_pooled_variance(self):
         # pooled marginals of a stationary run have unit variance; the paths
