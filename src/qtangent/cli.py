@@ -4,9 +4,10 @@ statistics and transform-identity verification, emitted as CSV/JSON.
 Exit codes: 0 success, 1 usage or validation error, 2 failed verification
 verdict (so CI can gate on `qtangent verify` and `qtangent tangent`).
 Identical argv and seed produce byte-identical output files; floats are
-printed with shortest round-trip representation.  The scipy-backed modules
-(freeprob, tangent, verify) are imported only by the subcommands that use
-them, so density, simulate and jumps start without loading scipy.
+printed with shortest round-trip representation.  No subcommand loads
+scipy: every integral runs through the numpy quadrature in
+``qtangent.quadrature``.  freeprob, tangent and verify are imported only by
+the subcommands that use them.
 """
 
 import argparse
@@ -40,8 +41,9 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract here is 1
     def __init__(self, *a, **kw):
         super().__init__(*a, **kw)
-        # accept grid/ladder values like -2:2:401 as option arguments
-        self._negative_number_matcher = re.compile(r"^-\d")
+        # accept grid/ladder values like -2:2:401, -.5:1:5 or -inf:1:5 as
+        # option arguments, so a bad bound reaches its own parser's message
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

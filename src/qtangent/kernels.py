@@ -258,12 +258,14 @@ def biane_half_pdf(t1, t2, y1, y2):
     """1/2-stable Biane process kernel f^(1/2); the time-t support is [t^2/4, inf)."""
     if not 0.0 <= t1 < t2 < math.inf:
         raise InvalidTime(f"Biane kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
-    if not (t1 * t1 / 4.0 < y1 < math.inf or (t1 == 0.0 and y1 == 0.0)):
+    y1a = np.asarray(y1, dtype=float)
+    inside = (t1 * t1 / 4.0 < y1a) & (y1a < math.inf) | (t1 == 0.0) & (y1a == 0.0)
+    if not np.all(inside):
         raise InvalidState(f"y1={y1} outside the time-t1 support ({t1 * t1 / 4.0}, inf)")
     y2a = np.asarray(y2, dtype=float)
     dt = t2 - t1
     sq = np.sqrt(np.clip(4.0 * y2a - t2 * t2, 0.0, None))
-    den = 2.0 * math.pi * ((y2a - y1) ** 2 - dt * (t1 * y2a - t2 * y1))
+    den = 2.0 * math.pi * ((y2a - y1a) ** 2 - dt * (t1 * y2a - t2 * y1a))
     with np.errstate(divide="ignore", invalid="ignore"):
         val = dt * sq / den
     out = np.where(y2a <= t2 * t2 / 4.0, 0.0, val)

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidState, InvalidTime, OutOfSupport, UnknownProcess
 from .kernels import (
@@ -49,7 +48,6 @@ __all__ = [
     "distance",
     "convergence_study",
     "default_window",
-    "aldous_ratio",
 ]
 
 _CASES = ("qou_interior", "qou_boundary", "qbm_interior", "qbm_boundary")
@@ -365,28 +363,3 @@ def convergence_study(case: TangentCase, ladder, window: Window = None, resoluti
     return ConvergenceReport(case, window, tuple(rows), verdict, threshold, slack,
                              scale_override)
 
-
-def aldous_ratio(q, eps, x, y1, t1, t2, policy=DEFAULT_POLICY):
-    """Truncated-second-moment ratio E(|Y_t2 - Y_t1|^2 ∧ 1 | Y_t1 = y1)/(t2 - t1).
-
-    Quadrature diagnostic for the tightness bound; the bound's constant is
-    not explicit, so this reports the raw ratio rather than a verdict.
-    """
-    if not t2 > t1:
-        raise InvalidTime(f"need t1 < t2, got t1={t1}, t2={t2}")
-    case = TangentCase("qou_interior", q, x=x)
-    p = case.params
-    lo = (p.x_minus - x) / eps
-    hi = (p.x_plus - x) / eps
-    breaks = sorted({lo, hi, max(lo, min(hi, y1 - 1.0)), max(lo, min(hi, y1 + 1.0))})
-
-    def integrand(y2):
-        g = min((y2 - y1) ** 2, 1.0)
-        return g * rescaled_pdf(case, eps, t1, t2, y1, y2, policy)
-
-    total = 0.0
-    for a, b in zip(breaks, breaks[1:]):
-        if b > a:
-            val, _ = quad(integrand, a, b, limit=200)
-            total += val
-    return total / (t2 - t1)

@@ -5,12 +5,18 @@ Covers normalization (each transition kernel integrates to 1 over its
 target support), the Chapman-Kolmogorov composition, and the deterministic
 time change identity p_{t-s}(x, y) = e^t kappa_{e^{2s}, e^{2t}}(e^s x, e^t y)
 linking the q-OU and q-BM kernels.
+
+Every integral runs through ``quadrature.integrate`` (adaptive 10-point
+Gauss-Legendre, epsabs = epsrel = 1e-11, at most 400 intervals), which calls
+the kernel once per refinement round on all open nodes.  Bounded q-OU and
+q-BM supports are integrated in y = r sin(theta), which removes the
+square-root vanishing at both edges; the Biane half-line takes y = edge + u^2
+for the same reason.
 """
 
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernels import (
     biane_half_pdf,
@@ -19,6 +25,7 @@ from .kernels import (
     qou_transition_pdf,
 )
 from .qspecial import QParams
+from .quadrature import integrate
 from .sampling import SeedSpec
 from .tangent import TangentCase, convergence_study
 
@@ -31,6 +38,18 @@ __all__ = [
 ]
 
 _LADDER = (0.2, 0.1, 0.05, 0.02, 0.01)
+_TOL = dict(epsabs=1e-11, epsrel=1e-11)
+
+
+def _over_interval(f, r):
+    """int_{-r}^{r} f(y) dy in y = r sin(theta)."""
+    return integrate(lambda th: f(r * np.sin(th)) * (r * np.cos(th)),
+                     -0.5 * math.pi, 0.5 * math.pi, **_TOL)
+
+
+def _over_half_line(f, edge):
+    """int_edge^inf f(y) dy in y = edge + u^2."""
+    return integrate(lambda u: f(edge + u * u) * (2.0 * u), 0.0, math.inf, **_TOL)
 
 
 def _norm_case(gen, which):
@@ -39,9 +58,7 @@ def _norm_case(gen, which):
         p = QParams(q)
         d = gen.uniform(0.05, 5.0)
         x = gen.uniform(-0.95, 0.95) * p.x_plus
-        val, _ = quad(lambda y: qou_transition_pdf(p, d, x, y),
-                      p.x_minus, p.x_plus, limit=300)
-        return val
+        return _over_interval(lambda y: qou_transition_pdf(p, d, x, y), p.x_plus)
     if which == "qbm":
         q = gen.uniform(-0.9, 0.9)
         p = QParams(q)
@@ -49,23 +66,17 @@ def _norm_case(gen, which):
         t2 = t1 + gen.uniform(0.05, 3.0)
         y1 = gen.uniform(-0.95, 0.95) * 2.0 * math.sqrt(t1 / (1.0 - q))
         b2 = 2.0 * math.sqrt(t2 / (1.0 - q))
-        val, _ = quad(lambda y: qbm_transition_pdf(p, t1, t2, y1, y), -b2, b2, limit=300)
-        return val
+        return _over_interval(lambda y: qbm_transition_pdf(p, t1, t2, y1, y), b2)
     if which == "cauchy":
         t1 = gen.uniform(0.0, 2.0)
         t2 = t1 + gen.uniform(0.05, 3.0)
         y1 = gen.uniform(-3.0, 3.0)
-        val, _ = quad(lambda y: cauchy_transition_pdf(t1, t2, y1, y),
-                      -np.inf, np.inf, limit=400)
-        return val
+        return integrate(lambda y: cauchy_transition_pdf(t1, t2, y1, y),
+                         -math.inf, math.inf, **_TOL)
     t1 = gen.uniform(0.05, 2.0)
     t2 = t1 + gen.uniform(0.05, 3.0)
     y1 = t1 * t1 / 4.0 + gen.uniform(0.05, 3.0)
-    # substitute y = t2^2/4 + u^2 to absorb the square-root edge
-    edge = t2 * t2 / 4.0
-    val, _ = quad(lambda u: biane_half_pdf(t1, t2, y1, edge + u * u) * 2.0 * u,
-                  0.0, np.inf, limit=400)
-    return val
+    return _over_half_line(lambda y: biane_half_pdf(t1, t2, y1, y), t2 * t2 / 4.0)
 
 
 def kernel_normalization_report(n_sets=50, seed=SeedSpec(1), tol=1e-7):
@@ -86,8 +97,8 @@ def _ck_case(gen, which):
         d1, d2 = gen.uniform(0.1, 1.5, 2)
         x = gen.uniform(-0.8, 0.8) * p.x_plus
         y = gen.uniform(-0.8, 0.8) * p.x_plus
-        val, _ = quad(lambda z: qou_transition_pdf(p, d1, x, z) * qou_transition_pdf(p, d2, z, y),
-                      p.x_minus, p.x_plus, limit=300)
+        val = _over_interval(lambda z: qou_transition_pdf(p, d1, x, z)
+                             * qou_transition_pdf(p, d2, z, y), p.x_plus)
         return val, qou_transition_pdf(p, d1 + d2, x, y)
     if which == "qbm":
         q = gen.uniform(-0.9, 0.9)
@@ -98,26 +109,24 @@ def _ck_case(gen, which):
         y1 = gen.uniform(-0.8, 0.8) * 2.0 * math.sqrt(t1 / (1.0 - q))
         y2 = gen.uniform(-0.8, 0.8) * 2.0 * math.sqrt(t2 / (1.0 - q))
         bu = 2.0 * math.sqrt(u / (1.0 - q))
-        val, _ = quad(lambda z: qbm_transition_pdf(p, t1, u, y1, z) * qbm_transition_pdf(p, u, t2, z, y2),
-                      -bu, bu, limit=300)
+        val = _over_interval(lambda z: qbm_transition_pdf(p, t1, u, y1, z)
+                             * qbm_transition_pdf(p, u, t2, z, y2), bu)
         return val, qbm_transition_pdf(p, t1, t2, y1, y2)
     if which == "cauchy":
         t1 = gen.uniform(0.0, 1.5)
         u = t1 + gen.uniform(0.1, 1.5)
         t2 = u + gen.uniform(0.1, 1.5)
         y1, y2 = gen.uniform(-2.0, 2.0, 2)
-        val, _ = quad(lambda z: cauchy_transition_pdf(t1, u, y1, z) * cauchy_transition_pdf(u, t2, z, y2),
-                      -np.inf, np.inf, limit=400)
+        val = integrate(lambda z: cauchy_transition_pdf(t1, u, y1, z)
+                        * cauchy_transition_pdf(u, t2, z, y2), -math.inf, math.inf, **_TOL)
         return val, cauchy_transition_pdf(t1, t2, y1, y2)
     t1 = gen.uniform(0.05, 1.0)
     u = t1 + gen.uniform(0.1, 1.0)
     t2 = u + gen.uniform(0.1, 1.0)
     y1 = t1 * t1 / 4.0 + gen.uniform(0.05, 2.0)
     y2 = t2 * t2 / 4.0 + gen.uniform(0.05, 2.0)
-    edge = u * u / 4.0
-    val, _ = quad(lambda w: biane_half_pdf(t1, u, y1, edge + w * w)
-                  * biane_half_pdf(u, t2, edge + w * w, y2) * 2.0 * w,
-                  0.0, np.inf, limit=400)
+    val = _over_half_line(lambda z: biane_half_pdf(t1, u, y1, z)
+                          * biane_half_pdf(u, t2, z, y2), u * u / 4.0)
     return val, biane_half_pdf(t1, t2, y1, y2)
 
 

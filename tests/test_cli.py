@@ -47,8 +47,10 @@ class TestInputValidation:
          "--grid", "-1:1:5"],
         ["density", "--process", "half_stable", "--t", "inf", "--grid", "0.5:2:5"],
         ["density", "--process", "qnormal", "--q", "0", "--grid", "0:inf:5"],
+        ["density", "--process", "qnormal", "--q", "0", "--grid", "-inf:1:5"],
     ], ids=["simulate-paths-0", "jumps-paths-0", "init-fixed-abc", "init-fixed-nan",
-            "simulate-t1-inf", "density-x-nan", "density-t-inf", "density-grid-inf"])
+            "simulate-t1-inf", "density-x-nan", "density-t-inf", "density-grid-inf",
+            "density-grid-minus-inf"])
     def test_exits_one_with_one_line(self, argv, tmp_path, capsys):
         code, out, err = run(argv + (["--output-dir", str(tmp_path)] if argv[0] == "simulate"
                                      else []), capsys)
@@ -106,6 +108,17 @@ class TestDensityCommand:
                             "--grid", "nope"], capsys)
         assert code == 1
 
+    def test_negative_grid_bounds_reach_the_grid_parser(self, capsys):
+        # "-inf:1:5" and "-.5:1:5" are values, not options
+        code, _, err = run(["density", "--process", "qnormal", "--q", "0",
+                            "--grid", "-inf:1:5"], capsys)
+        assert_usage_error(code, err)
+        assert "grid needs finite lo < hi" in err
+        code, out, _ = run(["density", "--process", "qnormal", "--q", "0",
+                            "--grid", "-.5:1:4"], capsys)
+        assert code == 0
+        assert out.split("\n")[1].startswith("-0.5,")
+
     def test_unknown_flag_exits_one(self, capsys):
         code, _, _ = run(["density", "--process", "qnormal", "--q", "0",
                           "--grid", "0:1:5", "--bogus", "1"], capsys)
@@ -150,12 +163,30 @@ class TestSimulateCommand:
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # density, simulate and jumps never call scipy; importing it costs most of
-    # their start-up, so only the subcommands that use it may load it
+    # importing scipy would cost most of a short command's start-up
     proc = run_fresh(["-c", "import sys, qtangent.cli; "
                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
                      tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "kernels", "--samples", "2"],
+    ["verify", "--suite", "freeprob", "--samples", "2"],
+    ["tangent", "--case", "qbm_boundary", "--q", "0.5", "--s", "1", "--ladder", "0.1,0.05"],
+    ["biane", "--s", "1", "--t", "2", "--x", "1", "--grid", "0.5:3:4"],
+], ids=["verify-kernels", "verify-freeprob", "tangent", "biane"])
+def test_integrating_commands_leave_scipy_unloaded(argv, tmp_path):
+    # every integral runs through qtangent.quadrature; scipy is a test dependency
+    code = ("import sys\n"
+            "from qtangent.cli import parse_and_dispatch\n"
+            "rc = parse_and_dispatch(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(rc)\n")
+    proc = run_fresh(["-c", code] + argv + ["-o", "out"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out").stat().st_size > 0
     assert proc.stdout.strip() == "[]"
 
 

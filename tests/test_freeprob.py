@@ -13,7 +13,6 @@ from qtangent.freeprob import (
     cauchy_stieltjes,
     g_half_closed,
     half_stable_measure,
-    r_transform_cauchy,
     stieltjes_invert,
     subordinator_F,
     verification_report,
@@ -182,27 +181,6 @@ class TestStieltjesInversion:
     def test_ladder_validation(self):
         with pytest.raises(NonConvergentLadder):
             stieltjes_invert(lambda z: 1.0 / (z + 1j), 0.0, eps_ladder=(1e-3, 1e-2))
-
-
-class TestRTransform:
-    def test_constant_value(self):
-        assert r_transform_cauchy(1.0) == -1j
-        assert r_transform_cauchy(2.5, 0.3j) == -2.5j
-
-    def test_additivity(self):
-        assert r_transform_cauchy(1.5) + r_transform_cauchy(2.5) == r_transform_cauchy(4.0)
-
-    def test_inverts_the_transform(self):
-        # K(w) = 1/w + R(w) right-inverts G(z) = 1/(z + it)
-        for t in (1.0, 3.0):
-            for w in (0.1j, -0.2 + 0.05j):
-                K = 1.0 / w + r_transform_cauchy(t)
-                G = 1.0 / (K + 1j * t)
-                assert G == pytest.approx(w, rel=1e-12)
-
-    def test_time_validation(self):
-        with pytest.raises(InvalidTime):
-            r_transform_cauchy(0.0)
 
 
 class TestVerifySweeps:

@@ -250,6 +250,25 @@ class TestStableKernels:
         with pytest.raises(InvalidState):
             biane_half_pdf(2.0, 3.0, 0.5, 4.0)  # y1 below t1^2/4 = 1
 
+    def test_biane_half_array_state_matches_scalar_calls(self):
+        # an array of conditioning states, as in a vectorized composition
+        y1 = np.array([[1.0001, 1.5, 3.0], [7.25, 1.2, 20.0]])
+        for y2 in (2.5, np.linspace(2.0, 9.0, 3)):
+            got = biane_half_pdf(2.0, 3.0, y1, y2)
+            y2b = np.broadcast_to(y2, y1.shape)
+            want = np.array([[biane_half_pdf(2.0, 3.0, float(a), float(b))
+                              for a, b in zip(ra, rb)] for ra, rb in zip(y1, y2b)])
+            assert got.shape == y1.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, math.inf, math.nan])
+    def test_biane_half_array_state_validated_elementwise(self, bad):
+        y1 = np.array([1.5, 3.0, bad, 7.0])
+        with pytest.raises(InvalidState):
+            biane_half_pdf(2.0, 3.0, y1, 4.0)
+        # the origin is a valid start state at t1 = 0, elementwise too
+        assert biane_half_pdf(0.0, 1.0, np.zeros(3), 1.0).shape == (3,)
+
     def test_biane_shifted_spot(self):
         assert biane_shifted_pdf(1.0, 2.0, 1.0, 1.0) == pytest.approx(2 / (5 * math.pi))
 

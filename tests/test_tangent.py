@@ -9,7 +9,6 @@ from qtangent.tangent import (
     ConvergenceReport,
     TangentCase,
     Window,
-    aldous_ratio,
     convergence_study,
     default_window,
     distance,
@@ -213,13 +212,3 @@ class TestConvergenceStudy:
         with pytest.raises(InvalidState):
             Window(0.0, 1.0, 0.0, 2.0, 1.0)
 
-
-class TestAldousRatio:
-    def test_degenerate_times_rejected(self):
-        with pytest.raises(InvalidTime):
-            aldous_ratio(0.0, 0.01, 0.0, 0.0, 1.0, 1.0)
-
-    def test_bounded_across_time_spans(self):
-        vals = [aldous_ratio(0.0, 0.01, 0.0, 0.0, 0.0, dt) for dt in (0.1, 1.0)]
-        assert all(math.isfinite(v) and v > 0.0 for v in vals)
-        assert max(vals) / min(vals) < 10.0
