@@ -242,9 +242,27 @@ def _cmd_simulate(args):
     return 0
 
 
+def _check_tangent_flags(args):
+    checks = (
+        (args.resolution >= 32, f"--resolution must be at least 32, got {args.resolution}"),
+        (0.0 < args.threshold < math.inf,
+         f"--threshold must be finite and > 0, got {args.threshold}"),
+        (0.0 <= args.slack < math.inf, f"--slack must be finite and >= 0, got {args.slack}"),
+        (0.0 < args.coverage < 1.0, f"--coverage must lie in (0, 1), got {args.coverage}"),
+        (args.horizon is None or 0.0 < args.horizon < math.inf,
+         f"--horizon must be finite and > 0, got {args.horizon}"),
+        (args.wrong_scale is None or 0.0 < args.wrong_scale < math.inf,
+         f"--wrong-scale must be finite and > 0, got {args.wrong_scale}"),
+    )
+    for ok, message in checks:
+        if not ok:
+            raise _UsageError(message)
+
+
 def _cmd_tangent(args):
     from . import tangent as tg
 
+    _check_tangent_flags(args)
     case = tg.TangentCase(args.case, args.q, x=args.x, s=args.s)
     window = tg.default_window(case, coverage=args.coverage, horizon=args.horizon)
     report = tg.convergence_study(

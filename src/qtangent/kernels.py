@@ -15,6 +15,19 @@ delta -> 0 with x ~ y (the regime every tangent-process study probes):
 
 which is an algebraic identity with the displayed quadratic form.  The
 k >= 1 factors use the analogous factorisation of their cross terms.
+
+The q-OU lag and the q-BM times may be arrays that broadcast against the
+states, so one call evaluates a whole ladder of times (the tangent studies
+pass an (R, 1) column of rungs against an (N,) grid).  The per-time
+coefficients are computed element by element with the math module
+(numpy's vectorized exp can round differently from ``math.exp``), and
+every expression keeps the association order of a scalar-time call, so each
+entry of an array-time call equals the scalar-time call bit for bit.
+
+The half-stable quantile inverts the closed-form distribution function:
+with w = tan(phi/2) it reads F_t(x) = (phi - sin phi)/pi at
+x = t^2/(4 cos^2(phi/2)), Kepler's equation at eccentricity 1, which
+vectorized Newton solves in a few rounds.
 """
 
 import math
@@ -23,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidState, InvalidTime, UnknownProcess
+from .errors import InvalidState, InvalidTime
 from .qspecial import DEFAULT_POLICY, QParams, q_pochhammer_inf, series_terms
 
 __all__ = [
@@ -36,7 +49,8 @@ __all__ = [
     "biane_shifted_pdf",
     "half_stable_marginal",
     "cauchy_marginal",
-    "support_of",
+    "half_stable_cdf",
+    "half_stable_quantile",
 ]
 
 # Above this many broadcast points the k-product runs as a loop over k that
@@ -74,10 +88,35 @@ def _euler_qpoch(q, rel_tol, k_max):
     return q_pochhammer_inf(q, q, TruncationPolicy(rel_tol, k_max))
 
 
+def _time(t):
+    """A time argument as a float, or as a float array when it has axes."""
+    if isinstance(t, float):
+        return t
+    a = np.asarray(t, dtype=float)
+    return a if a.ndim else float(a)
+
+
+def _each(fn, t):
+    """fn at every element of the time t (a float or a float array), in t's shape.
+
+    Time coefficients go through the math module one element at a time:
+    numpy's vectorized exp can round differently, and an array-time call
+    must reproduce the scalar-time calls bit for bit.
+    """
+    if isinstance(t, float):
+        return fn(t)
+    return np.array([fn(v) for v in t.flat]).reshape(t.shape)
+
+
+def _all(mask):
+    """Whether every entry of a boolean scalar or array holds."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def _phi0_qou(q, delta, x, y):
     # Regrouped phi_{q,0}; exact identity with the displayed quadratic form.
-    u = -math.expm1(-delta)
-    e1 = math.exp(-delta)
+    u = -_each(math.expm1, -delta)
+    e1 = _each(math.exp, -delta)
     e2 = e1 * e1
     return e2 * (1.0 - q) * (x - y) ** 2 + u * u * (e1 * (4.0 - (1.0 - q) * x * y) + u * u)
 
@@ -93,18 +132,20 @@ def _q_powers(q, K):
 
 
 def _tail_product(factor, coeffs, args):
-    """prod_k factor(coeffs[k], *args) over the broadcast shape of args.
+    """prod_k factor(coeffs[k], *args) over the broadcast shape of args and coeffs.
 
-    ``coeffs`` is a tuple of length-K arrays.  Small batches evaluate every
+    ``coeffs`` is a tuple of (K, ...) arrays of one ndim whose trailing axes
+    (per-time coefficients) broadcast against args.  Small batches evaluate every
     factor at once into (K, points) buffers; large ones loop over k with
     points-sized buffers.  Both run the same in-place factor code and
     multiply in k order, so they agree bit for bit.
     """
-    bshape = np.broadcast_shapes(*(np.shape(v) for v in args))
+    bshape = np.broadcast_shapes(*(np.shape(v) for v in args), *{c.shape[1:] for c in coeffs})
     if math.prod(bshape) <= _LOOP_POINTS:
-        col = (-1,) + (1,) * len(bshape)
-        bufs = [np.empty(coeffs[0].shape + bshape) for _ in range(3)]
-        return np.prod(factor([c.reshape(col) for c in coeffs], *args, *bufs), axis=0)
+        # new axes between k and the per-time axes
+        idx = (slice(None),) + (None,) * (len(bshape) + 1 - coeffs[0].ndim)
+        bufs = [np.empty(coeffs[0].shape[:1] + bshape) for _ in range(3)]
+        return np.prod(factor([c[idx] for c in coeffs], *args, *bufs), axis=0)
     bufs = [np.empty(bshape) for _ in range(3)]
     acc = np.ones(bshape)
     for ck in zip(*coeffs):
@@ -131,9 +172,11 @@ def _qou_factor(c, x, y, cyy, out, phi, tmp):
 
 
 def _qou_tail_product(q, delta, x, y, policy):
-    """prod_{k>=1} (1 - e^{-2d} q^k) psi_{q,k}(y) / phi_{q,k}(d, x, y), broadcast over x, y."""
+    """prod_{k>=1} (1 - e^{-2d} q^k) psi_{q,k}(y) / phi_{q,k}(d, x, y), broadcast over d, x, y."""
     qk, a = _q_powers(q, series_terms(q, policy))
-    e1 = math.exp(-delta)
+    e1 = _each(math.exp, -_time(delta))
+    col = qk.shape + (1,) * np.ndim(e1)
+    qk, a = qk.reshape(col), a.reshape(col)
     g = e1 * qk
     s = 1.0 - g * g
     c1 = 1.0 - q
@@ -164,17 +207,19 @@ def qou_transition_pdf(p: QParams, delta, x, y, policy=DEFAULT_POLICY):
 
     Depends on (s, t) only through delta = t - s.  Zero for target states
     |y| >= x_plus; the conditioning state x must lie in [x_minus, x_plus].
+    delta may be an array broadcasting against x and y.
     """
-    if not 0.0 < delta < math.inf:
+    d = _time(delta)
+    if not _all((0.0 < d) & (d < math.inf)):
         raise InvalidTime(f"q-OU kernel requires finite delta > 0, got {delta}")
     q = p.q
     if not np.max(np.abs(x)) <= p.x_plus * (1.0 + 1e-12):
         raise InvalidState(f"conditioning state x={x} outside [{p.x_minus}, {p.x_plus}]")
     xarr = np.asarray(x, dtype=float)
     yarr = np.asarray(y, dtype=float)
-    u2 = -math.expm1(-2.0 * delta)  # 1 - e^{-2 delta}
-    phi0 = _phi0_qou(q, delta, xarr, yarr)
-    tail = _qou_tail_product(q, delta, xarr, yarr, policy)
+    u2 = -_each(math.expm1, -2.0 * d)  # 1 - e^{-2 delta}
+    phi0 = _phi0_qou(q, d, xarr, yarr)
+    tail = _qou_tail_product(q, d, xarr, yarr, policy)
     sq = np.sqrt(np.clip(4.0 - (1.0 - q) * yarr * yarr, 0.0, None))
     cq = math.sqrt(1.0 - q) * _euler_qpoch(q, policy.rel_tol, policy.k_max) / (2.0 * math.pi)
     out = np.where(np.abs(yarr) >= p.x_plus, 0.0, cq * u2 * sq / phi0 * tail)
@@ -200,8 +245,11 @@ def _qbm_factor(c, y1, y2, cyy, t2y1, out, phi, tmp):
 
 
 def _qbm_tail_product(q, t1, t2, y1, y2, policy):
-    """prod_{k>=1} psi*_{q,k}(t1,t2,y2) / phi*_{q,k}(t1,t2,y1,y2), broadcast over y1, y2."""
+    """prod_{k>=1} psi*_{q,k}(t1,t2,y2) / phi*_{q,k}(t1,t2,y1,y2), broadcast over t1, t2, y1, y2."""
     qk, a = _q_powers(q, series_terms(q, policy))
+    t1, t2 = _time(t1), _time(t2)
+    col = qk.shape + (1,) * max(np.ndim(t1), np.ndim(t2))
+    qk, a = qk.reshape(col), a.reshape(col)
     t1qk = t1 * qk
     s = t2 - t1qk * qk
     c1 = 1.0 - q
@@ -213,27 +261,26 @@ def qbm_transition_pdf(p: QParams, t1, t2, y1, y2, policy=DEFAULT_POLICY):
     """Transition density of the q-Brownian motion from (t1, y1) to (t2, .).
 
     Supports t1 = 0 only with y1 = 0 (start at the origin).  Zero outside
-    the time-t2 support [-2 sqrt(t2/(1-q)), 2 sqrt(t2/(1-q))].
+    the time-t2 support [-2 sqrt(t2/(1-q)), 2 sqrt(t2/(1-q))].  t1 and t2
+    may be arrays broadcasting against y1 and y2.
     """
     q = p.q
-    if not 0.0 <= t1 < t2 < math.inf:
+    t1a, t2a = _time(t1), _time(t2)
+    if not _all((0.0 <= t1a) & (t1a < t2a) & (t2a < math.inf)):
         raise InvalidTime(f"q-BM kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
-    if t1 == 0.0:
-        if np.any(np.asarray(y1) != 0.0):
-            raise InvalidState("t1 = 0 requires y1 = 0 (path starts at the origin)")
-    else:
-        b1 = 2.0 * math.sqrt(t1 / (1.0 - q))
-        if not np.max(np.abs(y1)) <= b1 * (1.0 + 1e-12):
-            raise InvalidState(f"y1={y1} outside the time-t1 support [-{b1}, {b1}]")
     y1a = np.asarray(y1, dtype=float)
+    b1 = 2.0 * _each(math.sqrt, t1a / (1.0 - q))  # 0 at t1 = 0, where only y1 = 0 passes
+    if not _all(np.abs(y1a) <= b1 * (1.0 + 1e-12)):
+        raise InvalidState(f"y1={y1} outside the time-t1 support [-{b1}, {b1}] "
+                           "(t1 = 0 requires y1 = 0: the path starts at the origin)")
     y2a = np.asarray(y2, dtype=float)
-    b2 = 2.0 * math.sqrt(t2 / (1.0 - q))
-    dt = t2 - t1
+    b2 = 2.0 * _each(math.sqrt, t2a / (1.0 - q))
+    dt = t2a - t1a
     # phi*_{q,0} with the cross terms factored: exact identity with the
     # displayed form, stable when dt -> 0 with y2 ~ y1.
-    phi0 = dt * dt + (1.0 - q) * (y2a - y1a) * (t1 * (y2a - y1a) - dt * y1a)
-    tail = _qbm_tail_product(q, t1, t2, y1a, y2a, policy)
-    sq = np.sqrt(np.clip(4.0 * t2 - (1.0 - q) * y2a * y2a, 0.0, None))
+    phi0 = dt * dt + (1.0 - q) * (y2a - y1a) * (t1a * (y2a - y1a) - dt * y1a)
+    tail = _qbm_tail_product(q, t1a, t2a, y1a, y2a, policy)
+    sq = np.sqrt(np.clip(4.0 * t2a - (1.0 - q) * y2a * y2a, 0.0, None))
     pref = (1.0 - q) ** 1.5 * dt / (2.0 * math.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = pref * sq / phi0 * tail
@@ -323,27 +370,45 @@ def half_stable_cdf(t, x):
     return _as_float_or_array(x, out)
 
 
-def support_of(process, q=None, t=None):
-    """Support interval of the named process (at time t where applicable)."""
-    if process in ("qnormal", "qou"):
-        p = QParams(_require(q, "q", process))
-        return Support(p.x_minus, p.x_plus)
-    if process == "qbm":
-        qv = _require(q, "q", process)
-        tv = _require(t, "t", process)
-        b = 2.0 * math.sqrt(tv / (1.0 - qv))
-        return Support(-b, b)
-    if process in ("cauchy", "cauchy_marginal"):
-        return Support(-math.inf, math.inf)
-    if process in ("biane_half", "half_stable_marginal"):
-        tv = _require(t, "t", process)
-        return Support(tv * tv / 4.0, math.inf)
-    if process == "biane_shifted":
-        return Support(0.0, math.inf)
-    raise UnknownProcess(f"unknown process tag {process!r}")
+# Taylor coefficients of phi - sin(phi) = phi^3 sum_k c_k phi^(2k), k = 0..8: below
+# phi = 1 the first omitted term is under 1e-19 of the sum.
+_KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(9))
+# Newton rounds: 6 reach the fixed point for every p in [1e-12, 1 - 1e-6]
+_KEPLER_ROUNDS = 8
 
 
-def _require(value, name, process):
-    if value is None:
-        raise InvalidState(f"process {process!r} needs parameter {name}")
-    return value
+def _phi_minus_sin(phi, sin_phi):
+    z = phi * phi
+    series = np.zeros_like(phi)
+    for c in reversed(_KEPLER_SERIES):
+        series = series * z + c
+    return np.where(phi < 1.0, phi * z * series, phi - sin_phi)
+
+
+def half_stable_quantile(t, p):
+    """Quantile of the free 1/2-stable marginal: x with half_stable_cdf(t, x) = p.
+
+    With w = tan(phi/2) the distribution function reads
+    F_t(x) = (phi - sin phi)/pi at x = t^2/(4 cos^2(phi/2)), phi in [0, pi):
+    Kepler's equation at eccentricity 1.  For p <= 1/2 vectorized Newton
+    solves phi - sin phi = pi p from phi_0 = (6 pi p)^(1/3), with a series
+    for phi - sin phi below phi = 1.  For p > 1/2 it solves
+    psi + sin psi = pi (1 - p) for psi = pi - phi from psi_0 = pi (1 - p)/2,
+    so x = t^2/(4 sin^2(psi/2)) keeps its relative accuracy as p -> 1.
+    Both iterations converge monotonically after at most one step.
+    """
+    if not 0.0 < t < math.inf:
+        raise InvalidTime(f"quantile requires finite t > 0, got {t}")
+    parr = np.asarray(p, dtype=float)
+    if not np.all((0.0 <= parr) & (parr < 1.0)):
+        raise InvalidState(f"probability must lie in [0, 1), got {p}")
+    lower = parr <= 0.5
+    m = math.pi * np.where(lower, parr, 1.0 - parr)
+    ang = np.where(lower, np.cbrt(6.0 * m), 0.5 * m)
+    for _ in range(_KEPLER_ROUNDS):
+        s = np.sin(ang)
+        f = np.where(lower, _phi_minus_sin(ang, s), ang + s) - m
+        slope = np.where(lower, 2.0 * np.sin(0.5 * ang) ** 2, 1.0 + np.cos(ang))
+        ang = ang - np.divide(f, slope, out=np.zeros_like(f), where=slope > 0.0)
+    c = np.where(lower, np.cos(0.5 * ang), np.sin(0.5 * ang))
+    return _as_float_or_array(p, t * t / (4.0 * c * c))

@@ -1,31 +1,26 @@
-"""Inverse-CDF sampling from bounded (or tail-truncated) densities.
+"""Inverse-CDF sampling from tabulated conditional densities.
 
-A density on a known support is turned into a :class:`CdfTable`, a tabulated
-cumulative built from per-subinterval Gauss-Legendre masses on nodes that
-cluster toward the support endpoints (densities here typically vanish like a
-square root there).  Sampling is monotone interpolation of the quantile
-function; randomness flows exclusively from :class:`SeedSpec` streams, so
-every consumer is reproducible.  The simulator tabulates many conditionals
-at once as cumulative rows (:func:`batch_cdf_tables`) and inverts them with
-a monotone-cubic quantile (:func:`pchip_quantile`).
+The simulator tabulates many conditionals at once as cumulative rows
+(:func:`batch_cdf_tables`) from per-subinterval Gauss-Legendre masses on
+nodes that cluster toward the support endpoints (:func:`cheb_nodes`,
+:func:`gauss_points`; the densities here vanish like a square root there),
+and inverts them with a monotone-cubic quantile (:func:`pchip_quantile`).
+Randomness flows exclusively from :class:`SeedSpec` streams, so every
+consumer is reproducible.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NotNormalized, QuadratureFailure
-from .kernels import Support
+from .errors import NonFinite
 
 __all__ = [
-    "CdfTable",
     "SeedSpec",
-    "build_cdf",
-    "sample",
-    "uniform_stream",
     "batch_cdf_tables",
     "pchip_quantile",
+    "gauss_points",
+    "cheb_nodes",
 ]
 
 _GL_RULES = {order: np.polynomial.legendre.leggauss(order) for order in (4, 8)}
@@ -51,154 +46,6 @@ class SeedSpec:
     def generator(self):
         ss = np.random.SeedSequence(entropy=self.base_seed, spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.PCG64(ss))
-
-
-def uniform_stream(seed: SeedSpec, block=4096):
-    """Iterator of uniforms in [0, 1) drawn from the seeded stream."""
-    gen = seed.generator()
-    while True:
-        for u in gen.random(block):
-            yield float(u)
-
-
-@dataclass(frozen=True)
-class CdfTable:
-    """Tabulated cumulative of a density: the sampling backbone.
-
-    ``nodes`` strictly increase across the (possibly truncated) support and
-    ``cdf_values`` rise monotonically from exactly 0 to exactly 1.
-    ``truncated_at`` records the tail cut points chosen for an originally
-    unbounded support (None at a finite endpoint).
-    """
-
-    support: Support
-    nodes: np.ndarray
-    cdf_values: np.ndarray
-    truncated_at: tuple = (None, None)
-
-    def __post_init__(self):
-        if len(self.nodes) < 64 or len(self.nodes) != len(self.cdf_values):
-            raise ValueError("need >= 64 nodes and matching cdf array")
-
-
-def _cheb_fractions(n):
-    # Chebyshev-Lobatto fractions on [0, 1]: clustered toward both ends.
-    return 0.5 * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
-
-
-def _power_tail_mass(f_w, f_2w, w):
-    """Upper estimate of int_w^inf f, assuming f decays at least like a power law.
-
-    The decay exponent is read off one doubling; for an exact power law
-    w^-p the returned value f(w) w / (p-1) is the exact tail mass, for
-    faster-than-power decay it overestimates (which is the safe direction).
-    Returns inf while the samples do not yet show integrable decay.
-    """
-    if f_w == 0.0:
-        return 0.0
-    if f_2w <= 0.0:
-        return 0.0
-    p = math.log2(f_w / f_2w)
-    if p <= 1.01:
-        return math.inf
-    return f_w * w / (p - 1.0)
-
-
-def _tail_point_above(density, anchor, scale, tol):
-    w = scale
-    for _ in range(900):
-        f_w = float(density(np.array([anchor + w]))[0])
-        f_2w = float(density(np.array([anchor + 2.0 * w]))[0])
-        if _power_tail_mass(f_w, f_2w, w) < tol:
-            return anchor + w
-        w *= 2.0
-    raise QuadratureFailure("tail mass never dropped below tolerance (upper)")
-
-
-def _tail_point_below(density, anchor, scale, tol):
-    w = scale
-    for _ in range(900):
-        f_w = float(density(np.array([anchor - w]))[0])
-        f_2w = float(density(np.array([anchor - 2.0 * w]))[0])
-        if _power_tail_mass(f_w, f_2w, w) < tol:
-            return anchor - w
-        w *= 2.0
-    raise QuadratureFailure("tail mass never dropped below tolerance (lower)")
-
-
-def _place_nodes(lo, hi, n, lo_truncated, hi_truncated, scale):
-    u = _cheb_fractions(n)
-    if not lo_truncated and not hi_truncated:
-        return lo + (hi - lo) * u
-    if lo_truncated and hi_truncated:
-        # asinh stretch around the centre: linear core, logarithmic tails
-        c = 0.5 * (lo + hi)
-        a, b = np.arcsinh((lo - c) / scale), np.arcsinh((hi - c) / scale)
-        return c + scale * np.sinh(a + (b - a) * u)
-    if hi_truncated:
-        # cluster at the finite left endpoint, spread exponentially to hi
-        alpha = math.log1p((hi - lo) / scale)
-        return lo + scale * np.expm1(alpha * u)
-    alpha = math.log1p((hi - lo) / scale)
-    return hi - scale * np.expm1(alpha * (1.0 - u))
-
-
-def build_cdf(density, support: Support, n=128, tail_mass_tol=1e-10):
-    """Tabulate the cumulative of ``density`` over ``support``.
-
-    ``density`` must accept ndarray input.  Unbounded support sides are
-    truncated where the remaining mass falls below ``tail_mass_tol`` (located
-    by geometric expansion); the cut points are recorded on the table.
-    Raises NotNormalized if the tabulated total mass strays from 1 by more
-    than 1e-4, NonFinite on NaN/inf density values.
-    """
-    lo, hi = support.lo, support.hi
-    lo_trunc = hi_trunc = None
-    scale = 1.0
-    if math.isfinite(lo) and math.isfinite(hi):
-        pass
-    else:
-        anchor = 0.0
-        if math.isfinite(lo):
-            anchor = lo
-        elif math.isfinite(hi):
-            anchor = hi
-        scale = max(1.0, abs(anchor))
-        if not math.isfinite(hi):
-            hi = hi_trunc = _tail_point_above(density, anchor, scale, tail_mass_tol)
-        if not math.isfinite(lo):
-            lo = lo_trunc = _tail_point_below(density, anchor, scale, tail_mass_tol)
-    nodes = _place_nodes(lo, hi, n, lo_trunc is not None, hi_trunc is not None, scale)
-    cdf = _cumulative_masses(density, nodes)
-    total = cdf[-1]
-    if not math.isfinite(total):
-        raise NonFinite("density produced non-finite values inside the support")
-    if abs(total - 1.0) > 1e-4:
-        raise NotNormalized(f"density mass {total} deviates from 1 by more than 1e-4")
-    cdf /= total
-    cdf[0], cdf[-1] = 0.0, 1.0
-    return CdfTable(support, nodes, cdf, (lo_trunc, hi_trunc))
-
-
-def _cumulative_masses(density, nodes):
-    glx, glw = _GL_RULES[_GL_ORDER]
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    half = 0.5 * np.diff(nodes)
-    pts = mid[:, None] + half[:, None] * glx[None, :]
-    vals = np.asarray(density(pts.ravel()), dtype=float).reshape(pts.shape)
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite("density produced NaN/inf at quadrature points")
-    masses = np.clip(vals @ glw, 0.0, None) * half
-    cdf = np.empty(len(nodes))
-    cdf[0] = 0.0
-    np.cumsum(masses, out=cdf[1:])
-    return cdf
-
-
-def sample(table: CdfTable, u):
-    """Interpolated quantile of the tabulated cdf; monotone in u."""
-    out = np.interp(u, table.cdf_values, table.nodes)
-    return float(out) if np.ndim(u) == 0 else out
 
 
 def batch_cdf_tables(density_matrix, nodes, order=_GL_ORDER):
@@ -308,4 +155,4 @@ def gauss_points(nodes, order=_GL_ORDER):
 
 def cheb_nodes(lo, hi, n):
     """Chebyshev-Lobatto nodes on [lo, hi] (endpoint-clustered)."""
-    return lo + (hi - lo) * _cheb_fractions(n)
+    return lo + (hi - lo) * (0.5 * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1))))

@@ -11,10 +11,15 @@ Convergence is measured as an L1 distance between the rescaled and the limit
 density over a window carrying >= 99% of the limit mass, on a grid that mixes
 uniform nodes with limit-quantile nodes (the half-stable limits concentrate
 near their support edge and carry heavy tails; uniform grids resolve
-neither).  Where the rescaled target coordinate falls outside the state
-space the exact density is 0 and is integrated as such, so every rung of an
-epsilon ladder is measured on the same window and the distances are
-comparable.
+neither).  The half-stable quantiles come in closed form from
+``kernels.half_stable_quantile`` (Kepler's equation).  Where the rescaled
+target coordinate falls outside the state space the exact density is 0 and
+is integrated as such, so every rung of an epsilon ladder is measured on the
+same window and the distances are comparable.
+
+A study builds the window grid once and evaluates the whole ladder in one
+kernel call: the rungs enter as an (R, 1) column of eps that broadcasts
+against the grid, and each row equals the one-rung evaluation bit for bit.
 
 The window's time horizon defaults to a q-scaled value: the finite-epsilon
 corrections of the exact kernels enter through eps * t2 (the limits are
@@ -29,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, InvalidTime, OutOfSupport, UnknownProcess
+from .errors import InvalidCount, InvalidState, InvalidTime, OutOfSupport, UnknownProcess
 from .kernels import (
     biane_half_pdf,
     cauchy_transition_pdf,
-    half_stable_cdf,
+    half_stable_quantile,
     qbm_transition_pdf,
     qou_transition_pdf,
 )
@@ -67,8 +72,8 @@ class TangentCase:
             raise UnknownProcess(f"unknown tangent case {self.case!r}")
         p = QParams(self.q)
         if self.case.startswith("qbm"):
-            if self.s is None or not self.s > 0.0:
-                raise InvalidTime("q-BM cases need the base time s > 0")
+            if self.s is None or not 0.0 < self.s < math.inf:
+                raise InvalidTime("q-BM cases need a finite base time s > 0")
         if self.case == "qou_interior":
             if self.x is None or not abs(self.x) < p.x_plus:
                 raise InvalidState("interior case needs x strictly inside (x_minus, x_plus)")
@@ -161,42 +166,46 @@ def rescaled_pdf(case: TangentCase, eps, t1, t2, y1, y2, policy=DEFAULT_POLICY):
     Computed from the closed-form kernels by change of variables; zero where
     the rescaled target coordinate leaves the state space.  Raises
     OutOfSupport when the conditioning coordinate (the y1 side) leaves it.
+    ``eps`` broadcasts against ``y2``: an (R, 1) column of rungs gives one
+    row per rung, each equal to the call with that eps alone.
     """
-    if not eps > 0.0:
+    e = np.asarray(eps, dtype=float)
+    if not np.all(e > 0.0):
         raise InvalidTime(f"eps must be positive, got {eps}")
     if t1 < 0.0 or not t2 > t1:
         raise InvalidTime(f"need 0 <= t1 < t2, got t1={t1}, t2={t2}")
     p = case.params
     q, x, s = case.q, case.x, case.s
+    y2 = np.asarray(y2)
     if case.case == "qou_interior":
-        w1 = x + y1 * eps
-        if abs(w1) > p.x_plus:
-            raise OutOfSupport(f"conditioning point {w1} outside the state space", w1)
-        return qou_transition_pdf(p, eps * (t2 - t1), w1, x + np.asarray(y2) * eps, policy) * eps
+        w1 = x + y1 * e
+        _require_inside(w1, np.abs(w1) > p.x_plus, "the state space")
+        return qou_transition_pdf(p, e * (t2 - t1), w1, x + y2 * e, policy) * e
     if case.case == "qou_boundary":
-        w1 = p.x_minus + y1 * eps * eps
-        if w1 < p.x_minus or w1 > p.x_plus:
-            raise OutOfSupport(f"conditioning point {w1} outside the state space", w1)
-        w2 = p.x_minus + np.asarray(y2) * eps * eps
-        out = qou_transition_pdf(p, eps * (t2 - t1), w1, w2, policy) * eps * eps
+        w1 = p.x_minus + y1 * e * e
+        _require_inside(w1, (w1 < p.x_minus) | (w1 > p.x_plus), "the state space")
+        w2 = p.x_minus + y2 * e * e
+        out = qou_transition_pdf(p, e * (t2 - t1), w1, w2, policy) * e * e
         return _zero_outside(out, w2 < p.x_minus)
+    tau1, tau2 = s + t1 * e, s + t2 * e
+    b1 = 2.0 * np.sqrt(tau1 / (1.0 - q))
     if case.case == "qbm_interior":
-        tau1, tau2 = s + t1 * eps, s + t2 * eps
-        w1 = x + y1 * eps
-        b1 = 2.0 * math.sqrt(tau1 / (1.0 - q))
-        if abs(w1) > b1:
-            raise OutOfSupport(f"conditioning point {w1} outside the time-{tau1} support", w1)
-        return qbm_transition_pdf(p, tau1, tau2, w1, x + np.asarray(y2) * eps, policy) * eps
-    tau1, tau2 = s + t1 * eps, s + t2 * eps
+        w1 = x + y1 * e
+        _require_inside(w1, np.abs(w1) > b1, "the time-tau1 support")
+        return qbm_transition_pdf(p, tau1, tau2, w1, x + y2 * e, policy) * e
     a = 1.0 / math.sqrt(s * (1.0 - q))
-    w1 = x - a * t1 * eps + y1 * eps * eps
-    b1 = 2.0 * math.sqrt(tau1 / (1.0 - q))
-    if abs(w1) > b1:
-        raise OutOfSupport(f"conditioning point {w1} outside the time-{tau1} support", w1)
-    w2 = x - a * t2 * eps + np.asarray(y2) * eps * eps
-    b2 = 2.0 * math.sqrt(tau2 / (1.0 - q))
-    out = qbm_transition_pdf(p, tau1, tau2, w1, w2, policy) * eps * eps
+    w1 = x - a * t1 * e + y1 * e * e
+    _require_inside(w1, np.abs(w1) > b1, "the time-tau1 support")
+    w2 = x - a * t2 * e + y2 * e * e
+    b2 = 2.0 * np.sqrt(tau2 / (1.0 - q))
+    out = qbm_transition_pdf(p, tau1, tau2, w1, w2, policy) * e * e
     return _zero_outside(out, np.abs(w2) > b2)
+
+
+def _require_inside(w1, outside, support):
+    if np.any(outside):
+        w = float(np.asarray(w1)[outside].flat[0])
+        raise OutOfSupport(f"conditioning point {w} outside {support}", w)
 
 
 def _zero_outside(values, outside_mask):
@@ -241,24 +250,10 @@ def _limit_quantile(case, window_t, prob):
         return case.drift() * window_t + gam * math.tan(math.pi * (prob - 0.5))
     if case.case == "qou_boundary":
         r = math.sqrt(1.0 - case.q)
-        xq = _half_stable_quantile(2.0 * window_t, prob)
+        xq = half_stable_quantile(2.0 * window_t, prob)
         return (xq - window_t * window_t) / r
     m = math.sqrt(case.s ** 3 * (1.0 - case.q))
-    return _half_stable_quantile(window_t, prob) / m
-
-
-def _half_stable_quantile(t, prob):
-    lo = t * t / 4.0
-    hi = t * t
-    while half_stable_cdf(t, hi) < prob:
-        hi *= 4.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if half_stable_cdf(t, mid) < prob:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return half_stable_quantile(window_t, prob) / m
 
 
 # Window horizons calibrated so the standard ladder operates in the
@@ -288,7 +283,9 @@ def default_window(case: TangentCase, coverage=0.99, horizon=None):
 
 def _window_grid(case, window, resolution):
     """Union of uniform and limit-quantile nodes across the window."""
-    n_u = max(resolution // 2, 16)
+    if resolution < 32:
+        raise InvalidCount(f"resolution must be at least 32, got {resolution}")
+    n_u = resolution // 2
     uniform = np.linspace(window.y2_lo, window.y2_hi, n_u)
     tail = 1.0 - window.coverage
     if case.case in ("qou_interior", "qbm_interior"):
@@ -299,28 +296,13 @@ def _window_grid(case, window, resolution):
         probs = np.linspace(1e-6, 1.0 - tail, n_u)
         if case.case == "qou_boundary":
             r = math.sqrt(1.0 - case.q)
-            xq = _half_stable_quantile_vec(2.0 * window.t2, probs)
+            xq = half_stable_quantile(2.0 * window.t2, probs)
             quant = (xq - window.t2 ** 2) / r
         else:
             m = math.sqrt(case.s ** 3 * (1.0 - case.q))
-            quant = _half_stable_quantile_vec(window.t2, probs) / m
+            quant = half_stable_quantile(window.t2, probs) / m
     quant = quant[(quant >= window.y2_lo) & (quant <= window.y2_hi)]
     return np.unique(np.concatenate([uniform, quant]))
-
-
-def _half_stable_quantile_vec(t, probs):
-    lo = np.full(len(probs), t * t / 4.0)
-    hi_val = t * t
-    while half_stable_cdf(t, hi_val) < probs[-1]:
-        hi_val *= 4.0
-    hi = np.full(len(probs), hi_val)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        c = half_stable_cdf(t, mid)
-        smaller = c < probs
-        lo = np.where(smaller, mid, lo)
-        hi = np.where(smaller, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def distance(case: TangentCase, eps, window: Window, resolution=2001,
@@ -329,14 +311,19 @@ def distance(case: TangentCase, eps, window: Window, resolution=2001,
 
     Trapezoid rule on the mixed uniform/quantile grid.  Regions of the
     window that the rescaled process cannot reach at this eps contribute the
-    limit's mass there (the exact density is zero on them).
+    limit's mass there (the exact density is zero on them).  For a 1-D
+    ladder of eps, one grid and one kernel call serve every rung and the
+    result is a pair of arrays, entry i equal to the call with eps[i] alone.
     """
+    rungs = np.asarray(eps, dtype=float)
     grid = _window_grid(case, window, resolution)
-    resc = np.asarray(rescaled_pdf(case, eps, window.t1, window.t2, window.y1, grid, policy))
+    resc = rescaled_pdf(case, rungs.reshape(-1, 1), window.t1, window.t2, window.y1, grid, policy)
     lim = np.asarray(limit_pdf(case, window.t1, window.t2, window.y1, grid, scale_override))
     diff = np.abs(resc - lim)
-    l1 = float(np.trapezoid(diff, grid))
-    sup = float(np.max(diff))
+    l1 = np.trapezoid(diff, grid, axis=-1)
+    sup = np.max(diff, axis=-1)
+    if rungs.ndim == 0:
+        return float(l1[0]), float(sup[0])
     return l1, sup
 
 
@@ -353,11 +340,9 @@ def convergence_study(case: TangentCase, ladder, window: Window = None, resoluti
         raise InvalidState("ladder must be a strictly decreasing list of eps values")
     if window is None:
         window = default_window(case)
-    rows = []
-    for eps in ladder:
-        l1, sup = distance(case, eps, window, resolution, scale_override, policy)
-        rows.append((eps, l1, sup))
-    l1s = [r[1] for r in rows]
+    l1s, sups = distance(case, ladder, window, resolution, scale_override, policy)
+    l1s = l1s.tolist()
+    rows = list(zip(ladder, l1s, sups.tolist()))
     monotone = all(l1s[i + 1] <= l1s[i] * (1.0 + slack) for i in range(len(l1s) - 1))
     verdict = monotone and l1s[-1] < threshold
     return ConvergenceReport(case, window, tuple(rows), verdict, threshold, slack,

@@ -213,6 +213,20 @@ class TestTangentCommand:
                             "--x", "0.0"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--resolution", "0"), ("--resolution", "-5"), ("--resolution", "3"),
+        ("--resolution", "31"), ("--threshold", "nan"), ("--threshold", "0"),
+        ("--threshold", "inf"), ("--slack", "nan"), ("--slack", "-0.1"),
+        ("--coverage", "1.5"), ("--coverage", "0"), ("--coverage", "nan"),
+        ("--wrong-scale", "0"), ("--wrong-scale", "-1"), ("--wrong-scale", "inf"),
+        ("--horizon", "inf"), ("--horizon", "-1"),
+    ])
+    def test_bad_flag_exits_one_naming_it(self, flag, value, capsys):
+        code, out, err = run(["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0.5",
+                              flag, value], capsys)
+        assert_usage_error(code, err)
+        assert flag in err and out == ""
+
 
 class TestJumpsCommand:
     def test_fields_and_bound(self, capsys):

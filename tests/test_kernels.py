@@ -1,11 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from qtangent import kernels
-from qtangent.errors import InvalidState, InvalidTime, UnknownProcess
+from qtangent.errors import InvalidState, InvalidTime
 from qtangent.kernels import (
     Support,
     biane_half_pdf,
@@ -14,10 +15,10 @@ from qtangent.kernels import (
     cauchy_transition_pdf,
     half_stable_cdf,
     half_stable_marginal,
+    half_stable_quantile,
     qbm_transition_pdf,
     qnormal_pdf,
     qou_transition_pdf,
-    support_of,
 )
 from qtangent.qspecial import QParams, TruncationPolicy, phi_star, psi_star, q_pochhammer_inf
 
@@ -361,33 +362,137 @@ class TestOuBmIdentity:
 
 
 class TestSupportOf:
-    def test_qou(self):
-        sup = support_of("qou", q=0.0)
-        assert (sup.lo, sup.hi) == (-2.0, 2.0)
-
-    def test_qbm(self):
-        sup = support_of("qbm", q=0.0, t=4.0)
-        assert (sup.lo, sup.hi) == (-4.0, 4.0)
-
-    def test_biane_half(self):
-        sup = support_of("biane_half", t=2.0)
-        assert sup.lo == 1.0 and math.isinf(sup.hi)
-
-    def test_unbounded(self):
-        sup = support_of("cauchy")
-        assert math.isinf(sup.lo) and math.isinf(sup.hi)
-
-    def test_biane_shifted(self):
-        assert support_of("biane_shifted").lo == 0.0
-
-    def test_unknown(self):
-        with pytest.raises(UnknownProcess):
-            support_of("brownian")
-
-    def test_missing_parameter(self):
-        with pytest.raises(InvalidState):
-            support_of("qbm", q=0.5)
-
     def test_support_validation(self):
         with pytest.raises(InvalidState):
             Support(2.0, 1.0)
+
+
+def _half_stable_oracle(t, p):
+    """30-digit quantile: findroot on mpmath quadrature of the marginal density."""
+    t, p = mp.mpf(t), mp.mpf(p)
+    edge = t * t / 4
+
+    def density(x):
+        return t * mp.sqrt(4 * x - t * t) / (2 * mp.pi * x * x)
+
+    if p <= 0.5:
+        # mass below edge + u^2 (the substitution removes the square-root edge)
+        def below(u):
+            return mp.quad(lambda v: density(edge + v * v) * 2 * v, [0, u]) - p
+        u0 = mp.sqrt(edge) * (6 * mp.pi * p) ** (mp.mpf(1) / 3) / 2
+        u = mp.findroot(below, (u0 / 2, 3 * u0), solver="anderson")
+        return edge + u * u
+
+    # mass above 1 / v^2 (the density decays like x^(-3/2))
+    def above(v):
+        return mp.quad(lambda w: density(1 / (w * w)) * 2 / w ** 3, [0, v]) - (1 - p)
+    v0 = mp.pi * (1 - p) / (2 * t)
+    return 1 / mp.findroot(above, (v0 / 2, min(3 * v0, 2 / t)), solver="anderson") ** 2
+
+
+class TestHalfStableQuantile:
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 50.0])
+    def test_against_mpmath_oracle(self, t):
+        # relative 2e-15 (about 9 ulp); measured worst 6.6e-16
+        with mp.workdps(30):
+            for p in (1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.5 + 2.0 ** -40, 0.9, 0.99, 1.0 - 1e-6):
+                ref = _half_stable_oracle(t, p)
+                got = half_stable_quantile(t, p)
+                assert abs(mp.mpf(got) / ref - 1) < 2e-15, (t, p, got, ref)
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 50.0])
+    def test_round_trip_through_the_cdf(self, t):
+        ps = np.concatenate([np.logspace(-12, -1, 200), np.linspace(0.1, 0.9, 4001),
+                             1.0 - np.logspace(-1, -6, 200)])
+        x = half_stable_quantile(t, ps)
+        assert np.max(np.abs(half_stable_cdf(t, x) - ps)) <= 1e-15
+
+    def test_monotone_in_p(self):
+        coarse = np.unique(np.concatenate([np.logspace(-12, -1, 300), np.linspace(0.1, 0.9, 8001),
+                                           1.0 - np.logspace(-1, -6, 300)]))
+        assert np.all(np.diff(half_stable_quantile(1.0, coarse)) > 0.0)
+        # ulp steps across the switch from phi to psi = pi - phi at p = 1/2
+        fine = 0.5 + np.arange(-2000, 2000) * 2.0 ** -53
+        assert np.all(np.diff(half_stable_quantile(1.0, fine)) >= 0.0)
+
+    def test_edges_and_scalars(self):
+        assert half_stable_quantile(2.0, 0.0) == 1.0
+        assert isinstance(half_stable_quantile(2.0, 0.3), float)
+        x = half_stable_quantile(3.0, np.array([[0.2, 0.7]]))
+        assert x.shape == (1, 2)
+        # self-similarity: Q_t(p) = t^2 Q_1(p)
+        assert half_stable_quantile(3.0, 0.7) == pytest.approx(9.0 * half_stable_quantile(1.0, 0.7),
+                                                               rel=1e-15)
+
+    def test_validation(self):
+        for bad_t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidTime):
+                half_stable_quantile(bad_t, 0.5)
+        for bad_p in (-1e-3, 1.0, 1.5, math.nan):
+            with pytest.raises(InvalidState):
+                half_stable_quantile(1.0, bad_p)
+        with pytest.raises(InvalidState):
+            half_stable_quantile(1.0, np.array([0.1, 1.0]))
+
+
+class TestArrayTimes:
+    """An array of times broadcasts against the states; each entry equals the
+    scalar-time call bit for bit, whichever tail-product form either call takes."""
+
+    # 5 rungs x n points: 200 and 4,000 and 10,000 broadcast points, with the
+    # one-rung calls at 40, 800 and 2,000 points on either side of _LOOP_POINTS
+    @pytest.mark.parametrize("n", [40, 800, 2000])
+    def test_qou_lag_array_matches_scalar_calls(self, n):
+        gen = np.random.default_rng(n)
+        for q in (-0.7, 0.0, 0.5, 0.9):
+            p = QParams(q)
+            delta = 10.0 ** gen.uniform(-5.0, 0.5, (5, 1))
+            x = gen.uniform(-0.99, 0.99, (5, 1)) * p.x_plus
+            y = gen.uniform(-1.0, 1.0, n) * p.x_plus
+            batched = qou_transition_pdf(p, delta, x, y)
+            assert batched.shape == (5, n)
+            for r in range(5):
+                single = qou_transition_pdf(p, float(delta[r, 0]), float(x[r, 0]), y)
+                np.testing.assert_array_equal(batched[r], single)
+
+    @pytest.mark.parametrize("n", [40, 800, 2000])
+    def test_qbm_time_arrays_match_scalar_calls(self, n):
+        gen = np.random.default_rng(100 + n)
+        for q in (-0.7, 0.0, 0.5, 0.9):
+            p = QParams(q)
+            t1 = gen.uniform(0.1, 2.0, (5, 1))
+            t1[0, 0] = 0.0
+            t2 = t1 + 10.0 ** gen.uniform(-5.0, 0.5, (5, 1))
+            y1 = gen.uniform(-0.99, 0.99, (5, 1)) * 2.0 * np.sqrt(t1 / (1.0 - q))
+            y2 = gen.uniform(-1.0, 1.0, n) * 2.0 * math.sqrt(float(t2.max()) / (1.0 - q))
+            batched = qbm_transition_pdf(p, t1, t2, y1, y2)
+            assert batched.shape == (5, n)
+            for r in range(5):
+                single = qbm_transition_pdf(p, float(t1[r, 0]), float(t2[r, 0]), float(y1[r, 0]), y2)
+                np.testing.assert_array_equal(batched[r], single)
+
+    def test_scalar_time_broadcasts_against_time_array(self):
+        p = QParams(0.5)
+        y = np.linspace(-2.0, 2.0, 9)
+        t2 = np.array([[1.5], [2.5]])
+        np.testing.assert_array_equal(qbm_transition_pdf(p, 1.0, t2, 0.3, y)[1],
+                                      qbm_transition_pdf(p, 1.0, 2.5, 0.3, y))
+
+    def test_bad_element_is_rejected(self):
+        p = QParams(0.5)
+        y = np.linspace(-2.0, 2.0, 9)
+        for bad in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(InvalidTime):
+                qou_transition_pdf(p, np.array([[0.1], [bad]]), 0.0, y)
+        # t1 >= t2 in one pair, or a negative start
+        with pytest.raises(InvalidTime):
+            qbm_transition_pdf(p, np.array([[0.5], [1.0]]), np.array([[1.0], [1.0]]), 0.0, y)
+        with pytest.raises(InvalidTime):
+            qbm_transition_pdf(p, np.array([[0.5], [-0.1]]), 2.0, 0.0, y)
+        # a state inside the support of one start time but outside its own
+        t1 = np.array([[4.0], [0.25]])
+        with pytest.raises(InvalidState):
+            qbm_transition_pdf(p, t1, 5.0, np.array([[5.0], [5.0]]), y)
+        # a start at t1 = 0 away from the origin
+        with pytest.raises(InvalidState):
+            qbm_transition_pdf(p, np.array([[1.0], [0.0]]), 2.0, np.array([[0.1], [0.1]]), y)

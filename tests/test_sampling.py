@@ -5,64 +5,79 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from qtangent.errors import NonFinite, NotNormalized
+from qtangent.errors import NonFinite
 from qtangent.kernels import (
-    Support,
     cauchy_marginal,
     half_stable_cdf,
     half_stable_marginal,
+    half_stable_quantile,
     qnormal_pdf,
+    qou_transition_pdf,
 )
 from qtangent.qspecial import QParams
 from qtangent.sampling import (
-    CdfTable,
     SeedSpec,
     batch_cdf_tables,
-    build_cdf,
+    cheb_nodes,
+    gauss_points,
     pchip_quantile,
-    sample,
-    uniform_stream,
 )
+
+
+def table(density, lo, hi, n, order=8):
+    """One cumulative row of ``density`` on n Chebyshev nodes of [lo, hi]."""
+    nodes = cheb_nodes(lo, hi, n)[None, :]
+    return nodes, batch_cdf_tables(density(gauss_points(nodes, order)), nodes, order)
+
+
+def sample(nodes, cdf, u):
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return pchip_quantile(nodes, cdf, np.zeros(len(u), dtype=np.intp), u)
+
+
+def half_stable_table():
+    """The t = 1 half-stable marginal on its support [1/4, inf), truncated at the
+    1 - 1e-10 quantile, on 128 nodes geometric in the distance to the edge."""
+    hi = float(half_stable_quantile(1.0, 1.0 - 1e-10))
+    nodes = (0.25 + np.concatenate([[0.0], np.geomspace(1e-8, hi - 0.25, 127)]))[None, :]
+    return nodes, batch_cdf_tables(half_stable_marginal(1.0, gauss_points(nodes)), nodes)
 
 
 class TestBuildCdf:
     def test_uniform_density(self):
-        table = build_cdf(lambda x: np.ones_like(x), Support(0.0, 1.0), n=64)
-        assert np.max(np.abs(table.cdf_values - table.nodes)) < 1e-12
+        nodes, cdf = table(np.ones_like, 0.0, 1.0, 64)
+        assert np.max(np.abs(cdf - nodes)) < 1e-12
 
     def test_qnormal_symmetric_median(self):
         p = QParams(0.0)
         # odd node count puts a node exactly at 0
-        table = build_cdf(lambda x: qnormal_pdf(p, x), Support(p.x_minus, p.x_plus), n=129)
-        i = np.argmin(np.abs(table.nodes))
-        assert table.nodes[i] == pytest.approx(0.0, abs=1e-14)
-        assert table.cdf_values[i] == pytest.approx(0.5, abs=1e-9)
-
-    def test_half_stable_boundaries_and_truncation(self):
-        table = build_cdf(lambda x: half_stable_marginal(1.0, x), Support(0.25, np.inf), n=128)
-        assert table.cdf_values[0] == 0.0
-        assert table.cdf_values[-1] == 1.0
-        lo_cut, hi_cut = table.truncated_at
-        assert lo_cut is None and hi_cut is not None
-        # closed-form cdf confirms the located tail really is below tolerance
-        assert 1.0 - half_stable_cdf(1.0, hi_cut) < 2e-10
-
-    def test_cauchy_two_sided_truncation(self):
-        table = build_cdf(lambda x: cauchy_marginal(1.0, x), Support(-np.inf, np.inf), n=256)
-        lo_cut, hi_cut = table.truncated_at
-        assert lo_cut is not None and hi_cut is not None
-        assert sample(table, 0.5) == pytest.approx(0.0, abs=1e-9)
-        # 256 nodes stretched over ~19 decades: percent-level quantiles
-        assert sample(table, 0.75) == pytest.approx(1.0, abs=0.05)
+        nodes, cdf = table(lambda x: qnormal_pdf(p, x), p.x_minus, p.x_plus, 129)
+        i = np.argmin(np.abs(nodes[0]))
+        assert nodes[0, i] == pytest.approx(0.0, abs=1e-14)
+        assert cdf[0, i] == pytest.approx(0.5, abs=1e-9)
 
     def test_quantile_accuracy_smooth(self):
-        table = build_cdf(lambda x: np.full_like(x, 0.5), Support(-1.0, 1.0), n=200)
+        nodes, cdf = table(lambda x: np.full_like(x, 0.5), -1.0, 1.0, 200)
         us = np.linspace(0, 0.999, 57)
-        np.testing.assert_allclose(sample(table, us), 2 * us - 1, atol=1e-10)
+        np.testing.assert_allclose(sample(nodes, cdf, us), 2 * us - 1, atol=1e-10)
 
-    def test_not_normalized(self):
-        with pytest.raises(NotNormalized):
-            build_cdf(lambda x: 0.5 * np.ones_like(x), Support(0.0, 1.0), n=64)
+    def test_half_stable_boundaries_and_truncation(self):
+        nodes, cdf = half_stable_table()
+        assert cdf[0, 0] == 0.0
+        assert cdf[0, -1] == 1.0
+        assert nodes[0, 0] == 0.25 and np.isfinite(nodes[0, -1])
+        # closed-form cdf confirms the truncated tail really is below tolerance
+        assert 1.0 - half_stable_cdf(1.0, nodes[0, -1]) < 2e-10
+
+    def test_cauchy_two_sided_truncation(self):
+        # cut at the 1e-10 and 1 - 1e-10 quantiles, 256 nodes uniform in asinh(x)
+        cut = math.tan(math.pi * (0.5 - 1e-10))
+        nodes = np.sinh(np.linspace(-math.asinh(cut), math.asinh(cut), 256))[None, :]
+        cdf = batch_cdf_tables(cauchy_marginal(1.0, gauss_points(nodes)), nodes)
+        assert np.all(np.isfinite(nodes[0, [0, -1]]))
+        assert sample(nodes, cdf, 0.5)[0] == pytest.approx(0.0, abs=1e-9)
+        # 256 nodes stretched over ~19 decades: percent-level quantiles
+        assert sample(nodes, cdf, 0.75)[0] == pytest.approx(1.0, abs=0.05)
 
     def test_non_finite(self):
         def bad(x):
@@ -71,43 +86,40 @@ class TestBuildCdf:
             return out
 
         with pytest.raises(NonFinite):
-            build_cdf(bad, Support(0.0, 1.0), n=64)
-
-    def test_minimum_node_count_enforced(self):
-        with pytest.raises(ValueError):
-            CdfTable(Support(0.0, 1.0), np.linspace(0, 1, 10), np.linspace(0, 1, 10))
+            table(bad, 0.0, 1.0, 64)
 
 
 @pytest.fixture(scope="module")
 def qnormal_table():
     p = QParams(0.5)
-    return build_cdf(lambda x: qnormal_pdf(p, x), Support(p.x_minus, p.x_plus), n=256)
+    return table(lambda x: qnormal_pdf(p, x), p.x_minus, p.x_plus, 256)
 
 
 class TestSample:
     def test_u_zero_hits_lower_end(self, qnormal_table):
-        assert sample(qnormal_table, 0.0) == qnormal_table.nodes[0]
+        nodes, cdf = qnormal_table
+        assert sample(nodes, cdf, 0.0)[0] == nodes[0, 0]
 
     def test_symmetric_median(self, qnormal_table):
-        assert sample(qnormal_table, 0.5) == pytest.approx(0.0, abs=1e-6)
+        assert sample(*qnormal_table, 0.5)[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_monotone_in_u(self, qnormal_table):
         us = np.random.default_rng(0).random(500)
-        xs = sample(qnormal_table, np.sort(us))
+        xs = sample(*qnormal_table, np.sort(us))
         assert np.all(np.diff(xs) >= 0.0)
 
     def test_empirical_mean(self, qnormal_table):
         # q-normal has unit variance (checked by quadrature in test_kernels)
         n = 100_000
         us = SeedSpec(123).generator().random(n)
-        mean = float(np.mean(sample(qnormal_table, us)))
+        mean = float(np.mean(sample(*qnormal_table, us)))
         assert abs(mean) < 4.0 / math.sqrt(n)
 
     def test_round_trip_histogram(self, qnormal_table):
         p = QParams(0.5)
         n = 1_000_000
         us = SeedSpec(77).generator().random(n)
-        xs = sample(qnormal_table, us)
+        xs = sample(*qnormal_table, us)
         edges = np.linspace(p.x_minus, p.x_plus, 101)
         hist, _ = np.histogram(xs, bins=edges, density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -119,19 +131,18 @@ class TestSample:
 class TestUniformStream:
     def test_deterministic(self):
         s = SeedSpec(5, 3)
-        a = [u for u, _ in zip(uniform_stream(s), range(1000))]
-        b = [u for u, _ in zip(uniform_stream(s), range(1000))]
-        assert a == b
+        np.testing.assert_array_equal(s.generator().random(1000), s.generator().random(1000))
 
     def test_streams_differ(self):
-        a = [u for u, _ in zip(uniform_stream(SeedSpec(5, 0)), range(1000))]
-        b = [u for u, _ in zip(uniform_stream(SeedSpec(5, 1)), range(1000))]
-        assert a != b
+        a = SeedSpec(5, 0).generator().random(1000)
+        b = SeedSpec(5, 1).generator().random(1000)
+        assert not np.array_equal(a, b)
 
     def test_matches_generator(self):
-        s = SeedSpec(42, 7)
-        a = [u for u, _ in zip(uniform_stream(s), range(100))]
-        np.testing.assert_array_equal(a, s.generator().random(100))
+        # the documented stream identity: PCG64 seeded through a SeedSequence spawn key
+        ss = np.random.SeedSequence(entropy=42, spawn_key=(7,))
+        expected = np.random.Generator(np.random.PCG64(ss)).random(100)
+        np.testing.assert_array_equal(SeedSpec(42, 7).generator().random(100), expected)
 
     def test_kolmogorov_smirnov(self):
         us = SeedSpec(99).generator().random(10_000)
@@ -145,11 +156,26 @@ class TestUniformStream:
 
 def test_truncated_table_mass_against_quadrature():
     # tabulated masses agree with adaptive quadrature on interior intervals
-    table = build_cdf(lambda x: half_stable_marginal(1.0, x), Support(0.25, np.inf), n=128)
+    nodes, cdf = half_stable_table()
     i, j = 10, 40
-    mass, _ = quad(lambda x: half_stable_marginal(1.0, x), table.nodes[i], table.nodes[j],
-                   limit=200)
-    assert table.cdf_values[j] - table.cdf_values[i] == pytest.approx(mass, abs=1e-6)
+    mass, _ = quad(lambda x: half_stable_marginal(1.0, x), nodes[0, i], nodes[0, j], limit=200)
+    assert cdf[0, j] - cdf[0, i] == pytest.approx(mass, abs=1e-6)
+
+
+def test_table_mass_against_quadrature():
+    # tabulated masses of q-OU conditional rows agree with adaptive quadrature
+    p = QParams(0.5)
+    states = np.array([-2.5, 0.0, 1.9])
+    nodes = np.broadcast_to(cheb_nodes(p.x_minus, p.x_plus, 96), (3, 96)).copy()
+    dens = qou_transition_pdf(p, 0.3, states[:, None], gauss_points(nodes))
+    cdf = batch_cdf_tables(dens, nodes)
+    i, j = 10, 60
+    for r, x in enumerate(states):
+        mass, _ = quad(lambda y: qou_transition_pdf(p, 0.3, x, y), nodes[r, i], nodes[r, j],
+                       epsabs=1e-13, limit=200)
+        total, _ = quad(lambda y: qou_transition_pdf(p, 0.3, x, y), p.x_minus, p.x_plus,
+                        epsabs=1e-13, limit=200)
+        assert cdf[r, j] - cdf[r, i] == pytest.approx(mass / total, abs=1e-7)
 
 
 def _reference_quantile(c, v, u):

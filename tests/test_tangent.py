@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtangent.errors import InvalidState, InvalidTime, OutOfSupport, UnknownProcess
+from qtangent.errors import InvalidCount, InvalidState, InvalidTime, OutOfSupport, UnknownProcess
 from qtangent.kernels import cauchy_transition_pdf
 from qtangent.tangent import (
     ConvergenceReport,
@@ -35,6 +35,9 @@ class TestTangentCase:
     def test_qbm_requires_base_time(self):
         with pytest.raises(InvalidTime):
             TangentCase("qbm_interior", 0.0, x=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(InvalidTime):
+                TangentCase("qbm_boundary", 0.0, s=bad)
 
     def test_unknown_case(self):
         with pytest.raises(UnknownProcess):
@@ -169,6 +172,50 @@ class TestDistance:
         vals = limit_pdf(case, w.t1, w.t2, w.y1, grid)
         assert float(np.trapezoid(np.abs(vals - vals), grid)) == 0.0
         assert float(np.max(np.abs(vals - vals))) == 0.0
+
+
+CASES = [
+    TangentCase("qou_interior", 0.5, x=0.7),
+    TangentCase("qou_boundary", 0.9),
+    TangentCase("qbm_interior", -0.5, x=-0.4, s=1.5),
+    TangentCase("qbm_boundary", 0.9, s=0.5),
+]
+
+
+class TestBatchedLadder:
+    """One grid and one kernel call per ladder: each rung's row equals the
+    one-rung evaluation bit for bit."""
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.case)
+    def test_rows_equal_single_rung_distance(self, case):
+        w = default_window(case)
+        l1s, sups = distance(case, LADDER, w)
+        assert l1s.shape == sups.shape == (len(LADDER),)
+        for eps, l1, sup in zip(LADDER, l1s, sups):
+            assert distance(case, eps, w) == (l1, sup)
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.case)
+    def test_rescaled_rows_equal_single_rung_calls(self, case):
+        w = default_window(case)
+        grid = np.linspace(w.y2_lo, w.y2_hi, 300)
+        rows = rescaled_pdf(case, np.array(LADDER)[:, None], w.t1, w.t2, w.y1, grid)
+        for eps, row in zip(LADDER, rows):
+            np.testing.assert_array_equal(row, rescaled_pdf(case, eps, w.t1, w.t2, w.y1, grid))
+
+    def test_one_rung_out_of_support_raises(self):
+        case = TangentCase("qou_interior", 0.5, x=0.9 * 2 / math.sqrt(0.5))
+        with pytest.raises(OutOfSupport):
+            rescaled_pdf(case, np.array([[0.01], [0.5]]), 0.0, 1.0, 10.0, 0.0)
+        with pytest.raises(InvalidTime):
+            rescaled_pdf(case, np.array([[0.1], [0.0]]), 0.0, 1.0, 0.0, 0.0)
+
+    def test_resolution_below_minimum_rejected(self):
+        case = TangentCase("qou_interior", 0.0, x=0.0)
+        w = default_window(case)
+        for bad in (-5, 0, 3, 31):
+            with pytest.raises(InvalidCount):
+                distance(case, 0.1, w, resolution=bad)
+        assert distance(case, 0.1, w, resolution=32)[0] > 0.0
 
 
 class TestConvergenceStudy:
