@@ -110,7 +110,7 @@ def _build_parser():
     d.add_argument("--process", required=True,
                    choices=["qnormal", "qou", "qbm", "cauchy", "biane_half",
                             "biane_shifted", "half_stable", "cauchy_marginal"])
-    d.add_argument("--q", type=float, help="deformation parameter in (-1, 1)")
+    d.add_argument("--q", type=float, help="deformation parameter, |q| <= 0.995")
     d.add_argument("--grid", required=True, help="evaluation grid lo:hi:count")
     d.add_argument("--t", type=float, help="marginal time (half_stable, cauchy_marginal)")
     d.add_argument("--delta", type=float, help="time lag (qou)")
@@ -123,7 +123,7 @@ def _build_parser():
 
     s = subs.add_parser("simulate", help="sample trajectories by exact transition sampling")
     s.add_argument("--process", required=True, choices=["qou", "qbm"])
-    s.add_argument("--q", type=float, required=True)
+    s.add_argument("--q", type=float, required=True, help="deformation parameter, |q| <= 0.997")
     s.add_argument("--t0", type=float, default=0.0)
     s.add_argument("--t1", type=float, required=True)
     s.add_argument("--steps", type=int, required=True)
@@ -136,7 +136,7 @@ def _build_parser():
     t = subs.add_parser("tangent", help="convergence study of a tangent-process limit")
     t.add_argument("--case", required=True,
                    choices=["qou_interior", "qou_boundary", "qbm_interior", "qbm_boundary"])
-    t.add_argument("--q", type=float, required=True)
+    t.add_argument("--q", type=float, required=True, help="deformation parameter, |q| <= 0.995")
     t.add_argument("--x", type=float, help="interior location")
     t.add_argument("--s", type=float, help="base time (qbm cases)")
     t.add_argument("--ladder", default="0.2,0.1,0.05,0.02,0.01",
@@ -152,7 +152,7 @@ def _build_parser():
     t.add_argument("--output", "-o", default=None)
 
     j = subs.add_parser("jumps", help="large-jump statistics against the closed-form bound")
-    j.add_argument("--q", type=float, required=True)
+    j.add_argument("--q", type=float, required=True, help="deformation parameter, |q| <= 0.997")
     j.add_argument("--S", type=float, default=0.0)
     j.add_argument("--T", type=float, required=True)
     j.add_argument("--a", type=float, required=True, help="jump size threshold")

@@ -13,16 +13,8 @@ class TruncationExceeded(QTangentError):
     """k_max factors were consumed before the truncation tolerance was met."""
 
 
-class DivergentTerm(QTangentError):
-    """A denominator term of a product ratio is non-positive inside the truncation range."""
-
-
 class InvalidTime(QTangentError):
     """Time arguments violate ordering or positivity requirements."""
-
-
-# freeprob uses the plural in its contracts; same condition.
-InvalidTimes = InvalidTime
 
 
 class InvalidState(QTangentError):
@@ -43,10 +35,6 @@ class InvalidCount(QTangentError):
 
 class UnknownProcess(QTangentError):
     """Process tag not recognised."""
-
-
-class NotNormalized(QTangentError):
-    """A density failed its total-mass check."""
 
 
 class NonFinite(QTangentError):

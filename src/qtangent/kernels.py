@@ -6,9 +6,13 @@ floats for scalar input, and return exactly 0 outside the support of the
 target state.  Arguments of square roots are clamped at 0 at the support
 boundary where rounding can produce tiny negatives.
 
-For the q-kernels the k = 0 quadratic form is evaluated in a regrouped form
-that avoids the catastrophic cancellation the displayed form suffers when
-delta -> 0 with x ~ y (the regime every tangent-process study probes):
+The three q-kernels share one product, the q-OU kernel at lag d
+(prod_{k>=0} of psi_{q,k}/phi_{q,k} ratios; the displayed forms serve as
+oracles in the tests).  The q-normal density is its d = inf limit
+(e^{-d} = 0), and the q-BM kernel follows from the deterministic time
+change W_{e^{2t}} = e^t X_t.  The k = 0 form is evaluated regrouped, which
+avoids the catastrophic cancellation the displayed form suffers when
+d -> 0 with x ~ y (the regime every tangent-process study probes):
 
     phi_{q,0}(d,x,y) = e^{-2d}(1-q)(x-y)^2 + u^2 [e^{-d}(4-(1-q)xy) + u^2],
     u = 1 - e^{-d},
@@ -24,8 +28,9 @@ coefficients are computed element by element with the math module
 every expression keeps the association order of a scalar-time call, so each
 entry of an array-time call equals the scalar-time call bit for bit.
 
-The half-stable quantile inverts the closed-form distribution function:
-with w = tan(phi/2) it reads F_t(x) = (phi - sin phi)/pi at
+The half-stable quantile inverts the distribution function
+F_t(x) = (2/pi) [arctan(w) - w t^2/(4x)], w = sqrt(4x/t^2 - 1): with
+w = tan(phi/2) it reads F_t(x) = (phi - sin phi)/pi at
 x = t^2/(4 cos^2(phi/2)), Kepler's equation at eccentricity 1, which
 vectorized Newton solves in a few rounds.
 """
@@ -37,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidState, InvalidTime
-from .qspecial import DEFAULT_POLICY, QParams, q_pochhammer_inf, series_terms
+from .qspecial import DEFAULT_POLICY, QParams, TruncationPolicy, q_pochhammer_inf, series_terms
 
 __all__ = [
     "Support",
@@ -49,7 +54,6 @@ __all__ = [
     "biane_shifted_pdf",
     "half_stable_marginal",
     "cauchy_marginal",
-    "half_stable_cdf",
     "half_stable_quantile",
 ]
 
@@ -71,10 +75,6 @@ class Support:
         if not self.lo < self.hi:
             raise InvalidState(f"support requires lo < hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def bounded(self):
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
 
 def _as_float_or_array(_ref, out):
     out = np.asarray(out)
@@ -83,8 +83,6 @@ def _as_float_or_array(_ref, out):
 
 @lru_cache(maxsize=256)
 def _euler_qpoch(q, rel_tol, k_max):
-    from .qspecial import TruncationPolicy
-
     return q_pochhammer_inf(q, q, TruncationPolicy(rel_tol, k_max))
 
 
@@ -96,29 +94,22 @@ def _time(t):
     return a if a.ndim else float(a)
 
 
-def _each(fn, t):
-    """fn at every element of the time t (a float or a float array), in t's shape.
+def _each(fn, *ts):
+    """fn at every element of the times ts (floats or float arrays), in their broadcast shape.
 
     Time coefficients go through the math module one element at a time:
     numpy's vectorized exp can round differently, and an array-time call
     must reproduce the scalar-time calls bit for bit.
     """
-    if isinstance(t, float):
-        return fn(t)
-    return np.array([fn(v) for v in t.flat]).reshape(t.shape)
+    if all(isinstance(t, float) for t in ts):
+        return fn(*ts)
+    b = np.broadcast(*ts)
+    return np.array([fn(*v) for v in b]).reshape(b.shape)
 
 
 def _all(mask):
     """Whether every entry of a boolean scalar or array holds."""
     return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _phi0_qou(q, delta, x, y):
-    # Regrouped phi_{q,0}; exact identity with the displayed quadratic form.
-    u = -_each(math.expm1, -delta)
-    e1 = _each(math.exp, -delta)
-    e2 = e1 * e1
-    return e2 * (1.0 - q) * (x - y) ** 2 + u * u * (e1 * (4.0 - (1.0 - q) * x * y) + u * u)
 
 
 @lru_cache(maxsize=256)
@@ -171,35 +162,41 @@ def _qou_factor(c, x, y, cyy, out, phi, tmp):
     return out
 
 
-def _qou_tail_product(q, delta, x, y, policy):
-    """prod_{k>=1} (1 - e^{-2d} q^k) psi_{q,k}(y) / phi_{q,k}(d, x, y), broadcast over d, x, y."""
+def _qou_core(p: QParams, delta, x, y, x_minus_y, policy):
+    """The q-OU transition density at lag delta in (0, inf] from x to y, 0 for |y| >= x_plus.
+
+    delta is a float or an array broadcasting against the float arrays x and y;
+    delta = inf is the q-normal law of y.  The caller passes x - y, to full accuracy.
+    """
+    q = p.q
+    c1 = 1.0 - q
+    e1 = _each(math.exp, -delta)
+    e2 = e1 * e1
+    u = -_each(math.expm1, -delta)
+    u2 = -_each(math.expm1, -2.0 * delta)  # 1 - e^{-2 delta}
+    cyy = c1 * y * y
+    # regrouped phi_{q,0}: exact identity with the displayed quadratic form
+    phi0 = e2 * c1 * x_minus_y ** 2 + u * u * (e1 * (4.0 - c1 * x * y) + u * u)
     qk, a = _q_powers(q, series_terms(q, policy))
-    e1 = _each(math.exp, -_time(delta))
     col = qk.shape + (1,) * np.ndim(e1)
     qk, a = qk.reshape(col), a.reshape(col)
     g = e1 * qk
     s = 1.0 - g * g
-    c1 = 1.0 - q
-    coeffs = (qk, a, g, c1 * g, s * s, 1.0 - (e1 * e1) * qk)
-    return _tail_product(_qou_factor, coeffs, (x, y, c1 * y * y))
+    tail = _tail_product(_qou_factor, (qk, a, g, c1 * g, s * s, 1.0 - e2 * qk), (x, y, cyy))
+    sq = np.sqrt(np.clip(4.0 - cyy, 0.0, None))
+    cq = math.sqrt(c1) * _euler_qpoch(q, policy.rel_tol, policy.k_max) / (2.0 * math.pi)
+    return np.where(np.abs(y) >= p.x_plus, 0.0, cq * u2 * sq / phi0 * tail)
 
 
 def qnormal_pdf(p: QParams, x, policy=DEFAULT_POLICY):
     """Density of the q-normal law on [-2/sqrt(1-q), 2/sqrt(1-q)].
 
     At q = 0 this is the Wigner semicircle law sqrt(4 - x^2)/(2 pi); as
-    q -> 1 it approaches the standard normal.
+    q -> 1 it approaches the standard normal.  It is the q-OU kernel at an
+    infinite lag.
     """
-    q = p.q
-    xarr = np.asarray(x, dtype=float)
-    sq = np.sqrt(np.clip(4.0 - (1.0 - q) * xarr * xarr, 0.0, None))
-    K = series_terms(q, policy)
-    ks = np.arange(1, K + 1, dtype=float).reshape((K,) + (1,) * xarr.ndim)
-    qk = np.power(q, ks)
-    prod = np.prod((1.0 + qk) ** 2 - (1.0 - q) * xarr * xarr * qk, axis=0)
-    cq = math.sqrt(1.0 - q) * _euler_qpoch(q, policy.rel_tol, policy.k_max) / (2.0 * math.pi)
-    out = np.where(np.abs(xarr) >= p.x_plus, 0.0, cq * sq * prod)
-    return _as_float_or_array(x, out)
+    y = np.asarray(x, dtype=float)
+    return _as_float_or_array(x, _qou_core(p, math.inf, 0.0, y, -y, policy))
 
 
 def qou_transition_pdf(p: QParams, delta, x, y, policy=DEFAULT_POLICY):
@@ -212,49 +209,21 @@ def qou_transition_pdf(p: QParams, delta, x, y, policy=DEFAULT_POLICY):
     d = _time(delta)
     if not _all((0.0 < d) & (d < math.inf)):
         raise InvalidTime(f"q-OU kernel requires finite delta > 0, got {delta}")
-    q = p.q
     if not np.max(np.abs(x)) <= p.x_plus * (1.0 + 1e-12):
         raise InvalidState(f"conditioning state x={x} outside [{p.x_minus}, {p.x_plus}]")
-    xarr = np.asarray(x, dtype=float)
-    yarr = np.asarray(y, dtype=float)
-    u2 = -_each(math.expm1, -2.0 * d)  # 1 - e^{-2 delta}
-    phi0 = _phi0_qou(q, d, xarr, yarr)
-    tail = _qou_tail_product(q, d, xarr, yarr, policy)
-    sq = np.sqrt(np.clip(4.0 - (1.0 - q) * yarr * yarr, 0.0, None))
-    cq = math.sqrt(1.0 - q) * _euler_qpoch(q, policy.rel_tol, policy.k_max) / (2.0 * math.pi)
-    out = np.where(np.abs(yarr) >= p.x_plus, 0.0, cq * u2 * sq / phi0 * tail)
+    xarr, yarr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    out = _qou_core(p, d, xarr, yarr, xarr - yarr, policy)
     return _as_float_or_array(y, out)
 
 
-def _qbm_factor(c, y1, y2, cyy, t2y1, out, phi, tmp):
-    # psi*_{q,k}(t1,t2,y2) / phi*_{q,k}(t1,t2,y1,y2) into out, with the cross
-    # term of phi* factored: (1-q) qk (y2 - qk y1)(t1 qk y2 - t2 y1)
-    qk, ta, pref, c1qk, t1qk, s = c
-    np.multiply(cyy, qk, out=out)
-    np.subtract(ta, out, out=out)
-    out *= pref
-    np.multiply(y1, qk, out=phi)
-    np.subtract(y2, phi, out=phi)
-    phi *= c1qk
-    np.multiply(y2, t1qk, out=tmp)
-    tmp -= t2y1
-    phi *= tmp
-    phi += s
-    out /= phi
-    return out
+def _bm_lag(t1, t2):
+    # q-OU lag of the q-BM step t1 -> t2; a start at t1 = 0 is an infinite lag
+    return 0.5 * math.log1p((t2 - t1) / t1) if t1 > 0.0 else math.inf
 
 
-def _qbm_tail_product(q, t1, t2, y1, y2, policy):
-    """prod_{k>=1} psi*_{q,k}(t1,t2,y2) / phi*_{q,k}(t1,t2,y1,y2), broadcast over t1, t2, y1, y2."""
-    qk, a = _q_powers(q, series_terms(q, policy))
-    t1, t2 = _time(t1), _time(t2)
-    col = qk.shape + (1,) * max(np.ndim(t1), np.ndim(t2))
-    qk, a = qk.reshape(col), a.reshape(col)
-    t1qk = t1 * qk
-    s = t2 - t1qk * qk
-    c1 = 1.0 - q
-    coeffs = (qk, t2 * a, (t2 - t1qk) * (1.0 - q * qk), c1 * qk, t1qk, s * s)
-    return _tail_product(_qbm_factor, coeffs, (y1, y2, c1 * y2 * y2, t2 * y1))
+def _bm_root(t):
+    # sqrt(t), read as inf at t = 0 so that the origin maps to the state 0
+    return math.sqrt(t) if t > 0.0 else math.inf
 
 
 def qbm_transition_pdf(p: QParams, t1, t2, y1, y2, policy=DEFAULT_POLICY):
@@ -263,6 +232,11 @@ def qbm_transition_pdf(p: QParams, t1, t2, y1, y2, policy=DEFAULT_POLICY):
     Supports t1 = 0 only with y1 = 0 (start at the origin).  Zero outside
     the time-t2 support [-2 sqrt(t2/(1-q)), 2 sqrt(t2/(1-q))].  t1 and t2
     may be arrays broadcasting against y1 and y2.
+
+    Evaluated through the deterministic time change W_{e^{2t}} = e^t X_t:
+    the q-OU kernel at lag delta = log(t2/t1)/2 from y1/sqrt(t1) to
+    y2/sqrt(t2), divided by sqrt(t2).  A start at the origin is delta = inf,
+    the sqrt(t2)-dilated q-normal law.
     """
     q = p.q
     t1a, t2a = _time(t1), _time(t2)
@@ -274,18 +248,12 @@ def qbm_transition_pdf(p: QParams, t1, t2, y1, y2, policy=DEFAULT_POLICY):
         raise InvalidState(f"y1={y1} outside the time-t1 support [-{b1}, {b1}] "
                            "(t1 = 0 requires y1 = 0: the path starts at the origin)")
     y2a = np.asarray(y2, dtype=float)
-    b2 = 2.0 * _each(math.sqrt, t2a / (1.0 - q))
-    dt = t2a - t1a
-    # phi*_{q,0} with the cross terms factored: exact identity with the
-    # displayed form, stable when dt -> 0 with y2 ~ y1.
-    phi0 = dt * dt + (1.0 - q) * (y2a - y1a) * (t1a * (y2a - y1a) - dt * y1a)
-    tail = _qbm_tail_product(q, t1a, t2a, y1a, y2a, policy)
-    sq = np.sqrt(np.clip(4.0 * t2a - (1.0 - q) * y2a * y2a, 0.0, None))
-    pref = (1.0 - q) ** 1.5 * dt / (2.0 * math.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = pref * sq / phi0 * tail
-    out = np.where(np.abs(y2a) >= b2, 0.0, val)
-    return _as_float_or_array(y2, out)
+    r1, r2 = _each(_bm_root, t1a), _each(math.sqrt, t2a)
+    # x - y from the exact y1 - y2 and t2 - t1 (1/r1 - 1/r2 = (t2 - t1)/((r1 + r2) r1 r2)):
+    # x and y rounded apart lose digits where the kernel is narrow, t2 - t1 << t1
+    x_minus_y = (y1a - y2a) / r2 + y1a * ((t2a - t1a) / (r1 + r2) / r1 / r2)
+    out = _qou_core(p, _each(_bm_lag, t1a, t2a), y1a / r1, y2a / r2, x_minus_y, policy)
+    return _as_float_or_array(y2, out / r2)
 
 
 def cauchy_transition_pdf(t1, t2, y1, y2):
@@ -354,22 +322,6 @@ def cauchy_marginal(t, x):
     return _as_float_or_array(x, out)
 
 
-def half_stable_cdf(t, x):
-    """Distribution function of the free 1/2-stable marginal, in closed form.
-
-    F_t(x) = (2/pi) [arctan(w) - w t^2 / (4x)] with w = sqrt(4x/t^2 - 1).
-    """
-    if not 0.0 < t < math.inf:
-        raise InvalidTime(f"cdf requires finite t > 0, got {t}")
-    xarr = np.asarray(x, dtype=float)
-    u = xarr / (t * t)
-    w = np.sqrt(np.clip(4.0 * u - 1.0, 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = 2.0 / math.pi * (np.arctan(w) - w / (4.0 * u))
-    out = np.where(u <= 0.25, 0.0, val)
-    return _as_float_or_array(x, out)
-
-
 # Taylor coefficients of phi - sin(phi) = phi^3 sum_k c_k phi^(2k), k = 0..8: below
 # phi = 1 the first omitted term is under 1e-19 of the sum.
 _KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(9))
@@ -386,7 +338,7 @@ def _phi_minus_sin(phi, sin_phi):
 
 
 def half_stable_quantile(t, p):
-    """Quantile of the free 1/2-stable marginal: x with half_stable_cdf(t, x) = p.
+    """Quantile of the free 1/2-stable marginal: x with F_t(x) = p.
 
     With w = tan(phi/2) the distribution function reads
     F_t(x) = (phi - sin phi)/pi at x = t^2/(4 cos^2(phi/2)), phi in [0, pi):

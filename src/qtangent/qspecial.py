@@ -1,35 +1,21 @@
-"""q-series building blocks: infinite q-Pochhammer products and the phi/psi factor families.
+"""q-series building blocks: the deformation parameter, the truncation policy
+and the infinite q-Pochhammer product (a; q)_inf = prod_{k>=0} (1 - a q^k).
 
-Everything here is a pure function of its arguments.  The kernel densities
-are built from two families of quadratic forms,
-
-    phi_{q,k}(delta, x, y) = (1 - e^{-2 delta} q^{2k})^2
-                             - (1-q) e^{-delta} q^k (1 + e^{-2 delta} q^{2k}) x y
-                             + (1-q) e^{-2 delta} q^{2k} (x^2 + y^2)
-
-    psi_{q,k}(x) = (1 + q^k)^2 - (1-q) x^2 q^k
-
-together with their two-time analogues ``phi_star``/``psi_star``, and the
-Euler-type products (a; q)_inf = prod_{k>=0} (1 - a q^k).
+Every kernel product in ``kernels`` has factors that approach 1 geometrically
+in k; ``series_terms`` says where a ``TruncationPolicy`` cuts them.
+Everything here is a pure function of its arguments.
 """
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import DivergentTerm, NonConvergent, TruncationExceeded
+from .errors import NonConvergent, TruncationExceeded
 
 __all__ = [
     "QParams",
     "TruncationPolicy",
     "DEFAULT_POLICY",
     "q_pochhammer_inf",
-    "phi_qk",
-    "psi_qk",
-    "phi_star",
-    "psi_star",
-    "tail_product_ratio",
     "series_terms",
 ]
 
@@ -121,77 +107,4 @@ def q_pochhammer_inf(a, q, policy=DEFAULT_POLICY):
         term *= q
     raise TruncationExceeded(
         f"(a; q)_inf with a={a}, q={q} needs more than k_max={policy.k_max} factors"
-    )
-
-
-def phi_qk(q, k, delta, x, y):
-    """The quadratic form phi_{q,k}(delta, x, y) entering the q-OU kernel.
-
-    Total on its domain; broadcasts over any of k, x, y; exactly symmetric
-    under swapping x and y.
-    """
-    qk = np.power(q, k)
-    q2k = qk * qk
-    e1 = math.exp(-delta)
-    e2 = e1 * e1
-    xy = x * y
-    return (
-        (1.0 - e2 * q2k) ** 2
-        - (1.0 - q) * e1 * qk * (1.0 + e2 * q2k) * xy
-        + (1.0 - q) * e2 * q2k * (x * x + y * y)
-    )
-
-
-def psi_qk(q, k, x):
-    """psi_{q,k}(x) = (1 + q^k)^2 - (1-q) x^2 q^k, defined for k >= 1."""
-    qk = np.power(q, k)
-    return (1.0 + qk) ** 2 - (1.0 - q) * x * x * qk
-
-
-def phi_star(q, k, t1, t2, y1, y2):
-    """Two-time quadratic form phi*_{q,k} entering the q-BM kernel (k >= 0)."""
-    qk = np.power(q, k)
-    q2k = qk * qk
-    return (
-        (t2 - t1 * q2k) ** 2
-        - (1.0 - q) * qk * (t2 + t1 * q2k) * y1 * y2
-        + (1.0 - q) * (t1 * y2 * y2 + t2 * y1 * y1) * q2k
-    )
-
-
-def psi_star(q, k, t1, t2, y2):
-    """psi*_{q,k}(t1, t2, y2) = (t2 - t1 q^k)(1 - q^{k+1})[t2 (1+q^k)^2 - (1-q) y2^2 q^k]."""
-    qk = np.power(q, k)
-    return (t2 - t1 * qk) * (1.0 - q * qk) * (t2 * (1.0 + qk) ** 2 - (1.0 - q) * y2 * y2 * qk)
-
-
-def tail_product_ratio(q, numerator_terms, denominator_terms, policy=DEFAULT_POLICY, k_start=1):
-    """Truncated product of term ratios prod_k num(k)/den(k).
-
-    ``numerator_terms`` and ``denominator_terms`` are callables k -> float
-    whose values approach 1 geometrically in k (rate |q|).  Truncation stops
-    at the first k where both factors are within the policy threshold of 1.
-    Accumulation is mantissa/exponent-normalized like q_pochhammer_inf.
-
-    Raises DivergentTerm if a denominator factor is <= 0 inside the
-    truncation range, TruncationExceeded if k_max is hit first.
-    """
-    if not abs(q) < 1.0:
-        raise NonConvergent(f"tail products require |q| < 1, got q={q}")
-    thr = policy.threshold(q)
-    mant = 1.0
-    exp2 = 0
-    for k in range(k_start, k_start + policy.k_max + 1):
-        num = float(numerator_terms(k))
-        den = float(denominator_terms(k))
-        if den <= 0.0:
-            raise DivergentTerm(f"denominator term {den} <= 0 at k={k}")
-        mant, e = math.frexp(mant * (num / den))
-        exp2 += e
-        if abs(num - 1.0) < thr and abs(den - 1.0) < thr:
-            return math.ldexp(mant, exp2)
-        if q == 0.0:
-            return math.ldexp(mant, exp2)
-    raise TruncationExceeded(
-        f"product ratio at q={q} needs more than k_max={policy.k_max} terms"
     )

@@ -98,7 +98,8 @@ class TangentCase:
             return math.sqrt(4.0 * self.s / (1.0 - self.q) - self.x * self.x) / (2.0 * self.s)
         if self.case == "qou_boundary":
             return 4.0 / math.sqrt(1.0 - self.q)
-        return 1.0 / (self.s ** 1.5 * math.sqrt(1.0 - self.q))
+        # 1/(s^1.5 sqrt(1-q)) without the OverflowError of s ** 1.5 at large s
+        return math.sqrt((1.0 - self.q) / self.s) / (self.s * (1.0 - self.q))
 
     def drift(self):
         """Linear drift of the limit (qbm_interior only, else 0)."""
@@ -235,12 +236,14 @@ def limit_pdf(case: TangentCase, t1, t2, y1, y2, scale_override=None):
             raise OutOfSupport(f"y1={y1} outside the limit support [0, inf)", y1)
         z2 = r * np.asarray(y2) + t2 * t2
         return biane_half_pdf(2.0 * t1, 2.0 * t2, r * y1 + t1 * t1, z2) * r
-    m = math.sqrt(s ** 3 * (1.0 - q))
-    z1 = m * y1
+    # m f(t1, t2, m y1, m y2), f the Biane kernel and m = sqrt(s^3 (1-q)), is
+    # n f(t1/s, t2/s, n y1, n y2) with n = m/s^2 by self-similarity; unlike m
+    # and m y2, these stay in double range for any base time s
+    n = math.sqrt((1.0 - q) / s)
+    t1, t2, z1 = t1 / s, t2 / s, n * y1
     if t1 > 0.0 and z1 <= t1 * t1 / 4.0:
         raise OutOfSupport(f"y1={y1} outside the limit support", y1)
-    out = biane_half_pdf(t1, t2, z1, m * np.asarray(y2)) * m
-    return out
+    return biane_half_pdf(t1, t2, z1, n * np.asarray(y2)) * n
 
 
 def _limit_quantile(case, window_t, prob):
@@ -252,8 +255,8 @@ def _limit_quantile(case, window_t, prob):
         r = math.sqrt(1.0 - case.q)
         xq = half_stable_quantile(2.0 * window_t, prob)
         return (xq - window_t * window_t) / r
-    m = math.sqrt(case.s ** 3 * (1.0 - case.q))
-    return half_stable_quantile(window_t, prob) / m
+    # Q_t(p)/m = Q_{t/s}(p)/n, scaled as in limit_pdf
+    return half_stable_quantile(window_t / case.s, prob) / math.sqrt((1.0 - case.q) / case.s)
 
 
 # Window horizons calibrated so the standard ladder operates in the
@@ -293,14 +296,7 @@ def _window_grid(case, window, resolution):
         gam = case.limit_scale() * window.t2
         quant = case.drift() * window.t2 + gam * np.tan(np.pi * (probs - 0.5))
     else:
-        probs = np.linspace(1e-6, 1.0 - tail, n_u)
-        if case.case == "qou_boundary":
-            r = math.sqrt(1.0 - case.q)
-            xq = half_stable_quantile(2.0 * window.t2, probs)
-            quant = (xq - window.t2 ** 2) / r
-        else:
-            m = math.sqrt(case.s ** 3 * (1.0 - case.q))
-            quant = half_stable_quantile(window.t2, probs) / m
+        quant = _limit_quantile(case, window.t2, np.linspace(1e-6, 1.0 - tail, n_u))
     quant = quant[(quant >= window.y2_lo) & (quant <= window.y2_hi)]
     return np.unique(np.concatenate([uniform, quant]))
 

@@ -4,7 +4,8 @@ reports for the CLI `verify` subcommand and the acceptance suite.
 Covers normalization (each transition kernel integrates to 1 over its
 target support), the Chapman-Kolmogorov composition, and the deterministic
 time change identity p_{t-s}(x, y) = e^t kappa_{e^{2s}, e^{2t}}(e^s x, e^t y)
-linking the q-OU and q-BM kernels.
+linking the q-OU kernel to the displayed q-BM product, evaluated here because
+``kernels`` derives its q-BM kernel from this very identity.
 
 Every integral runs through ``quadrature.integrate`` (adaptive 10-point
 Gauss-Legendre, epsabs = epsrel = 1e-11, at most 400 intervals), which calls
@@ -144,8 +145,24 @@ def chapman_kolmogorov_report(n_sets=50, seed=SeedSpec(2), tol=1e-6):
     return out
 
 
+def _displayed_qbm(q, t1, t2, y1, y2):
+    """q-BM kernel (1-q)^{3/2} (t2-t1)/(2 pi) sqrt(4 t2 - (1-q) y2^2) / phi*_0
+    prod_{k>=1} psi*_k / phi*_k from the displayed two-time forms phi*_k and psi*_k.
+    """
+    qk = np.power(q, np.arange(401.0))  # k <= 400: |q|^k < 1e-18 for the |q| <= 0.9 drawn
+    q2k = qk * qk
+    c1 = 1.0 - q
+    phi = (t2 - t1 * q2k) ** 2 - c1 * qk * (t2 + t1 * q2k) * y1 * y2 \
+        + c1 * (t1 * y2 * y2 + t2 * y1 * y1) * q2k
+    qk = qk[1:]
+    psi = (t2 - t1 * qk) * (1.0 - q * qk) * (t2 * (1.0 + qk) ** 2 - c1 * y2 * y2 * qk)
+    head = c1 ** 1.5 * (t2 - t1) / (2.0 * math.pi) * math.sqrt(4.0 * t2 - c1 * y2 * y2)
+    return float(head / phi[0] * np.prod(psi / phi[1:]))
+
+
 def ou_bm_identity_report(n_points=100, seed=SeedSpec(3), tol=1e-10):
-    """Relative residual of the OU <-> BM kernel identity at random points."""
+    """Relative residual of the OU <-> BM kernel identity at random points,
+    q-OU from ``qou_transition_pdf`` and q-BM from its displayed product."""
     gen = seed.generator()
     worst = 0.0
     for _ in range(n_points):
@@ -156,8 +173,8 @@ def ou_bm_identity_report(n_points=100, seed=SeedSpec(3), tol=1e-10):
         x = gen.uniform(-0.9, 0.9) * p.x_plus
         y = gen.uniform(-0.9, 0.9) * p.x_plus
         lhs = qou_transition_pdf(p, t - s, x, y)
-        rhs = math.exp(t) * qbm_transition_pdf(
-            p, math.exp(2.0 * s), math.exp(2.0 * t), math.exp(s) * x, math.exp(t) * y
+        rhs = math.exp(t) * _displayed_qbm(
+            q, math.exp(2.0 * s), math.exp(2.0 * t), math.exp(s) * x, math.exp(t) * y
         )
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return [{"kind": "ou_bm_identity", "samples": n_points, "max_residual": worst,

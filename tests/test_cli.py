@@ -125,6 +125,14 @@ class TestDensityCommand:
         assert code == 1
 
 
+    def test_qbm_at_extreme_times_is_finite(self, capsys):
+        code, out, _ = run(["density", "--process", "qbm", "--q", "0.5", "--t1", "1e200",
+                            "--t2", "2e200", "--y1", "0", "--grid", "-1e100:1e100:3"], capsys)
+        assert code == 0
+        pdf = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+        assert len(pdf) == 3 and all(math.isfinite(v) and v > 0.0 for v in pdf)
+
+
 class TestSimulateCommand:
     def test_writes_paths_and_reproduces(self, tmp_path, capsys):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -226,6 +234,29 @@ class TestTangentCommand:
                               flag, value], capsys)
         assert_usage_error(code, err)
         assert flag in err and out == ""
+
+
+    @staticmethod
+    def _ladder(capsys, case, s, *extra):
+        code, out, err = run(["tangent", "--case", case, "--q", "0.5", "--s", repr(s),
+                              *extra], capsys)
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["verdict"] == "pass"
+        return np.array([row["l1"] for row in result["ladder"]])
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-100, 1e100, 1e300])
+    def test_qbm_boundary_at_extreme_base_times(self, s, capsys):
+        # the study is scale-free: the ladder at s matches the one at s = 1
+        # up to the rounding of the edge cancellation
+        np.testing.assert_allclose(self._ladder(capsys, "qbm_boundary", s),
+                                   self._ladder(capsys, "qbm_boundary", 1.0), rtol=1e-5)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e200])
+    def test_qbm_interior_at_extreme_base_times(self, s, capsys):
+        ladder = self._ladder(capsys, "qbm_interior", s, "--x", repr(0.5 * math.sqrt(s)))
+        np.testing.assert_allclose(
+            ladder, self._ladder(capsys, "qbm_interior", 1.0, "--x", "0.5"), rtol=1e-9)
 
 
 class TestJumpsCommand:

@@ -13,14 +13,16 @@ from qtangent.kernels import (
     biane_shifted_pdf,
     cauchy_marginal,
     cauchy_transition_pdf,
-    half_stable_cdf,
     half_stable_marginal,
     half_stable_quantile,
     qbm_transition_pdf,
     qnormal_pdf,
     qou_transition_pdf,
 )
-from qtangent.qspecial import QParams, TruncationPolicy, phi_star, psi_star, q_pochhammer_inf
+from qtangent.qspecial import QParams, TruncationPolicy, q_pochhammer_inf
+from qtangent.tangent import TangentCase, default_window
+
+from oracles import half_stable_cdf, mp_qbm, mp_qnormal, mp_qou, phi_star, psi_star
 
 
 class TestQNormal:
@@ -143,13 +145,14 @@ class TestQBMKernel:
         assert qbm_transition_pdf(p, 1.0, 2.0, 0.0, b) == 0.0
 
     def test_marginal_is_dilated_qnormal(self):
+        # bit for bit: a start at the origin is the q-normal core at y2/sqrt(t2)
         for q in (-0.5, 0.5, 0.9):
             p = QParams(q)
-            t = 3.0
-            ys = np.linspace(-0.95, 0.95, 9) * 2 * math.sqrt(t / (1 - q))
-            lhs = qbm_transition_pdf(p, 0.0, t, 0.0, ys)
-            rhs = qnormal_pdf(p, ys / math.sqrt(t)) / math.sqrt(t)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+            for t, n in ((3.0, 9), (0.7, 2000)):
+                ys = np.linspace(-0.95, 0.95, n) * 2 * math.sqrt(t / (1 - q))
+                lhs = qbm_transition_pdf(p, 0.0, t, 0.0, ys)
+                rhs = qnormal_pdf(p, ys / math.sqrt(t)) / math.sqrt(t)
+                np.testing.assert_array_equal(lhs, rhs)
 
     def test_invalid_times(self):
         p = QParams(0.5)
@@ -181,7 +184,7 @@ class TestQBMKernel:
 
 
 class TestTailProductForms:
-    """The (K, points) array form and the per-k loop of each tail product
+    """The (K, points) array form and the per-k loop of the tail product
     must agree bit for bit, so results do not depend on the batch size."""
 
     @staticmethod
@@ -197,30 +200,15 @@ class TestTailProductForms:
         gen = np.random.default_rng(21)
         policy = TruncationPolicy(rel_tol)
         for _ in range(40):
-            q = gen.uniform(-0.95, 0.95)
-            xp = QParams(q).x_plus
-            delta = 10.0 ** gen.uniform(-6.0, 0.5)
-            x = gen.uniform(-1.0, 1.0, (3, 1)) * xp
-            y = gen.uniform(-1.0, 1.0, (3, 40)) * xp
-            vector, loop = self._both_forms(
-                monkeypatch, kernels._qou_tail_product, q, delta, x, y, policy)
-            assert np.all(np.isfinite(vector))
-            np.testing.assert_array_equal(vector, loop)
-
-    @pytest.mark.parametrize("rel_tol", [1e-14, 1e-4])
-    def test_qbm_forms_bitwise_equal(self, monkeypatch, rel_tol):
-        gen = np.random.default_rng(22)
-        policy = TruncationPolicy(rel_tol)
-        for _ in range(40):
-            q = gen.uniform(-0.95, 0.95)
-            t1 = gen.uniform(0.0, 2.0) * (gen.random() > 0.2)
-            t2 = t1 + 10.0 ** gen.uniform(-6.0, 0.5)
-            y1 = gen.uniform(-1.0, 1.0, (3, 1)) * 2.0 * math.sqrt(t1 / (1.0 - q))
-            y2 = gen.uniform(-1.0, 1.0, (3, 40)) * 2.0 * math.sqrt(t2 / (1.0 - q))
-            vector, loop = self._both_forms(
-                monkeypatch, kernels._qbm_tail_product, q, t1, t2, y1, y2, policy)
-            assert np.all(np.isfinite(vector))
-            np.testing.assert_array_equal(vector, loop)
+            p = QParams(gen.uniform(-0.95, 0.95))
+            x = gen.uniform(-1.0, 1.0, (3, 1)) * p.x_plus
+            y = gen.uniform(-1.0, 1.0, (3, 40)) * p.x_plus
+            # delta = inf is the q-normal law and the q-BM start at the origin
+            for delta in (10.0 ** gen.uniform(-6.0, 0.5), math.inf):
+                vector, loop = self._both_forms(
+                    monkeypatch, kernels._qou_core, p, delta, x, y, x - y, policy)
+                assert np.all(np.isfinite(vector))
+                np.testing.assert_array_equal(vector, loop)
 
 
 class TestStableKernels:
@@ -307,7 +295,7 @@ class TestStableKernels:
             half_stable_marginal(0.0, 1.0)
         with pytest.raises(InvalidTime):
             cauchy_marginal(-1.0, 0.0)
-        for fn in (half_stable_marginal, cauchy_marginal, half_stable_cdf):
+        for fn in (half_stable_marginal, cauchy_marginal):
             for bad in (math.inf, math.nan):
                 with pytest.raises(InvalidTime):
                     fn(bad, 1.0)
@@ -344,6 +332,77 @@ class TestSelfSimilarity:
             y2 = t2 * t2 / 4 + gen.uniform(0.05, 3.0)
             lhs = lam * lam * biane_half_pdf(lam * t1, lam * t2, lam * lam * y1, lam * lam * y2)
             assert lhs == pytest.approx(biane_half_pdf(t1, t2, y1, y2), rel=1e-12)
+
+
+    def test_qbm_scaling_at_extreme_times(self):
+        # kappa(lam t1, lam t2, sqrt(lam) y1, sqrt(lam) y2) sqrt(lam) = kappa(t1, t2, y1, y2)
+        gen = np.random.default_rng(15)
+        for lam in (1e-200, 1e200):
+            r = math.sqrt(lam)
+            for _ in range(40):
+                q = gen.uniform(-0.95, 0.95)
+                p = QParams(q)
+                t1 = 10.0 ** gen.uniform(-2.0, 1.0) * (gen.random() > 0.1)
+                t2 = (t1 or 1.0) * (1.0 + 10.0 ** gen.uniform(-6.0, 0.5))
+                y1 = gen.uniform(-0.99, 0.99) * 2.0 * math.sqrt(t1 / (1.0 - q))
+                y2 = gen.uniform(-0.99, 0.99, 5) * 2.0 * math.sqrt(t2 / (1.0 - q))
+                want = qbm_transition_pdf(p, t1, t2, y1, y2)
+                got = qbm_transition_pdf(p, lam * t1, lam * t2, r * y1, r * y2) * r
+                assert np.all(np.isfinite(got))
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+class TestDisplayedProductOracle:
+    """The q-kernels against their displayed products (tests/oracles.py) in
+    mpmath at 40 digits, which share no code with the regrouped q-OU core."""
+
+    def test_interior_to_relative_1e11(self):
+        gen = np.random.default_rng(41)
+        worst = 0.0
+        with mp.workdps(40):
+            for _ in range(16):
+                q = gen.uniform(-0.95, 0.95)
+                p = QParams(q)
+                x = gen.uniform(-0.99, 0.99) * p.x_plus
+                got = qnormal_pdf(p, x)
+                worst = max(worst, abs(got / mp_qnormal(q, x) - 1))
+
+                delta = 10.0 ** gen.uniform(-8.0, 0.5)
+                # the target near x at the tangent scale, or anywhere in the support
+                c = math.sqrt(4.0 / (1.0 - q) - x * x)
+                y = x + delta * c * gen.uniform(-5.0, 5.0) if gen.random() < 0.5 \
+                    else gen.uniform(-0.99, 0.99) * p.x_plus
+                y = float(np.clip(y, -0.99 * p.x_plus, 0.99 * p.x_plus))
+                got = qou_transition_pdf(p, delta, x, y)
+                worst = max(worst, abs(got / mp_qou(q, delta, x, y) - 1))
+
+                t1 = 10.0 ** gen.uniform(-1.0, 1.0) * (gen.random() > 0.2)
+                t2 = t1 + 10.0 ** gen.uniform(-8.0, 0.5)
+                b1, b2 = (2.0 * math.sqrt(t / (1.0 - q)) for t in (t1, t2))
+                y1 = gen.uniform(-0.99, 0.99) * b1
+                c = math.sqrt(4.0 * t1 / (1.0 - q) - y1 * y1) / (2.0 * t1) if t1 else 0.0
+                y2 = y1 + (t2 - t1) * (y1 / (2.0 * t1) + c * gen.uniform(-5.0, 5.0)) \
+                    if t1 and gen.random() < 0.5 else gen.uniform(-0.99, 0.99) * b2
+                y2 = float(np.clip(y2, -0.99 * b2, 0.99 * b2))
+                got = qbm_transition_pdf(p, t1, t2, y1, y2)
+                worst = max(worst, abs(got / mp_qbm(q, t1, t2, y1, y2) - 1))
+        assert worst <= 1e-11, worst
+
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    def test_qbm_boundary_window_to_2e5_of_peak(self, s):
+        # the q = 0.9 boundary study at eps = 0.01: the conditioning state sits
+        # on the support edge, where the k = 0 form loses digits to cancellation
+        case = TangentCase("qbm_boundary", 0.9, s=s)
+        p, window, eps = case.params, default_window(case), 0.01
+        tau2 = s + window.t2 * eps
+        a = 1.0 / math.sqrt(s * (1.0 - case.q))
+        y2 = window.y2_lo + (window.y2_hi - window.y2_lo) * np.geomspace(1e-4, 1.0, 14)
+        w2 = case.x - a * window.t2 * eps + y2 * eps * eps
+        w2 = w2[np.abs(w2) < 2.0 * math.sqrt(tau2 / (1.0 - case.q))]
+        got = qbm_transition_pdf(p, s, tau2, case.x, w2)
+        with mp.workdps(40):
+            ref = np.array([float(mp_qbm(case.q, s, tau2, case.x, w)) for w in w2])
+        assert np.max(np.abs(got - ref)) <= 2e-5 * np.max(ref)
 
 
 class TestOuBmIdentity:

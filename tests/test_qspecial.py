@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qtangent.errors import DivergentTerm, NonConvergent, TruncationExceeded
-from qtangent.qspecial import (
-    DEFAULT_POLICY,
-    QParams,
-    TruncationPolicy,
-    phi_qk,
-    phi_star,
-    psi_qk,
-    psi_star,
-    q_pochhammer_inf,
-    tail_product_ratio,
-)
+from qtangent.errors import NonConvergent, TruncationExceeded
+from qtangent.qspecial import DEFAULT_POLICY, QParams, TruncationPolicy, q_pochhammer_inf
+
+from oracles import phi_qk, phi_star, psi_qk, psi_star
 
 
 def brute_pochhammer(a, q, terms):
@@ -155,54 +147,6 @@ class TestPhiPsi:
 
     def test_phi_star_k0_spot(self):
         assert phi_star(0.0, 0, 1.0, 2.0, 0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
-
-
-class TestTailProductRatio:
-    def test_q_zero_is_one(self):
-        val = tail_product_ratio(0.0, lambda k: 1.0 + 0.0 ** k, lambda k: 1.0)
-        assert val == pytest.approx(1.0)
-
-    def test_identical_sequences_cancel(self):
-        term = lambda k: 1.0 + 0.5 ** k
-        assert tail_product_ratio(0.5, term, term) == 1.0
-
-    def test_matches_kernel_factorization(self):
-        # same product the q-OU kernel accumulates internally
-        q, d, x, y = 0.6, 0.8, 0.4, -0.9
-        e1, e2 = math.exp(-d), math.exp(-2 * d)
-        num = lambda k: (1 - e2 * q ** k) * psi_qk(q, k, y)
-        den = lambda k: phi_qk(q, k, d, x, y)
-        got = tail_product_ratio(q, num, den)
-        brute = 1.0
-        for k in range(1, 400):
-            brute *= num(k) / den(k)
-        assert got == pytest.approx(brute, rel=1e-12)
-
-    def test_divergent_term(self):
-        num = lambda k: 1.0 + 0.5 ** k
-        den = lambda k: -1.0 if k == 3 else 1.0 + 0.5 ** k
-        with pytest.raises(DivergentTerm):
-            tail_product_ratio(0.5, num, den)
-
-    def test_partial_product_excursion_beyond_double_range(self):
-        # partials spike to ~1e300 and recover; the final value stays representable
-        def num(k):
-            if k == 1:
-                return 1e300
-            if k == 2:
-                return 1e-300
-            return 1.0 + 0.5 ** k
-
-        got = tail_product_ratio(0.5, num, lambda k: 1.0)
-        brute = 1.0
-        for k in range(3, 200):
-            brute *= 1.0 + 0.5 ** k
-        assert got == pytest.approx(brute, rel=1e-12)
-
-    def test_truncation_exceeded(self):
-        slow = lambda k: 1.0 + 1.0 / (k + 1.0)  # not geometric
-        with pytest.raises(TruncationExceeded):
-            tail_product_ratio(0.9, slow, lambda k: 1.0, TruncationPolicy(1e-14, 50))
 
 
 def test_default_policy_values():

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from qtangent.errors import NonFinite
 from qtangent.kernels import (
     cauchy_marginal,
-    half_stable_cdf,
     half_stable_marginal,
     half_stable_quantile,
     qnormal_pdf,
@@ -22,6 +21,8 @@ from qtangent.sampling import (
     gauss_points,
     pchip_quantile,
 )
+
+from oracles import half_stable_cdf
 
 
 def table(density, lo, hi, n, order=8):

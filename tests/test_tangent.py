@@ -39,6 +39,13 @@ class TestTangentCase:
             with pytest.raises(InvalidTime):
                 TangentCase("qbm_boundary", 0.0, s=bad)
 
+    def test_boundary_scale_at_extreme_base_times(self):
+        # 1/(s^1.5 sqrt(1-q)), rounded to inf or 0 where it leaves double range
+        assert TangentCase("qbm_boundary", 0.5, s=2.0).limit_scale() == pytest.approx(
+            1.0 / (2.0 ** 1.5 * math.sqrt(0.5)), rel=1e-15)
+        assert TangentCase("qbm_boundary", 0.5, s=1e-300).limit_scale() == math.inf
+        assert TangentCase("qbm_boundary", 0.5, s=1e300).limit_scale() == 0.0
+
     def test_unknown_case(self):
         with pytest.raises(UnknownProcess):
             TangentCase("qou_corner", 0.0)
