@@ -1,10 +1,12 @@
-"""Inverse-CDF sampling from tabulated conditional densities.
+"""Inverse-CDF sampling from tabulated densities.
 
-The simulator tabulates many conditionals at once as cumulative rows
-(:func:`batch_cdf_tables`) from per-subinterval Gauss-Legendre masses on
-nodes that cluster toward the support endpoints (:func:`cheb_nodes`,
-:func:`gauss_points`; the densities here vanish like a square root there),
-and inverts them with a monotone-cubic quantile (:func:`pchip_quantile`).
+The simulator tabulates many densities at once as cumulative rows
+(:func:`batch_cdf_tables`): each row sums the 4-point Gauss-Legendre masses
+of the intervals between its nodes (:func:`gauss_points` gives the
+evaluation points) and is renormalized to end at exactly 1.  The rows are
+inverted with a monotone-cubic quantile (:func:`pchip_quantile`).  Node
+placement is the caller's; :func:`cheb_nodes` clusters nodes toward both
+ends of an interval, where the q-normal density vanishes like a square root.
 Randomness flows exclusively from :class:`SeedSpec` streams, so every
 consumer is reproducible.
 """
@@ -23,8 +25,8 @@ __all__ = [
     "cheb_nodes",
 ]
 
-_GL_RULES = {order: np.polynomial.legendre.leggauss(order) for order in (4, 8)}
-_GL_ORDER = 8
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+_TIE = 2.0 ** -53  # spacing of Generator.random() draws in [0, 1)
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class SeedSpec:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def batch_cdf_tables(density_matrix, nodes, order=_GL_ORDER):
+def batch_cdf_tables(density_matrix, nodes):
     """Cumulative rows of a batch of densities, one row per conditional.
 
     ``density_matrix`` has shape (batch, m): row r holds a density at the
@@ -57,10 +59,9 @@ def batch_cdf_tables(density_matrix, nodes, order=_GL_ORDER):
     at exactly 1.  Used by the simulator to amortise kernel evaluations
     across many conditioning states.
     """
-    glw = _GL_RULES[order][1]
     half = 0.5 * np.diff(nodes, axis=1)
-    vals = density_matrix.reshape(half.shape + (order,))
-    masses = np.clip(vals @ glw, 0.0, None) * half
+    vals = density_matrix.reshape(half.shape + (len(_GL_W),))
+    masses = np.clip(vals @ _GL_W, 0.0, None) * half
     cdf = np.zeros(nodes.shape)
     np.cumsum(masses, axis=1, out=cdf[:, 1:])
     totals = cdf[:, -1].copy()
@@ -75,13 +76,15 @@ def batch_cdf_tables(density_matrix, nodes, order=_GL_ORDER):
 def _pchip_slopes(c, v):
     """Fritsch-Carlson shape-preserving slopes of each row of v against the same row of c.
 
-    Ties in c (zero-mass intervals) get zero secants; samples can never land
-    strictly inside such an interval, so their slopes are irrelevant as long
-    as they stay finite.
+    Intervals of c narrower than the 2^-53 spacing of the uniforms count as
+    ties and get zero secants: a draw lands strictly inside one with
+    probability below 2^-53, and the secant of a mass that underflows would
+    overflow.
     """
     h = np.diff(c, axis=1)
-    safe_h = np.where(h > 0.0, h, 1.0)
-    d = np.where(h > 0.0, np.diff(v, axis=1) / safe_h, 0.0)
+    live = h > _TIE
+    safe_h = np.where(live, h, 1.0)
+    d = np.where(live, np.diff(v, axis=1) / safe_h, 0.0)
     m = np.zeros_like(v)
     d0, d1 = d[:, :-1], d[:, 1:]
     h0, h1 = safe_h[:, :-1], safe_h[:, 1:]
@@ -140,16 +143,15 @@ def pchip_quantile(nodes, cdf, row, u):
     return np.clip(out, nodes[row, 0], nodes[row, -1])
 
 
-def gauss_points(nodes, order=_GL_ORDER):
+def gauss_points(nodes):
     """Gauss-Legendre evaluation points of the intervals of each node row.
 
-    For (..., n) nodes returns (..., (n-1) * order) points, the layout
+    For (..., n) nodes returns (..., (n-1) * 4) points (the 4-point rule), the layout
     batch_cdf_tables expects.
     """
-    glx = _GL_RULES[order][0]
     mid = 0.5 * (nodes[..., :-1] + nodes[..., 1:])
     half = 0.5 * np.diff(nodes, axis=-1)
-    pts = mid[..., None] + half[..., None] * glx
+    pts = mid[..., None] + half[..., None] * _GL_X
     return pts.reshape(nodes.shape[:-1] + (-1,))
 
 

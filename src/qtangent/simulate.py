@@ -1,14 +1,21 @@
 """Discretized cadlag trajectories of q-OU and q-BM by exact transition sampling,
-the deterministic transform between the two processes, and the jump/moment
-statistics with closed-form counterparts.
+and the jump/moment statistics with closed-form counterparts.
 
-Every grid step is one batch over all paths: the states are quantized to
-1e-4 of the support width (the quantization error is second order against
-the table interpolation error) and deduplicated, the transition kernel is
-evaluated once on the (states x nodes x Gauss points) array, and every path
-draws from its state's row through a monotone-cubic inverse CDF.  Path i
-consumes stream_index i of the base seed, and every stage works row by row,
-so a path's values do not depend on which other paths share its batch.
+Both processes run as one q-OU chain.  q-BM is the time-changed q-OU
+process, W_{e^{2t}} = e^t X_t: its step t1 -> t2 is a q-OU step of lag
+log(t2/t1)/2 in the state W/sqrt(t), a step from t = 0 is an infinite lag
+(the q-normal law), and the values written are sqrt(t) X.
+
+Every draw goes through ``_draw``, one batch over all paths per grid step.
+An infinite lag draws from one shared q-normal row.  A finite lag rounds the
+states to a lattice whose step is 1e-3 of the kernel's core width at x = 0,
+so rounding moves a drawn law by at most 5e-4 of that width (a larger share
+of the narrower core near the support edge).  It then deduplicates the
+states, evaluates the kernel once on the (states x nodes x Gauss points)
+array, and every path draws from its state's row through a monotone-cubic
+inverse CDF.  Path i consumes stream_index i of the base seed, and every
+stage works row by row, so a path's values do not depend on which other
+paths share its batch.
 """
 
 import math
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCount, InvalidInit, InvalidThreshold, InvalidTime, UnknownProcess
-from .kernels import qbm_transition_pdf, qnormal_pdf, qou_transition_pdf
+from .kernels import qnormal_pdf, qou_transition_pdf
 from .qspecial import QParams, TruncationPolicy
 from .sampling import SeedSpec, batch_cdf_tables, cheb_nodes, gauss_points, pchip_quantile
 
@@ -30,8 +37,6 @@ __all__ = [
     "Fixed",
     "simulate_path",
     "simulate_ensemble",
-    "ou_to_bm",
-    "bm_to_ou",
     "moment4_closed",
     "moment4_estimate",
     "jump_bound",
@@ -41,11 +46,11 @@ __all__ = [
 
 # Simulation-table settings: kernel values at ~1e-4 relative error (quantile
 # interpolation dominates beyond that), 96 sinh-placed nodes per conditional
-# with a monotone-cubic quantile, 4-point Gauss-Legendre interval masses.
+# with a monotone-cubic quantile, and conditioning states rounded to a lattice
+# whose step is 1e-3 of the kernel's core width at x = 0.
 _SIM_POLICY = TruncationPolicy(rel_tol=1e-4)
 _SIM_NODES = 96
-_SIM_GL = 4
-_QUANTUM = 1e-4
+_LATTICE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -119,31 +124,12 @@ class JumpStats:
         return math.sqrt(max(f * (1.0 - f), 0.0) / self.ensemble_size)
 
 
-def _stationary_draw(p: QParams, u, n_nodes=257, policy=_SIM_POLICY):
-    """q-normal samples at the uniforms u (Chebyshev nodes, 8-point Gauss masses)."""
-    nodes = cheb_nodes(p.x_minus, p.x_plus, n_nodes)[None, :]
-    cdf = batch_cdf_tables(qnormal_pdf(p, gauss_points(nodes), policy), nodes)
-    return pchip_quantile(nodes, cdf, np.zeros(len(u), dtype=np.intp), u)
-
-
-def _core_scales(process, p, t1, t2, x):
-    """Width of the transition kernel's core around each conditioning state x.
-
-    Small time steps concentrate the kernel in a near-Cauchy spike of scale
-    ~ c_{q,x} * step (the tangent-process scale), which uniform node grids
-    cannot resolve; node placement uses this to cluster around x.  Returns
-    None when the kernel is support-wide (start from the origin).
-    """
-    q = p.q
+def _lag(process, t1, t2):
+    """The q-OU lag of the step t1 -> t2: the step itself for q-OU, and for
+    q-BM the time change W_{e^{2t}} = e^t X_t (infinite from t1 = 0)."""
     if process == "qou":
-        d, xi, outer = t2 - t1, x, 1.0
-    elif t1 == 0.0:
-        return None
-    else:
-        # q-BM via the deterministic OU time change: step 0.5 log(t2/t1) at x/sqrt(t1)
-        d, xi, outer = 0.5 * math.log(t2 / t1), x / math.sqrt(t1), math.sqrt(t2)
-    c = np.sqrt(np.maximum(4.0 / (1.0 - q) - xi * xi, 0.0))
-    return outer * (d * c + d * d * 4.0 / math.sqrt(1.0 - q))
+        return t2 - t1
+    return 0.5 * math.log1p((t2 - t1) / t1) if t1 > 0.0 else math.inf
 
 
 def _conditional_nodes(lo, hi, xs, scales, n_nodes):
@@ -151,11 +137,9 @@ def _conditional_nodes(lo, hi, xs, scales, n_nodes):
 
     sinh placement is linear at the kernel core (width ``scales[i]``, the
     tangent-process scale) and logarithmic out to the support edges, so both
-    the spike of a small time step and its heavy flanks are resolved with
-    one family.  Falls back to Chebyshev nodes for support-wide kernels.
+    the spike of a small lag and its heavy flanks are resolved with one
+    family.
     """
-    if scales is None:
-        return np.broadcast_to(cheb_nodes(lo, hi, n_nodes), (len(xs), n_nodes)).copy()
     xs = np.asarray(xs, dtype=float)[:, None]
     g = np.asarray(scales, dtype=float)[:, None]
     a = np.arcsinh((lo - xs) / g)
@@ -167,70 +151,68 @@ def _conditional_nodes(lo, hi, xs, scales, n_nodes):
     return np.clip(rows, lo, hi)
 
 
-def _step(process, p, t1, t2, x, u, n_nodes=_SIM_NODES, policy=_SIM_POLICY):
-    """Draw the time-t2 state of every path from its time-t1 state x, one uniform each."""
-    if process == "qou":
-        b1 = hi = p.x_plus
-    elif process == "qbm":
-        b1 = 2.0 * math.sqrt(t1 / (1.0 - p.q))
-        hi = 2.0 * math.sqrt(t2 / (1.0 - p.q))
-    else:
-        raise UnknownProcess(f"cannot simulate process {process!r}")
+def _draw(p: QParams, lag, x, u, n_nodes=_SIM_NODES):
+    """q-OU states at lag in (0, inf] from the states x, one uniform of u each.
+
+    An infinite lag draws every entry from the q-normal law (x is ignored)
+    through one shared row on 257 Chebyshev nodes.  A finite lag rounds the
+    states to a lattice and deduplicates them, then builds one row per state
+    on n_nodes sinh-placed nodes around it, at the kernel's core width
+    lag c_{q,x} + 4 lag^2/sqrt(1-q) (c_{q,x} = sqrt(4/(1-q) - x^2), the
+    tangent-process scale).
+    """
+    lo, hi = p.x_minus, p.x_plus
+    if lag == math.inf:
+        nodes = cheb_nodes(lo, hi, 257)[None, :]
+        cdf = batch_cdf_tables(qnormal_pdf(p, gauss_points(nodes), _SIM_POLICY), nodes)
+        return pchip_quantile(nodes, cdf, np.zeros(len(u), dtype=np.intp), u)
+    q = p.q
     width = 2.0 * hi
-    quantum = _QUANTUM * width
-    # rounding may push a state just past its support bound; clamp back
-    xq = np.clip(np.round(x / quantum) * quantum, -b1, b1)
-    states, row = np.unique(xq, return_inverse=True)
-    scales = _core_scales(process, p, t1, t2, states)
-    if scales is not None:
-        scales = np.clip(scales, width * 1e-9, width / 2.0)
-    nodes = _conditional_nodes(-hi, hi, states, scales, n_nodes)
-    pts = gauss_points(nodes, _SIM_GL)
-    if process == "qou":
-        dens = qou_transition_pdf(p, t2 - t1, states[:, None], pts, policy)
-    else:
-        dens = qbm_transition_pdf(p, t1, t2, states[:, None], pts, policy)
-    cdf = batch_cdf_tables(dens, nodes, order=_SIM_GL)
-    return pchip_quantile(nodes, cdf, row, u)
+    second = lag * lag * 4.0 / math.sqrt(1.0 - q)  # second-order part of the core width
+    step = _LATTICE * (lag * hi + second)  # c_{q,0} = hi
+    # rounding may push a state just past the support edge; clamp back
+    states, row = np.unique(np.clip(np.round(x / step) * step, lo, hi), return_inverse=True)
+    c = np.sqrt(np.maximum(4.0 / (1.0 - q) - states * states, 0.0))
+    scales = np.clip(lag * c + second, width * 1e-9, width / 2.0)
+    nodes = _conditional_nodes(lo, hi, states, scales, n_nodes)
+    dens = qou_transition_pdf(p, lag, states[:, None], gauss_points(nodes), _SIM_POLICY)
+    return pchip_quantile(nodes, batch_cdf_tables(dens, nodes), row, u)
 
 
-def _initial_states(process, p, t0, init, u0):
-    if process == "qou":
-        if isinstance(init, Stationary):
-            return _stationary_draw(p, u0), "stationary"
-        if isinstance(init, Fixed):
-            if not abs(init.x) <= p.x_plus:
-                raise InvalidInit(f"x={init.x} outside [{p.x_minus}, {p.x_plus}]")
-            return np.full_like(np.asarray(u0, dtype=float), init.x), f"fixed:{init.x}"
-        raise InvalidInit("q-OU accepts Stationary or Fixed initial conditions")
-    if process == "qbm":
-        if isinstance(init, Origin):
-            if t0 != 0.0:
-                raise InvalidInit("Origin start requires t0 = 0")
-            return np.zeros_like(np.asarray(u0, dtype=float)), "origin"
-        if isinstance(init, Stationary):
-            # time-t0 marginal of the origin-started process: sqrt(t0)-dilated q-normal
-            if t0 <= 0.0:
-                raise InvalidInit("marginal q-BM start requires t0 > 0")
-            return math.sqrt(t0) * _stationary_draw(p, u0), "marginal"
-        if isinstance(init, Fixed):
-            if t0 <= 0.0:
-                raise InvalidInit("Fixed q-BM start requires t0 > 0")
-            b = 2.0 * math.sqrt(t0 / (1.0 - p.q))
-            if not abs(init.x) <= b:
-                raise InvalidInit(f"x={init.x} outside the time-t0 support [-{b}, {b}]")
-            return np.full_like(np.asarray(u0, dtype=float), init.x), f"fixed:{init.x}"
-        raise InvalidInit("q-BM accepts Origin, Stationary (marginal) or Fixed starts")
-    raise UnknownProcess(f"cannot simulate process {process!r}")
+def _start(process, p, t0, init):
+    """(start state in q-OU coordinates, label); a state of None is a q-normal draw."""
+    if process not in ("qou", "qbm"):
+        raise UnknownProcess(f"cannot simulate process {process!r}")
+    if process == "qbm" and isinstance(init, Origin):
+        if t0 != 0.0:
+            raise InvalidInit("Origin start requires t0 = 0")
+        return 0.0, "origin"
+    if not isinstance(init, (Stationary, Fixed)):
+        raise InvalidInit("q-OU accepts Stationary or Fixed starts, "
+                          "q-BM Origin, Stationary (marginal) or Fixed")
+    if process == "qbm" and t0 <= 0.0:
+        raise InvalidInit("Stationary (marginal) and Fixed q-BM starts require t0 > 0")
+    if isinstance(init, Stationary):
+        return None, "stationary" if process == "qou" else "marginal"
+    root = 1.0 if process == "qou" else math.sqrt(t0)
+    if not abs(init.x) <= p.x_plus * root:
+        raise InvalidInit(f"x={init.x} outside the time-t0 support "
+                          f"[-{p.x_plus * root}, {p.x_plus * root}]")
+    return init.x / root, f"fixed:{init.x}"
 
 
 def _simulate(process, p, grid, init, seeds):
+    """Every process runs as one q-OU chain; q-BM values are sqrt(t) times its states."""
     times = grid.times
     U = np.stack([s.generator().random(len(times)) for s in seeds])
-    values = np.empty(U.shape)
-    values[:, 0], init_label = _initial_states(process, p, times[0], init, U[:, 0])
+    x0, init_label = _start(process, p, times[0], init)
+    X = np.empty(U.shape)
+    X[:, 0] = _draw(p, math.inf, None, U[:, 0]) if x0 is None else x0
     for j in range(grid.steps):
-        values[:, j + 1] = _step(process, p, times[j], times[j + 1], values[:, j], U[:, j + 1])
+        X[:, j + 1] = _draw(p, _lag(process, times[j], times[j + 1]), X[:, j], U[:, j + 1])
+    values = X if process == "qou" else np.sqrt(times) * X
+    if isinstance(init, Fixed):
+        values[:, 0] = init.x
     return [PathSample(process, p.q, times, v, s, init_label) for v, s in zip(values, seeds)]
 
 
@@ -249,26 +231,6 @@ def simulate_ensemble(process, p: QParams, grid: TimeGrid, init, base_seed, n_pa
         raise InvalidCount(f"need at least one path, got {n_paths}")
     seeds = [SeedSpec(base_seed, i) for i in range(n_paths)]
     return _simulate(process, p, grid, init, seeds)
-
-
-def ou_to_bm(path: PathSample):
-    """Map an OU path onto a BM path via W_{e^{2t}} = e^t X_t (non-uniform grid)."""
-    if path.process != "qou":
-        raise UnknownProcess("ou_to_bm expects a q-OU path")
-    times = np.exp(2.0 * path.times)
-    values = np.exp(path.times) * path.values
-    return PathSample("qbm", path.q, times, values, path.seed, path.init)
-
-
-def bm_to_ou(path: PathSample):
-    """Inverse transform X_t = e^{-t} W_{e^{2t}}; requires all times > 0."""
-    if path.process != "qbm":
-        raise UnknownProcess("bm_to_ou expects a q-BM path")
-    if np.any(path.times <= 0.0):
-        raise InvalidTime("bm_to_ou needs strictly positive times")
-    t = 0.5 * np.log(path.times)
-    values = path.values / np.sqrt(path.times)
-    return PathSample("qou", path.q, t, values, path.seed, path.init)
 
 
 def moment4_closed(q, s, t):
@@ -292,13 +254,11 @@ def moment4_estimate(q, s, t, n_samples, seed: SeedSpec):
         raise InvalidCount(f"need at least one sample, got {n_samples}")
     p = QParams(q)
     gen = seed.generator()
-    if s == 0.0:
-        w_s = np.zeros(n_samples)
-    else:
-        w_s = math.sqrt(s) * _stationary_draw(p, gen.random(n_samples))
+    x_s = np.zeros(n_samples) if s == 0.0 else _draw(p, math.inf, None, gen.random(n_samples))
     # moment estimation weights the tails; finer tables keep the quantile
     # interpolation bias well below the Monte Carlo error
-    d = _step("qbm", p, s, t, w_s, gen.random(n_samples), n_nodes=257) - w_s
+    x_t = _draw(p, _lag("qbm", s, t), x_s, gen.random(n_samples), n_nodes=257)
+    d = math.sqrt(t) * x_t - math.sqrt(s) * x_s
     d4 = d ** 4
     est = float(np.mean(d4))
     if n_samples < 2:

@@ -170,6 +170,19 @@ class TestSimulateCommand:
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["jumps", "--q", "0.997", "--T", "1", "--a", "1", "--steps", "2", "--paths", "2"], ""),
+    (["simulate", "--process", "qbm", "--q", "-0.997", "--t1", "1", "--steps", "20",
+      "--paths", "5", "--output-dir", "paths"], "wrote 5 path files to paths\n"),
+], ids=["jumps-q-0.997", "simulate-qbm-q-minus-0.997"])
+def test_edge_of_supported_q_writes_no_warnings(argv, err, tmp_path):
+    # conditional rows there hold intervals whose mass underflows; the
+    # quantile slopes must treat them as ties instead of overflowing
+    proc = run_fresh(["-m", "qtangent.cli"] + argv, tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == err
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # importing scipy would cost most of a short command's start-up
     proc = run_fresh(["-c", "import sys, qtangent.cli; "

@@ -12,15 +12,12 @@ from qtangent.simulate import (
     Fixed,
     JumpStats,
     Origin,
-    PathSample,
     Stationary,
     TimeGrid,
-    bm_to_ou,
     jump_bound,
     max_increments,
     moment4_closed,
     moment4_estimate,
-    ou_to_bm,
     simulate_ensemble,
     simulate_path,
     sup_jump_estimate,
@@ -136,30 +133,6 @@ class TestEnsemble:
         target = qnormal_pdf(p, centers / math.sqrt(t)) / math.sqrt(t)
         l1 = float(np.sum(np.abs(hist - target)) * (edges[1] - edges[0]))
         assert l1 < 0.03
-
-
-class TestOuBmTransform:
-    def test_zero_path_maps_to_zero(self):
-        path = PathSample("qou", 0.5, np.array([0.0, 0.5, 1.0]), np.zeros(3), SeedSpec(0))
-        assert np.all(ou_to_bm(path).values == 0.0)
-
-    def test_time_zero_maps_to_w1(self):
-        path = PathSample("qou", 0.5, np.array([0.0]), np.array([0.7]), SeedSpec(0))
-        bm = ou_to_bm(path)
-        assert bm.times[0] == 1.0
-        assert bm.values[0] == 0.7
-
-    def test_round_trip_identity(self):
-        p = QParams(0.5)
-        ou = simulate_path("qou", p, TimeGrid(0.0, 1.0, 25), Fixed(0.2), SeedSpec(2))
-        back = bm_to_ou(ou_to_bm(ou))
-        np.testing.assert_allclose(back.values, ou.values, atol=1e-12)
-        np.testing.assert_allclose(back.times, ou.times, atol=1e-12)
-
-    def test_bm_to_ou_rejects_nonpositive_times(self):
-        path = PathSample("qbm", 0.5, np.array([0.0, 1.0]), np.zeros(2), SeedSpec(0))
-        with pytest.raises(InvalidTime):
-            bm_to_ou(path)
 
 
 class TestMoment4:
