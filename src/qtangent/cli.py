@@ -74,6 +74,8 @@ def _parse_ladder(spec):
         vals = tuple(float(tok) for tok in spec.split(","))
     except ValueError as exc:
         raise _UsageError(f"ladder must be comma-separated floats, got {spec!r}") from exc
+    if not all(0.0 < v < math.inf for v in vals):
+        raise _UsageError(f"ladder entries must be finite and > 0, got {spec!r}")
     if len(vals) < 2 or any(b >= a for a, b in zip(vals, vals[1:])):
         raise _UsageError("ladder must be strictly decreasing")
     return vals
@@ -318,6 +320,8 @@ def _cmd_verify(args):
     from . import freeprob
     from .verify import kernels_verification_report, tangent_verification_report
 
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     seed = SeedSpec(args.seed)
     report = []
     if args.suite in ("freeprob", "all"):

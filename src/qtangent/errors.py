@@ -42,11 +42,7 @@ class NonFinite(QTangentError):
 
 
 class OutOfSupport(QTangentError):
-    """A rescaled point left the state space; carries the offending coordinate."""
-
-    def __init__(self, message, coordinate=None):
-        super().__init__(message)
-        self.coordinate = coordinate
+    """A rescaled point left the state space."""
 
 
 class BranchCut(QTangentError):

@@ -12,23 +12,22 @@ uniqueness of the subordination function hinges on the branch choice.
 Quadrature transforms run through ``quadrature.integrate`` (adaptive
 10-point Gauss-Legendre on complex integrands, at most 400 intervals), which
 calls the density once per refinement round on all open nodes:
-``cauchy_stieltjes`` at epsabs = 1e-2 abs_tol (1e-12 by default) and
-epsrel = 1e-11, the biane3 check at epsabs = epsrel = 1e-10.
+``cauchy_stieltjes`` at epsabs = 1e-12 and epsrel = 1e-11, the biane3 check
+at epsabs = epsrel = 1e-10.  ``cauchy_stieltjes`` takes a density and its
+left edge: finite (a half-line) or -inf (the line).
 """
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BranchCut, InvalidTime, NonConvergentLadder
-from .kernels import Support, biane_shifted_pdf, cauchy_marginal, half_stable_marginal
+from .kernels import biane_shifted_pdf, cauchy_marginal, half_stable_marginal
 from .quadrature import integrate
 from .sampling import SeedSpec
 
 __all__ = [
-    "MeasureDensity",
     "cauchy_stieltjes",
     "g_half_closed",
     "subordinator_F",
@@ -42,58 +41,30 @@ __all__ = [
 _SLIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MeasureDensity:
-    """A probability density with its support, for quadrature transforms.
+def cauchy_stieltjes(density, lo, z):
+    """G(z) = int density(x)/(z - x) dx over x > lo by quadrature, for Im z > 0.
 
     ``density`` maps an array of points (any shape) to values of that shape.
-    """
-
-    density: object
-    support: Support
-    label: str = ""
-
-
-def half_stable_measure(t):
-    return MeasureDensity(lambda x: half_stable_marginal(t, x),
-                          Support(t * t / 4.0, math.inf), f"nu_{t}^(1/2)")
-
-
-def cauchy_measure(t):
-    return MeasureDensity(lambda x: cauchy_marginal(t, x),
-                          Support(-math.inf, math.inf), f"nu_{t}^(1)")
-
-
-def cauchy_stieltjes(mu: MeasureDensity, z, abs_tol=1e-10):
-    """G_mu(z) = int mu(dx)/(z - x) by quadrature, for Im z > 0.
-
-    Finite support endpoints are handled with the substitution x = a + u^2,
-    which removes the square-root vanishing every density here exhibits
-    there.  Maps the upper half-plane into the closed lower half-plane.
+    A finite left edge ``lo`` is taken in x = lo + u^2, which removes the
+    square-root vanishing every density here exhibits there; lo = -inf
+    integrates over the line.  Maps the upper half-plane into the closed
+    lower half-plane.
     """
     if not complex(z).imag > 0.0:
         raise BranchCut("quadrature transform needs Im z > 0")
     z = complex(z)
-    lo, hi = mu.support.lo, mu.support.hi
-    dens = mu.density
-    tol = dict(epsabs=abs_tol * 1e-2, epsrel=1e-11)
-    if math.isfinite(lo) and math.isfinite(hi):
-        r = math.sqrt(0.5 * (hi - lo))
-        return (_from_endpoint(dens, lo, 1.0, r, z, tol)
-                + _from_endpoint(dens, hi, -1.0, r, z, tol))
+    tol = dict(epsabs=1e-12, epsrel=1e-11)
     if math.isfinite(lo):
-        return _from_endpoint(dens, lo, 1.0, math.inf, z, tol)
-    if math.isfinite(hi):
-        return _from_endpoint(dens, hi, -1.0, math.inf, z, tol)
-    return integrate(lambda x: dens(x) / (z - x), -math.inf, math.inf, **tol)
+        return _from_edge(density, lo, z, tol)
+    return integrate(lambda x: density(x) / (z - x), -math.inf, math.inf, **tol)
 
 
-def _from_endpoint(dens, a, sign, r, z, tol):
-    # int dens(x)/(z-x) dx between x = a and x = a + sign r^2, in x = a + sign u^2
+def _from_edge(dens, a, z, tol):
+    # int_a^inf dens(x)/(z-x) dx in x = a + u^2
     def f(u):
-        x = a + sign * (u * u)
+        x = a + u * u
         return dens(x) / (z - x) * (2.0 * u)
-    return integrate(f, 0.0, r, **tol)
+    return integrate(f, 0.0, math.inf, **tol)
 
 
 def _reject_slit(z, branch_point):
@@ -190,8 +161,8 @@ def _sample_region(gen, n):
 
 def _biane3_quadrature(s, t, x, z):
     """int_0^inf p^(1/2)_{s,t}(x, y)/(z - y) dy with the y = u^2 substitution."""
-    return _from_endpoint(lambda y: biane_shifted_pdf(s, t, x, y), 0.0, 1.0, math.inf, z,
-                          dict(epsabs=1e-10, epsrel=1e-10))
+    return _from_edge(lambda y: biane_shifted_pdf(s, t, x, y), 0.0, z,
+                      dict(epsabs=1e-10, epsrel=1e-10))
 
 
 def verify_identities(kind, sample_points=200, seed=SeedSpec(20260808)):
@@ -230,8 +201,9 @@ def verify_identities(kind, sample_points=200, seed=SeedSpec(20260808)):
             (lambda z: 1.0 / (z + 1j), 0.0, 1.0 / math.pi),
             (lambda z: g_half_closed(1.0, z), 1.0, math.sqrt(3.0) / (2.0 * math.pi)),
             (lambda z: biane_H(1.0, 2.0, 1.0, z), 1.0, biane_shifted_pdf(1.0, 2.0, 1.0, 1.0)),
-            (lambda z: cauchy_stieltjes(cauchy_measure(1.0), z), 0.5, cauchy_marginal(1.0, 0.5)),
-            (lambda z: cauchy_stieltjes(half_stable_measure(1.0), z), 2.0,
+            (lambda z: cauchy_stieltjes(lambda x: cauchy_marginal(1.0, x), -math.inf, z), 0.5,
+             cauchy_marginal(1.0, 0.5)),
+            (lambda z: cauchy_stieltjes(lambda x: half_stable_marginal(1.0, x), 0.25, z), 2.0,
              half_stable_marginal(1.0, 2.0)),
         ]
         for transform, y, target in checks:
@@ -241,7 +213,8 @@ def verify_identities(kind, sample_points=200, seed=SeedSpec(20260808)):
         for _ in range(sample_points):
             t = gen.uniform(0.2, 4.0)
             z = complex(gen.uniform(-10.0, 2.0), gen.uniform(0.5, 10.0))
-            worst = max(worst, abs(g_half_closed(t, z) - cauchy_stieltjes(half_stable_measure(t), z)))
+            g = cauchy_stieltjes(lambda x: half_stable_marginal(t, x), t * t / 4.0, z)
+            worst = max(worst, abs(g_half_closed(t, z) - g))
         return worst
     if kind == "f_unique":
         for z in _sample_region(gen, sample_points):

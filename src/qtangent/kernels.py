@@ -17,8 +17,12 @@ d -> 0 with x ~ y (the regime every tangent-process study probes):
     phi_{q,0}(d,x,y) = e^{-2d}(1-q)(x-y)^2 + u^2 [e^{-d}(4-(1-q)xy) + u^2],
     u = 1 - e^{-d},
 
-which is an algebraic identity with the displayed quadratic form.  The
-k >= 1 factors use the analogous factorisation of their cross terms.
+which is an algebraic identity with the displayed quadratic form.  It is
+divided by u, as is the prefactor 1 - e^{-2d} = u (1 + e^{-d}): u^2 underflows
+below d ~ 1e-160, phi_{q,0}/u stays in range down to d = 1e-300.  The k >= 1
+factors use the analogous factorisation of their cross terms, and each also
+carries the factor 1 - q^k of the constant (q; q)_inf, so one product over k
+serves the whole kernel.
 
 The q-OU lag and the q-BM times may be arrays that broadcast against the
 states, so one call evaluates a whole ladder of times (the tangent studies
@@ -36,16 +40,14 @@ vectorized Newton solves in a few rounds.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidState, InvalidTime
-from .qspecial import DEFAULT_POLICY, QParams, TruncationPolicy, q_pochhammer_inf, series_terms
+from .qspecial import DEFAULT_POLICY, QParams, series_terms
 
 __all__ = [
-    "Support",
     "qnormal_pdf",
     "qou_transition_pdf",
     "qbm_transition_pdf",
@@ -64,26 +66,9 @@ __all__ = [
 _LOOP_POINTS = 1024
 
 
-@dataclass(frozen=True)
-class Support:
-    """A (possibly unbounded) interval on which a density lives."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise InvalidState(f"support requires lo < hi, got [{self.lo}, {self.hi}]")
-
-
-def _as_float_or_array(_ref, out):
+def _as_float_or_array(out):
     out = np.asarray(out)
     return out.item() if out.ndim == 0 else out
-
-
-@lru_cache(maxsize=256)
-def _euler_qpoch(q, rel_tol, k_max):
-    return q_pochhammer_inf(q, q, TruncationPolicy(rel_tol, k_max))
 
 
 def _time(t):
@@ -145,7 +130,7 @@ def _tail_product(factor, coeffs, args):
 
 
 def _qou_factor(c, x, y, cyy, out, phi, tmp):
-    # (1 - e2 qk) psi_{q,k}(y) / phi_{q,k}(d, x, y) into out, with g = e1 qk
+    # (1 - e2 qk)(1 - qk) psi_{q,k}(y) / phi_{q,k}(d, x, y) into out, with g = e1 qk
     # and the cross term of phi factored: (1-q) g (y - g x)(g y - x)
     qk, a, g, c1g, s, sc = c
     np.multiply(cyy, qk, out=out)
@@ -173,19 +158,26 @@ def _qou_core(p: QParams, delta, x, y, x_minus_y, policy):
     e1 = _each(math.exp, -delta)
     e2 = e1 * e1
     u = -_each(math.expm1, -delta)
-    u2 = -_each(math.expm1, -2.0 * delta)  # 1 - e^{-2 delta}
+    # targets outside the support evaluate at the placeholder y = x - y = 0, so
+    # that far targets cannot overflow; the final mask sets them to 0
+    outside = np.abs(y) >= p.x_plus
+    y = np.where(outside, 0.0, y)
+    x_minus_y = np.where(outside, 0.0, x_minus_y)
     cyy = c1 * y * y
-    # regrouped phi_{q,0}: exact identity with the displayed quadratic form
-    phi0 = e2 * c1 * x_minus_y ** 2 + u * u * (e1 * (4.0 - c1 * x * y) + u * u)
+    # regrouped phi_{q,0}/u: exact identity with the displayed quadratic form over u;
+    # (x - y)^2 alone would underflow at the tangent scale of lags below 1e-154
+    phi0_u = e2 * c1 / u * x_minus_y * x_minus_y + u * (e1 * (4.0 - c1 * x * y) + u * u)
     qk, a = _q_powers(q, series_terms(q, policy))
     col = qk.shape + (1,) * np.ndim(e1)
     qk, a = qk.reshape(col), a.reshape(col)
     g = e1 * qk
     s = 1.0 - g * g
-    tail = _tail_product(_qou_factor, (qk, a, g, c1 * g, s * s, 1.0 - e2 * qk), (x, y, cyy))
+    sc = (1.0 - e2 * qk) * (1.0 - qk)  # 1 - q^k: the k-th factor of (q; q)_inf
+    tail = _tail_product(_qou_factor, (qk, a, g, c1 * g, s * s, sc), (x, y, cyy))
     sq = np.sqrt(np.clip(4.0 - cyy, 0.0, None))
-    cq = math.sqrt(c1) * _euler_qpoch(q, policy.rel_tol, policy.k_max) / (2.0 * math.pi)
-    return np.where(np.abs(y) >= p.x_plus, 0.0, cq * u2 * sq / phi0 * tail)
+    cq = math.sqrt(c1) / (2.0 * math.pi)
+    # 1 - e^{-2 delta} = u (1 + e^{-delta}), its u divided into phi0_u
+    return np.where(outside, 0.0, cq * (1.0 + e1) * sq / phi0_u * tail)
 
 
 def qnormal_pdf(p: QParams, x, policy=DEFAULT_POLICY):
@@ -196,7 +188,7 @@ def qnormal_pdf(p: QParams, x, policy=DEFAULT_POLICY):
     infinite lag.
     """
     y = np.asarray(x, dtype=float)
-    return _as_float_or_array(x, _qou_core(p, math.inf, 0.0, y, -y, policy))
+    return _as_float_or_array(_qou_core(p, math.inf, 0.0, y, -y, policy))
 
 
 def qou_transition_pdf(p: QParams, delta, x, y, policy=DEFAULT_POLICY):
@@ -213,7 +205,7 @@ def qou_transition_pdf(p: QParams, delta, x, y, policy=DEFAULT_POLICY):
         raise InvalidState(f"conditioning state x={x} outside [{p.x_minus}, {p.x_plus}]")
     xarr, yarr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     out = _qou_core(p, d, xarr, yarr, xarr - yarr, policy)
-    return _as_float_or_array(y, out)
+    return _as_float_or_array(out)
 
 
 def _bm_lag(t1, t2):
@@ -253,20 +245,19 @@ def qbm_transition_pdf(p: QParams, t1, t2, y1, y2, policy=DEFAULT_POLICY):
     # x and y rounded apart lose digits where the kernel is narrow, t2 - t1 << t1
     x_minus_y = (y1a - y2a) / r2 + y1a * ((t2a - t1a) / (r1 + r2) / r1 / r2)
     out = _qou_core(p, _each(_bm_lag, t1a, t2a), y1a / r1, y2a / r2, x_minus_y, policy)
-    return _as_float_or_array(y2, out / r2)
+    return _as_float_or_array(out / r2)
 
 
 def cauchy_transition_pdf(t1, t2, y1, y2):
     """Cauchy process kernel f^(1): (t2-t1)/pi / ((y2-y1)^2 + (t2-t1)^2)."""
     if not 0.0 <= t1 < t2 < math.inf:
         raise InvalidTime(f"Cauchy kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
-    # math.isfinite keeps the scalar calls of quadrature loops cheap
-    if not (math.isfinite(y1) if isinstance(y1, float) else np.isfinite(y1).all()):
+    if not np.isfinite(y1).all():
         raise InvalidState(f"y1={y1} is not finite")
     y2a = np.asarray(y2, dtype=float)
     dt = t2 - t1
     out = dt / math.pi / ((y2a - y1) ** 2 + dt * dt)
-    return _as_float_or_array(y2, out)
+    return _as_float_or_array(out)
 
 
 def biane_half_pdf(t1, t2, y1, y2):
@@ -284,7 +275,7 @@ def biane_half_pdf(t1, t2, y1, y2):
     with np.errstate(divide="ignore", invalid="ignore"):
         val = dt * sq / den
     out = np.where(y2a <= t2 * t2 / 4.0, 0.0, val)
-    return _as_float_or_array(y2, out)
+    return _as_float_or_array(out)
 
 
 def biane_shifted_pdf(t1, t2, y1, y2):
@@ -298,7 +289,7 @@ def biane_shifted_pdf(t1, t2, y1, y2):
     sq = np.sqrt(np.clip(y2a, 0.0, None))
     den = math.pi * ((y2a - y1) ** 2 + 2.0 * (y1 + y2a) * dt * dt + dt ** 4)
     out = np.where(y2a <= 0.0, 0.0, 2.0 * dt * sq / den)
-    return _as_float_or_array(y2, out)
+    return _as_float_or_array(out)
 
 
 def half_stable_marginal(t, x):
@@ -310,7 +301,7 @@ def half_stable_marginal(t, x):
     with np.errstate(divide="ignore", invalid="ignore"):
         val = t * sq / (2.0 * math.pi * xarr * xarr)
     out = np.where(xarr <= t * t / 4.0, 0.0, val)
-    return _as_float_or_array(x, out)
+    return _as_float_or_array(out)
 
 
 def cauchy_marginal(t, x):
@@ -319,7 +310,7 @@ def cauchy_marginal(t, x):
         raise InvalidTime(f"marginal requires finite t > 0, got {t}")
     xarr = np.asarray(x, dtype=float)
     out = t / (math.pi * (xarr * xarr + t * t))
-    return _as_float_or_array(x, out)
+    return _as_float_or_array(out)
 
 
 # Taylor coefficients of phi - sin(phi) = phi^3 sum_k c_k phi^(2k), k = 0..8: below
@@ -363,4 +354,4 @@ def half_stable_quantile(t, p):
         slope = np.where(lower, 2.0 * np.sin(0.5 * ang) ** 2, 1.0 + np.cos(ang))
         ang = ang - np.divide(f, slope, out=np.zeros_like(f), where=slope > 0.0)
     c = np.where(lower, np.cos(0.5 * ang), np.sin(0.5 * ang))
-    return _as_float_or_array(p, t * t / (4.0 * c * c))
+    return _as_float_or_array(t * t / (4.0 * c * c))

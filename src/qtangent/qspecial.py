@@ -1,5 +1,4 @@
-"""q-series building blocks: the deformation parameter, the truncation policy
-and the infinite q-Pochhammer product (a; q)_inf = prod_{k>=0} (1 - a q^k).
+"""q-series building blocks: the deformation parameter and the truncation policy.
 
 Every kernel product in ``kernels`` has factors that approach 1 geometrically
 in k; ``series_terms`` says where a ``TruncationPolicy`` cuts them.
@@ -15,7 +14,6 @@ __all__ = [
     "QParams",
     "TruncationPolicy",
     "DEFAULT_POLICY",
-    "q_pochhammer_inf",
     "series_terms",
 ]
 
@@ -65,15 +63,16 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
-def series_terms(q, policy=DEFAULT_POLICY, extra_decades=2):
+def series_terms(q, policy=DEFAULT_POLICY):
     """Number of product terms after which |q|^k drops below the policy threshold.
 
-    ``extra_decades`` adds safety margin for O(1) constants multiplying q^k in
-    the factor families.  Raises TruncationExceeded if k_max is insufficient.
+    Two extra decades below the threshold cover the O(1) constants that
+    multiply q^k in the factor families.  Raises TruncationExceeded if k_max
+    is insufficient.
     """
     if q == 0.0:
         return 1
-    thr = policy.threshold(q) * 10.0 ** (-extra_decades)
+    thr = policy.threshold(q) * 1e-2
     n = int(math.ceil(math.log(thr) / math.log(abs(q))))
     n = max(n, 1)
     if n > policy.k_max:
@@ -81,30 +80,3 @@ def series_terms(q, policy=DEFAULT_POLICY, extra_decades=2):
             f"need {n} terms at q={q} but k_max={policy.k_max}"
         )
     return n
-
-
-def q_pochhammer_inf(a, q, policy=DEFAULT_POLICY):
-    """Infinite q-Pochhammer product (a; q)_inf = prod_{k>=0} (1 - a q^k).
-
-    Truncates at the first k with |a q^k| below the policy threshold.  The
-    running product is held as a normalized mantissa with a separate binary
-    exponent, so huge factors and long runs of near-unit factors near
-    q -> +-1 accumulate without overflow or underflow.
-    """
-    if not abs(q) < 1.0:
-        raise NonConvergent(f"(a; q)_inf requires |q| < 1, got q={q}")
-    if q == 0.0:
-        return 1.0 - a
-    thr = policy.threshold(q)
-    mant = 1.0
-    exp2 = 0
-    term = float(a)
-    for k in range(policy.k_max + 1):
-        mant, e = math.frexp(mant * (1.0 - term))
-        exp2 += e
-        if abs(term) < thr:
-            return math.ldexp(mant, exp2)
-        term *= q
-    raise TruncationExceeded(
-        f"(a; q)_inf with a={a}, q={q} needs more than k_max={policy.k_max} factors"
-    )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCount, InvalidInit, InvalidThreshold, InvalidTime, UnknownProcess
-from .kernels import qnormal_pdf, qou_transition_pdf
+from .kernels import _bm_lag, qnormal_pdf, qou_transition_pdf
 from .qspecial import QParams, TruncationPolicy
 from .sampling import SeedSpec, batch_cdf_tables, cheb_nodes, gauss_points, pchip_quantile
 
@@ -127,9 +127,7 @@ class JumpStats:
 def _lag(process, t1, t2):
     """The q-OU lag of the step t1 -> t2: the step itself for q-OU, and for
     q-BM the time change W_{e^{2t}} = e^t X_t (infinite from t1 = 0)."""
-    if process == "qou":
-        return t2 - t1
-    return 0.5 * math.log1p((t2 - t1) / t1) if t1 > 0.0 else math.inf
+    return t2 - t1 if process == "qou" else _bm_lag(t1, t2)
 
 
 def _conditional_nodes(lo, hi, xs, scales, n_nodes):

@@ -42,7 +42,7 @@ from .kernels import (
     qbm_transition_pdf,
     qou_transition_pdf,
 )
-from .qspecial import DEFAULT_POLICY, QParams
+from .qspecial import QParams
 
 __all__ = [
     "TangentCase",
@@ -161,7 +161,7 @@ class ConvergenceReport:
         return d
 
 
-def rescaled_pdf(case: TangentCase, eps, t1, t2, y1, y2, policy=DEFAULT_POLICY):
+def rescaled_pdf(case: TangentCase, eps, t1, t2, y1, y2):
     """Exact density of the rescaled increment process at finite eps.
 
     Computed from the closed-form kernels by change of variables; zero where
@@ -181,32 +181,32 @@ def rescaled_pdf(case: TangentCase, eps, t1, t2, y1, y2, policy=DEFAULT_POLICY):
     if case.case == "qou_interior":
         w1 = x + y1 * e
         _require_inside(w1, np.abs(w1) > p.x_plus, "the state space")
-        return qou_transition_pdf(p, e * (t2 - t1), w1, x + y2 * e, policy) * e
+        return qou_transition_pdf(p, e * (t2 - t1), w1, x + y2 * e) * e
     if case.case == "qou_boundary":
         w1 = p.x_minus + y1 * e * e
         _require_inside(w1, (w1 < p.x_minus) | (w1 > p.x_plus), "the state space")
         w2 = p.x_minus + y2 * e * e
-        out = qou_transition_pdf(p, e * (t2 - t1), w1, w2, policy) * e * e
+        out = qou_transition_pdf(p, e * (t2 - t1), w1, w2) * e * e
         return _zero_outside(out, w2 < p.x_minus)
     tau1, tau2 = s + t1 * e, s + t2 * e
     b1 = 2.0 * np.sqrt(tau1 / (1.0 - q))
     if case.case == "qbm_interior":
         w1 = x + y1 * e
         _require_inside(w1, np.abs(w1) > b1, "the time-tau1 support")
-        return qbm_transition_pdf(p, tau1, tau2, w1, x + y2 * e, policy) * e
+        return qbm_transition_pdf(p, tau1, tau2, w1, x + y2 * e) * e
     a = 1.0 / math.sqrt(s * (1.0 - q))
     w1 = x - a * t1 * e + y1 * e * e
     _require_inside(w1, np.abs(w1) > b1, "the time-tau1 support")
     w2 = x - a * t2 * e + y2 * e * e
     b2 = 2.0 * np.sqrt(tau2 / (1.0 - q))
-    out = qbm_transition_pdf(p, tau1, tau2, w1, w2, policy) * e * e
+    out = qbm_transition_pdf(p, tau1, tau2, w1, w2) * e * e
     return _zero_outside(out, np.abs(w2) > b2)
 
 
 def _require_inside(w1, outside, support):
     if np.any(outside):
         w = float(np.asarray(w1)[outside].flat[0])
-        raise OutOfSupport(f"conditioning point {w} outside {support}", w)
+        raise OutOfSupport(f"conditioning point {w} outside {support}")
 
 
 def _zero_outside(values, outside_mask):
@@ -233,7 +233,7 @@ def limit_pdf(case: TangentCase, t1, t2, y1, y2, scale_override=None):
     if case.case == "qou_boundary":
         r = math.sqrt(1.0 - q)
         if y1 < 0.0 or (t1 > 0.0 and y1 == 0.0):
-            raise OutOfSupport(f"y1={y1} outside the limit support [0, inf)", y1)
+            raise OutOfSupport(f"y1={y1} outside the limit support [0, inf)")
         z2 = r * np.asarray(y2) + t2 * t2
         return biane_half_pdf(2.0 * t1, 2.0 * t2, r * y1 + t1 * t1, z2) * r
     # m f(t1, t2, m y1, m y2), f the Biane kernel and m = sqrt(s^3 (1-q)), is
@@ -242,15 +242,16 @@ def limit_pdf(case: TangentCase, t1, t2, y1, y2, scale_override=None):
     n = math.sqrt((1.0 - q) / s)
     t1, t2, z1 = t1 / s, t2 / s, n * y1
     if t1 > 0.0 and z1 <= t1 * t1 / 4.0:
-        raise OutOfSupport(f"y1={y1} outside the limit support", y1)
+        raise OutOfSupport(f"y1={y1} outside the limit support")
     return biane_half_pdf(t1, t2, z1, n * np.asarray(y2)) * n
 
 
 def _limit_quantile(case, window_t, prob):
-    """Quantile of the limit's y2 marginal from (t1=0, y1=0) at time window_t."""
+    """Quantile of the limit's y2 marginal from (t1=0, y1=0) at time window_t;
+    prob may be an array."""
     if case.case in ("qou_interior", "qbm_interior"):
         gam = case.limit_scale() * window_t
-        return case.drift() * window_t + gam * math.tan(math.pi * (prob - 0.5))
+        return case.drift() * window_t + gam * np.tan(np.pi * (prob - 0.5))
     if case.case == "qou_boundary":
         r = math.sqrt(1.0 - case.q)
         xq = half_stable_quantile(2.0 * window_t, prob)
@@ -293,16 +294,14 @@ def _window_grid(case, window, resolution):
     tail = 1.0 - window.coverage
     if case.case in ("qou_interior", "qbm_interior"):
         probs = np.linspace(tail / 2.0, 1.0 - tail / 2.0, n_u)
-        gam = case.limit_scale() * window.t2
-        quant = case.drift() * window.t2 + gam * np.tan(np.pi * (probs - 0.5))
     else:
-        quant = _limit_quantile(case, window.t2, np.linspace(1e-6, 1.0 - tail, n_u))
+        probs = np.linspace(1e-6, 1.0 - tail, n_u)
+    quant = _limit_quantile(case, window.t2, probs)
     quant = quant[(quant >= window.y2_lo) & (quant <= window.y2_hi)]
     return np.unique(np.concatenate([uniform, quant]))
 
 
-def distance(case: TangentCase, eps, window: Window, resolution=2001,
-             scale_override=None, policy=DEFAULT_POLICY):
+def distance(case: TangentCase, eps, window: Window, resolution=2001, scale_override=None):
     """(L1, sup) distance between rescaled and limit density over the window.
 
     Trapezoid rule on the mixed uniform/quantile grid.  Regions of the
@@ -313,7 +312,7 @@ def distance(case: TangentCase, eps, window: Window, resolution=2001,
     """
     rungs = np.asarray(eps, dtype=float)
     grid = _window_grid(case, window, resolution)
-    resc = rescaled_pdf(case, rungs.reshape(-1, 1), window.t1, window.t2, window.y1, grid, policy)
+    resc = rescaled_pdf(case, rungs.reshape(-1, 1), window.t1, window.t2, window.y1, grid)
     lim = np.asarray(limit_pdf(case, window.t1, window.t2, window.y1, grid, scale_override))
     diff = np.abs(resc - lim)
     l1 = np.trapezoid(diff, grid, axis=-1)
@@ -324,8 +323,7 @@ def distance(case: TangentCase, eps, window: Window, resolution=2001,
 
 
 def convergence_study(case: TangentCase, ladder, window: Window = None, resolution=2001,
-                      threshold=0.02, slack=0.10, scale_override=None,
-                      policy=DEFAULT_POLICY):
+                      threshold=0.02, slack=0.10, scale_override=None):
     """Evaluate an eps ladder and produce the pass/fail ConvergenceReport.
 
     Pass requires the L1 distances to be nonincreasing within ``slack``
@@ -336,7 +334,7 @@ def convergence_study(case: TangentCase, ladder, window: Window = None, resoluti
         raise InvalidState("ladder must be a strictly decreasing list of eps values")
     if window is None:
         window = default_window(case)
-    l1s, sups = distance(case, ladder, window, resolution, scale_override, policy)
+    l1s, sups = distance(case, ladder, window, resolution, scale_override)
     l1s = l1s.tolist()
     rows = list(zip(ladder, l1s, sups.tolist()))
     monotone = all(l1s[i + 1] <= l1s[i] * (1.0 + slack) for i in range(len(l1s) - 1))

@@ -38,6 +38,9 @@ __all__ = [
     "tangent_verification_report",
 ]
 
+# the tangent study grid: q values, q-BM base times and the eps ladder
+_QS = (-0.5, 0.0, 0.5, 0.9)
+_S_VALUES = (0.5, 1.0, 2.0)
 _LADDER = (0.2, 0.1, 0.05, 0.02, 0.01)
 _TOL = dict(epsabs=1e-11, epsrel=1e-11)
 
@@ -190,42 +193,35 @@ def kernels_verification_report(n_sets=50, n_points=100, seed=SeedSpec(5)):
     return report
 
 
-def tangent_verification_report(qs=(-0.5, 0.0, 0.5, 0.9), s_values=(0.5, 1.0, 2.0),
-                                ladder=_LADDER, threshold=0.02, resolution=2001):
+def tangent_verification_report():
     """Convergence studies over the standard parameter grid, as report rows."""
     report = []
 
-    def run(case):
-        rep = convergence_study(case, ladder, threshold=threshold, resolution=resolution)
-        terminal = rep.ladder[-1][1]
+    def row(kind, rep, passed):
         report.append({
-            "kind": f"tangent:{case.case}",
-            "q": case.q, "s": case.s, "x": case.x,
-            "max_residual": terminal, "threshold": threshold,
-            "ladder": [row[1] for row in rep.ladder],
+            "kind": kind, "q": rep.case.q, "s": rep.case.s, "x": rep.case.x,
+            "max_residual": rep.ladder[-1][1], "threshold": rep.threshold,
+            "ladder": [r[1] for r in rep.ladder],
             "horizon": rep.window.t2,
-            "pass": bool(rep.verdict),
+            "pass": bool(passed),
         })
 
-    for q in qs:
+    def run(case):
+        rep = convergence_study(case, _LADDER)
+        row(f"tangent:{case.case}", rep, rep.verdict)
+
+    for q in _QS:
         xp = 2.0 / math.sqrt(1.0 - q)
         for frac in (0.0, 0.5, -0.5):
             run(TangentCase("qou_interior", q, x=frac * xp))
         run(TangentCase("qou_boundary", q))
-        for s in s_values:
+        for s in _S_VALUES:
             half = 2.0 * math.sqrt(s / (1.0 - q))
             for frac in (0.0, 0.5, -0.5):
                 run(TangentCase("qbm_interior", q, x=frac * half, s=s))
             run(TangentCase("qbm_boundary", q, s=s))
     # negative control: a wrong limit scale must fail
     control = convergence_study(TangentCase("qou_interior", 0.5, x=0.5 * 2.0 / math.sqrt(0.5)),
-                                ladder, threshold=threshold, scale_override=1.0,
-                                resolution=resolution)
-    report.append({
-        "kind": "tangent:negative_control", "q": 0.5, "s": None, "x": control.case.x,
-        "max_residual": control.ladder[-1][1], "threshold": threshold,
-        "ladder": [row[1] for row in control.ladder],
-        "horizon": control.window.t2,
-        "pass": bool(not control.verdict),
-    })
+                                _LADDER, scale_override=1.0)
+    row("tangent:negative_control", control, not control.verdict)
     return report

@@ -48,9 +48,16 @@ class TestInputValidation:
         ["density", "--process", "half_stable", "--t", "inf", "--grid", "0.5:2:5"],
         ["density", "--process", "qnormal", "--q", "0", "--grid", "0:inf:5"],
         ["density", "--process", "qnormal", "--q", "0", "--grid", "-inf:1:5"],
+        ["verify", "--suite", "kernels", "--samples", "-1"],
+        ["verify", "--suite", "kernels", "--samples", "0"],
+        ["verify", "--suite", "freeprob", "--samples", "0"],
+        ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0", "--ladder", "0.2,nan"],
+        ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0", "--ladder", "0.2,-0.1"],
+        ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0", "--ladder", "inf,0.1"],
     ], ids=["simulate-paths-0", "jumps-paths-0", "init-fixed-abc", "init-fixed-nan",
             "simulate-t1-inf", "density-x-nan", "density-t-inf", "density-grid-inf",
-            "density-grid-minus-inf"])
+            "density-grid-minus-inf", "verify-samples-minus-1", "verify-samples-0",
+            "verify-freeprob-samples-0", "ladder-nan", "ladder-negative", "ladder-inf"])
     def test_exits_one_with_one_line(self, argv, tmp_path, capsys):
         code, out, err = run(argv + (["--output-dir", str(tmp_path)] if argv[0] == "simulate"
                                      else []), capsys)

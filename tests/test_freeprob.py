@@ -6,54 +6,61 @@ import pytest
 
 from qtangent.errors import BranchCut, InvalidTime, NonConvergentLadder
 from qtangent.freeprob import (
-    MeasureDensity,
     VERIFY_KINDS,
     biane_H,
-    cauchy_measure,
     cauchy_stieltjes,
     g_half_closed,
-    half_stable_measure,
     stieltjes_invert,
     subordinator_F,
     verification_report,
     verify_identities,
 )
-from qtangent.kernels import Support, biane_shifted_pdf, cauchy_marginal, qnormal_pdf
+from qtangent.kernels import biane_shifted_pdf, cauchy_marginal, half_stable_marginal, qnormal_pdf
 from qtangent.qspecial import QParams
 from qtangent.sampling import SeedSpec
 
 
+def cauchy_density(t):
+    return lambda x: cauchy_marginal(t, x)
+
+
+def half_stable_density(t):
+    return lambda x: half_stable_marginal(t, x)
+
+
 class TestCauchyStieltjes:
     def test_narrow_bump_approaches_point_mass(self):
-        # G of (approximately) delta_0 at z = i is 1/i = -i
+        # G of (approximately) delta_0 at z = i is 1/i = -i; the bump vanishes
+        # past its right edge, which the half-line quadrature resolves
         w = 1e-3
-        bump = MeasureDensity(lambda x: np.full_like(x, 1.0 / w), Support(-w / 2, w / 2))
-        g = cauchy_stieltjes(bump, 1j)
+
+        def bump(x):
+            return np.where(np.abs(x) < w / 2, 1.0 / w, 0.0)
+
+        g = cauchy_stieltjes(bump, -w / 2, 1j)
         assert g == pytest.approx(-1j, abs=1e-5)
 
     def test_cauchy_family_closed_form(self):
-        g = cauchy_stieltjes(cauchy_measure(1.0), 2j)
+        g = cauchy_stieltjes(cauchy_density(1.0), -math.inf, 2j)
         assert g == pytest.approx(1 / 3j, abs=1e-10)
 
     def test_half_stable_matches_closed_transform(self):
-        g = cauchy_stieltjes(half_stable_measure(1.0), 1j)
+        g = cauchy_stieltjes(half_stable_density(1.0), 0.25, 1j)
         assert abs(g - g_half_closed(1.0, 1j)) < 1e-8
 
     def test_herglotz_property(self):
         gen = np.random.default_rng(1)
-        mu = half_stable_measure(2.0)
         for _ in range(20):
             z = complex(gen.uniform(-5, 5), gen.uniform(0.1, 5.0))
-            assert cauchy_stieltjes(mu, z).imag < 0.0
+            assert cauchy_stieltjes(half_stable_density(2.0), 1.0, z).imag < 0.0
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(BranchCut):
-            cauchy_stieltjes(cauchy_measure(1.0), complex(0.0, -1.0))
+            cauchy_stieltjes(cauchy_density(1.0), -math.inf, complex(0.0, -1.0))
 
     def test_qnormal_measure(self):
         p = QParams(0.5)
-        mu = MeasureDensity(lambda x: qnormal_pdf(p, x), Support(p.x_minus, p.x_plus))
-        g = cauchy_stieltjes(mu, 5j)
+        g = cauchy_stieltjes(lambda x: qnormal_pdf(p, x), p.x_minus, 5j)
         # zG(z) -> 1 for a probability measure
         assert 5j * g == pytest.approx(1.0 + 0j, abs=0.05)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -6,9 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from qtangent import kernels
-from qtangent.errors import InvalidState, InvalidTime
+from qtangent.errors import InvalidState, InvalidTime, TruncationExceeded
 from qtangent.kernels import (
-    Support,
     biane_half_pdf,
     biane_shifted_pdf,
     cauchy_marginal,
@@ -19,7 +19,7 @@ from qtangent.kernels import (
     qnormal_pdf,
     qou_transition_pdf,
 )
-from qtangent.qspecial import QParams, TruncationPolicy, q_pochhammer_inf
+from qtangent.qspecial import QParams, TruncationPolicy
 from qtangent.tangent import TangentCase, default_window
 
 from oracles import half_stable_cdf, mp_qbm, mp_qnormal, mp_qou, phi_star, psi_star
@@ -43,6 +43,20 @@ class TestQNormal:
             prod *= (1 + q ** k) ** 2  # x = 0 kills the second term
         expected = math.sqrt(1 - q) * euler / (2 * math.pi) * 2.0 * prod
         assert qnormal_pdf(QParams(q), 0.0) == pytest.approx(expected, rel=1e-13)
+
+    def test_truncation_exceeded(self):
+        # the kernel product needs more than k_max = 10^4 terms above |q| = 0.995
+        with pytest.raises(TruncationExceeded):
+            qnormal_pdf(QParams(0.999), 0.0)
+        with pytest.raises(TruncationExceeded):
+            qnormal_pdf(QParams(0.5), 0.0, TruncationPolicy(k_max=3))
+
+    def test_kmax_doubling_stability(self):
+        # rel_tol sets the truncation; a larger k_max leaves the values unchanged
+        p = QParams(0.9)
+        xs = np.linspace(-0.99, 0.99, 7) * p.x_plus
+        base = qnormal_pdf(p, xs, TruncationPolicy(1e-14, 5000))
+        np.testing.assert_array_equal(qnormal_pdf(p, xs, TruncationPolicy(1e-14, 10000)), base)
 
     def test_symmetry(self):
         p = QParams(-0.7)
@@ -112,12 +126,24 @@ class TestQOUKernel:
             val = qou_transition_pdf(p, d, x, y)
             envelope = (
                 qnormal_pdf(p, y)
-                * q_pochhammer_inf(math.exp(-2 * d), q)
+                * float(mp.qp(math.exp(-2 * d), q))
                 * math.exp(2 * d)
                 / ((16 * math.sinh(d / 2) ** 4 + (1 - q) * (x - y) ** 2)
-                   * q_pochhammer_inf(abs(q), abs(q)) ** 4)
+                   * float(mp.qp(abs(q), abs(q))) ** 4)
             )
             assert val <= envelope + 1e-12
+
+    def test_far_targets_are_zero_without_warnings(self, capfd):
+        # the targets' squares overflow; the core evaluates placeholders there
+        p = QParams(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qnormal_pdf(p, 1e200) == 0.0
+            assert np.all(qnormal_pdf(p, np.array([-1.7e308, 1e308])) == 0.0)
+            got = qou_transition_pdf(p, 0.1, 0.0, np.array([-1e200, 0.0, 1e200]))
+            assert got[0] == got[2] == 0.0 and got[1] > 0.0
+            assert qbm_transition_pdf(p, 1.0, 2.0, 0.3, 1e200) == 0.0
+        assert capfd.readouterr().err == ""
 
     def test_chapman_kolmogorov(self):
         p = QParams(0.4)
@@ -388,6 +414,18 @@ class TestDisplayedProductOracle:
                 worst = max(worst, abs(got / mp_qbm(q, t1, t2, y1, y2) - 1))
         assert worst <= 1e-11, worst
 
+    @pytest.mark.parametrize("q", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("delta", [1e-160, 1e-200, 1e-300])
+    def test_tiny_lags_to_relative_1e13(self, delta, q):
+        # 1 - e^{-2 delta} and phi_{q,0} carry the factor u = 1 - e^{-delta}, whose
+        # square underflows below delta ~ 1e-160; 700 digits resolve e^{-delta}
+        p = QParams(q)
+        c = 2.0 / math.sqrt(1.0 - q)
+        with mp.workdps(700):
+            for y in (0.0, delta * c):
+                got = qou_transition_pdf(p, delta, 0.0, y)
+                assert abs(got / mp_qou(q, delta, 0.0, y) - 1) <= 1e-13, (y, got)
+
     @pytest.mark.parametrize("s", [0.5, 2.0])
     def test_qbm_boundary_window_to_2e5_of_peak(self, s):
         # the q = 0.9 boundary study at eps = 0.01: the conditioning state sits
@@ -418,12 +456,6 @@ class TestOuBmIdentity:
             rhs = math.exp(t) * qbm_transition_pdf(
                 p, math.exp(2 * s), math.exp(2 * t), math.exp(s) * x, math.exp(t) * y)
             assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-class TestSupportOf:
-    def test_support_validation(self):
-        with pytest.raises(InvalidState):
-            Support(2.0, 1.0)
 
 
 def _half_stable_oracle(t, p):

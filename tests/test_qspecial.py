@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qtangent.errors import NonConvergent, TruncationExceeded
-from qtangent.qspecial import DEFAULT_POLICY, QParams, TruncationPolicy, q_pochhammer_inf
+from qtangent.errors import NonConvergent
+from qtangent.qspecial import DEFAULT_POLICY, QParams, TruncationPolicy, series_terms
 
 from oracles import phi_qk, phi_star, psi_qk, psi_star
 
@@ -35,43 +35,13 @@ class TestQParams:
 
 
 class TestPochhammer:
-    def test_a_zero(self):
-        assert q_pochhammer_inf(0.0, 0.5) == 1.0
-
-    def test_q_zero_single_factor(self):
-        assert q_pochhammer_inf(0.5, 0.0) == 0.5
-
     def test_against_brute_force(self):
-        # partial product stabilizes well before 60 terms at q = 0.5
-        expected = brute_pochhammer(0.5, 0.5, 61)
-        got = q_pochhammer_inf(0.5, 0.5)
+        # series_terms(q) sets the length of every kernel product; (a; q)_inf
+        # cut there matches a 61-term product, which is stable well before 61
+        q = 0.5
+        got = float(np.prod(1.0 - 0.5 * q ** np.arange(series_terms(q))))
+        expected = brute_pochhammer(0.5, q, 61)
         assert got == pytest.approx(expected, rel=1e-13)
-
-    def test_negative_q(self):
-        expected = brute_pochhammer(0.3, -0.7, 200)
-        assert q_pochhammer_inf(0.3, -0.7) == pytest.approx(expected, rel=1e-13)
-
-    def test_exact_zero_when_a_hits_inverse_power(self):
-        # a = q^{-1} makes the k = 1 factor vanish exactly
-        assert q_pochhammer_inf(2.0, 0.5) == 0.0
-
-    def test_nonconvergent(self):
-        with pytest.raises(NonConvergent):
-            q_pochhammer_inf(0.5, 1.0)
-
-    def test_truncation_exceeded(self):
-        with pytest.raises(TruncationExceeded):
-            q_pochhammer_inf(0.5, 0.999, TruncationPolicy(rel_tol=1e-14, k_max=3))
-
-    def test_kmax_doubling_stability(self):
-        base = q_pochhammer_inf(0.7, 0.9, TruncationPolicy(1e-14, 5000))
-        double = q_pochhammer_inf(0.7, 0.9, TruncationPolicy(1e-14, 10000))
-        assert abs(double - base) <= 1e-14 * abs(base)
-
-    def test_underflow_near_q_one_is_graceful(self):
-        # (q; q)_inf ~ exp(-pi^2/(6(1-q))) collapses below double range near 1
-        val = q_pochhammer_inf(0.999, 0.999, TruncationPolicy(1e-14, 100_000))
-        assert val == 0.0
 
 
 class TestPhiPsi:
