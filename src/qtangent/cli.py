@@ -24,9 +24,7 @@ from .errors import QTangentError
 from .kernels import (
     biane_half_pdf,
     biane_shifted_pdf,
-    cauchy_marginal,
     cauchy_transition_pdf,
-    half_stable_marginal,
     qbm_transition_pdf,
     qnormal_pdf,
     qou_transition_pdf,
@@ -64,8 +62,8 @@ def _parse_grid(spec):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise _UsageError(f"grid must be lo:hi:count, got {spec!r}") from exc
-    if count < 2 or not -math.inf < lo < hi < math.inf:
-        raise _UsageError(f"grid needs finite lo < hi and count >= 2, got {spec!r}")
+    if count < 2 or not -math.inf < lo < hi < math.inf or math.isinf(hi - lo):
+        raise _UsageError(f"grid needs finite lo < hi and hi - lo, count >= 2, got {spec!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -202,10 +200,11 @@ def _cmd_density(args):
               "biane_shifted": biane_shifted_pdf}[proc]
         pdf = fn(args.t1, args.t2, args.y1, grid)
     else:
+        # the marginals at time t are the kernels started at the origin
         if args.t is None:
             raise _UsageError(f"{proc} needs --t")
-        fn = half_stable_marginal if proc == "half_stable" else cauchy_marginal
-        pdf = fn(args.t, grid)
+        fn = biane_half_pdf if proc == "half_stable" else cauchy_transition_pdf
+        pdf = fn(0.0, args.t, 0.0, grid)
     if args.format == "csv":
         _write_text(args.output, _csv(zip(grid, pdf), ["x", "pdf"]))
     else:

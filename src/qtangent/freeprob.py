@@ -19,11 +19,12 @@ left edge: finite (a half-line) or -inf (the line).
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 
 from .errors import BranchCut, InvalidTime, NonConvergentLadder
-from .kernels import biane_shifted_pdf, cauchy_marginal, half_stable_marginal
+from .kernels import biane_half_pdf, biane_shifted_pdf, cauchy_transition_pdf
 from .quadrature import integrate
 from .sampling import SeedSpec
 
@@ -197,14 +198,15 @@ def verify_identities(kind, sample_points=200, seed=SeedSpec(20260808)):
         worst = max(worst, abs(_biane3_quadrature(1.0, 2.0, 1.0, complex(-1.0, 1e-9)) - (-0.2)))
         return worst
     if kind == "inversion":
+        # the time-1 marginals: the kernels started at the origin
+        cauchy_1 = partial(cauchy_transition_pdf, 0.0, 1.0, 0.0)
+        half_stable_1 = partial(biane_half_pdf, 0.0, 1.0, 0.0)
         checks = [
             (lambda z: 1.0 / (z + 1j), 0.0, 1.0 / math.pi),
             (lambda z: g_half_closed(1.0, z), 1.0, math.sqrt(3.0) / (2.0 * math.pi)),
             (lambda z: biane_H(1.0, 2.0, 1.0, z), 1.0, biane_shifted_pdf(1.0, 2.0, 1.0, 1.0)),
-            (lambda z: cauchy_stieltjes(lambda x: cauchy_marginal(1.0, x), -math.inf, z), 0.5,
-             cauchy_marginal(1.0, 0.5)),
-            (lambda z: cauchy_stieltjes(lambda x: half_stable_marginal(1.0, x), 0.25, z), 2.0,
-             half_stable_marginal(1.0, 2.0)),
+            (lambda z: cauchy_stieltjes(cauchy_1, -math.inf, z), 0.5, cauchy_1(0.5)),
+            (lambda z: cauchy_stieltjes(half_stable_1, 0.25, z), 2.0, half_stable_1(2.0)),
         ]
         for transform, y, target in checks:
             worst = max(worst, abs(stieltjes_invert(transform, y) - target))
@@ -213,7 +215,7 @@ def verify_identities(kind, sample_points=200, seed=SeedSpec(20260808)):
         for _ in range(sample_points):
             t = gen.uniform(0.2, 4.0)
             z = complex(gen.uniform(-10.0, 2.0), gen.uniform(0.5, 10.0))
-            g = cauchy_stieltjes(lambda x: half_stable_marginal(t, x), t * t / 4.0, z)
+            g = cauchy_stieltjes(partial(biane_half_pdf, 0.0, t, 0.0), t * t / 4.0, z)
             worst = max(worst, abs(g_half_closed(t, z) - g))
         return worst
     if kind == "f_unique":

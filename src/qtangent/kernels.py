@@ -1,5 +1,5 @@
 """Closed-form densities: q-normal marginal, q-OU and q-BM transition kernels,
-Cauchy and 1/2-stable Biane kernels, and the free stable marginal semigroups.
+and the Cauchy and 1/2-stable Biane kernels.
 
 All density functions broadcast over their state arguments, return plain
 floats for scalar input, and return exactly 0 outside the support of the
@@ -32,6 +32,12 @@ coefficients are computed element by element with the math module
 every expression keeps the association order of a scalar-time call, so each
 entry of an array-time call equals the scalar-time call bit for bit.
 
+The Cauchy and Biane kernels are the two base laws of the tangent limits:
+``tangent`` reads the interior limit as a scaled, drifted Cauchy kernel and
+the boundary limit as (Z_{t/d} - b t^2)/r of the Biane process Z, with
+(d, b, r) = (1/2, 1, sqrt(1-q)) for q-OU and (s, 0, sqrt((1-q)/s)) for q-BM.
+Started at the origin they are the Cauchy and free 1/2-stable marginals.
+
 The half-stable quantile inverts the distribution function
 F_t(x) = (2/pi) [arctan(w) - w t^2/(4x)], w = sqrt(4x/t^2 - 1): with
 w = tan(phi/2) it reads F_t(x) = (phi - sin phi)/pi at
@@ -40,7 +46,6 @@ vectorized Newton solves in a few rounds.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,8 +59,6 @@ __all__ = [
     "cauchy_transition_pdf",
     "biane_half_pdf",
     "biane_shifted_pdf",
-    "half_stable_marginal",
-    "cauchy_marginal",
     "half_stable_quantile",
 ]
 
@@ -95,16 +98,6 @@ def _each(fn, *ts):
 def _all(mask):
     """Whether every entry of a boolean scalar or array holds."""
     return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
-@lru_cache(maxsize=256)
-def _q_powers(q, K):
-    """q^k and (1 + q^k)^2 for k = 1..K, read-only (shared by every caller)."""
-    qk = np.power(q, np.arange(1, K + 1, dtype=float))
-    a = (1.0 + qk) * (1.0 + qk)
-    qk.setflags(write=False)
-    a.setflags(write=False)
-    return qk, a
 
 
 def _tail_product(factor, coeffs, args):
@@ -167,9 +160,9 @@ def _qou_core(p: QParams, delta, x, y, x_minus_y, policy):
     # regrouped phi_{q,0}/u: exact identity with the displayed quadratic form over u;
     # (x - y)^2 alone would underflow at the tangent scale of lags below 1e-154
     phi0_u = e2 * c1 / u * x_minus_y * x_minus_y + u * (e1 * (4.0 - c1 * x * y) + u * u)
-    qk, a = _q_powers(q, series_terms(q, policy))
-    col = qk.shape + (1,) * np.ndim(e1)
-    qk, a = qk.reshape(col), a.reshape(col)
+    K = series_terms(q, policy)
+    qk = np.power(q, np.arange(1, K + 1, dtype=float)).reshape((K,) + (1,) * np.ndim(e1))
+    a = (1.0 + qk) * (1.0 + qk)
     g = e1 * qk
     s = 1.0 - g * g
     sc = (1.0 - e2 * qk) * (1.0 - qk)  # 1 - q^k: the k-th factor of (q; q)_inf
@@ -196,11 +189,13 @@ def qou_transition_pdf(p: QParams, delta, x, y, policy=DEFAULT_POLICY):
 
     Depends on (s, t) only through delta = t - s.  Zero for target states
     |y| >= x_plus; the conditioning state x must lie in [x_minus, x_plus].
-    delta may be an array broadcasting against x and y.
+    delta may be an array broadcasting against x and y.  Lags below 1e-307
+    are rejected: the regrouped k = 0 term e^{-2 delta}(1-q)(x-y)^2/u reaches
+    16/u, which overflows below it.
     """
     d = _time(delta)
-    if not _all((0.0 < d) & (d < math.inf)):
-        raise InvalidTime(f"q-OU kernel requires finite delta > 0, got {delta}")
+    if not _all((1e-307 <= d) & (d < math.inf)):
+        raise InvalidTime(f"q-OU kernel requires a finite lag delta >= 1e-307, got {delta}")
     if not np.max(np.abs(x)) <= p.x_plus * (1.0 + 1e-12):
         raise InvalidState(f"conditioning state x={x} outside [{p.x_minus}, {p.x_plus}]")
     xarr, yarr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -218,7 +213,7 @@ def _bm_root(t):
     return math.sqrt(t) if t > 0.0 else math.inf
 
 
-def qbm_transition_pdf(p: QParams, t1, t2, y1, y2, policy=DEFAULT_POLICY):
+def qbm_transition_pdf(p: QParams, t1, t2, y1, y2):
     """Transition density of the q-Brownian motion from (t1, y1) to (t2, .).
 
     Supports t1 = 0 only with y1 = 0 (start at the origin).  Zero outside
@@ -243,8 +238,10 @@ def qbm_transition_pdf(p: QParams, t1, t2, y1, y2, policy=DEFAULT_POLICY):
     r1, r2 = _each(_bm_root, t1a), _each(math.sqrt, t2a)
     # x - y from the exact y1 - y2 and t2 - t1 (1/r1 - 1/r2 = (t2 - t1)/((r1 + r2) r1 r2)):
     # x and y rounded apart lose digits where the kernel is narrow, t2 - t1 << t1
-    x_minus_y = (y1a - y2a) / r2 + y1a * ((t2a - t1a) / (r1 + r2) / r1 / r2)
-    out = _qou_core(p, _each(_bm_lag, t1a, t2a), y1a / r1, y2a / r2, x_minus_y, policy)
+    with np.errstate(over="ignore"):  # far targets overflow for t2 < 1: outside in the core
+        x_minus_y = (y1a - y2a) / r2 + y1a * ((t2a - t1a) / (r1 + r2) / r1 / r2)
+        y = y2a / r2
+    out = _qou_core(p, _each(_bm_lag, t1a, t2a), y1a / r1, y, x_minus_y, DEFAULT_POLICY)
     return _as_float_or_array(out / r2)
 
 
@@ -256,7 +253,8 @@ def cauchy_transition_pdf(t1, t2, y1, y2):
         raise InvalidState(f"y1={y1} is not finite")
     y2a = np.asarray(y2, dtype=float)
     dt = t2 - t1
-    out = dt / math.pi / ((y2a - y1) ** 2 + dt * dt)
+    with np.errstate(over="ignore"):  # far targets: an infinite denominator, density 0
+        out = dt / math.pi / ((y2a - y1) ** 2 + dt * dt)
     return _as_float_or_array(out)
 
 
@@ -270,11 +268,12 @@ def biane_half_pdf(t1, t2, y1, y2):
         raise InvalidState(f"y1={y1} outside the time-t1 support ({t1 * t1 / 4.0}, inf)")
     y2a = np.asarray(y2, dtype=float)
     dt = t2 - t1
-    sq = np.sqrt(np.clip(4.0 * y2a - t2 * t2, 0.0, None))
-    den = 2.0 * math.pi * ((y2a - y1a) ** 2 - dt * (t1 * y2a - t2 * y1a))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq = np.sqrt(np.clip(4.0 * y2a - t2 * t2, 0.0, None))
+        den = 2.0 * math.pi * ((y2a - y1a) ** 2 - dt * (t1 * y2a - t2 * y1a))
         val = dt * sq / den
-    out = np.where(y2a <= t2 * t2 / 4.0, 0.0, val)
+    # far targets overflow the denominator (to inf, or nan as inf - inf): density 0
+    out = np.where((y2a <= t2 * t2 / 4.0) | ~np.isfinite(den), 0.0, val)
     return _as_float_or_array(out)
 
 
@@ -287,29 +286,9 @@ def biane_shifted_pdf(t1, t2, y1, y2):
     y2a = np.asarray(y2, dtype=float)
     dt = t2 - t1
     sq = np.sqrt(np.clip(y2a, 0.0, None))
-    den = math.pi * ((y2a - y1) ** 2 + 2.0 * (y1 + y2a) * dt * dt + dt ** 4)
+    with np.errstate(over="ignore"):  # far targets: an infinite denominator, density 0
+        den = math.pi * ((y2a - y1) ** 2 + 2.0 * (y1 + y2a) * dt * dt + dt ** 4)
     out = np.where(y2a <= 0.0, 0.0, 2.0 * dt * sq / den)
-    return _as_float_or_array(out)
-
-
-def half_stable_marginal(t, x):
-    """Free 1/2-stable marginal t sqrt(4x - t^2) / (2 pi x^2) on (t^2/4, inf)."""
-    if not 0.0 < t < math.inf:
-        raise InvalidTime(f"marginal requires finite t > 0, got {t}")
-    xarr = np.asarray(x, dtype=float)
-    sq = np.sqrt(np.clip(4.0 * xarr - t * t, 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = t * sq / (2.0 * math.pi * xarr * xarr)
-    out = np.where(xarr <= t * t / 4.0, 0.0, val)
-    return _as_float_or_array(out)
-
-
-def cauchy_marginal(t, x):
-    """Cauchy law with scale t: t / (pi (x^2 + t^2))."""
-    if not 0.0 < t < math.inf:
-        raise InvalidTime(f"marginal requires finite t > 0, got {t}")
-    xarr = np.asarray(x, dtype=float)
-    out = t / (math.pi * (xarr * xarr + t * t))
     return _as_float_or_array(out)
 
 

@@ -1,11 +1,16 @@
 """Numerical verification of the tangent-process limits: exact rescaled
 transition densities at finite epsilon against their closed-form limits.
 
-Four cases are covered.  Interior points of the q-OU state space rescale with
-beta = 1 to a Cauchy process scaled by c = sqrt(4/(1-q) - x^2); interior
-points of the q-BM support rescale to a drifted Cauchy process; the left
-boundary points rescale with beta = 2 to affine images of the 1/2-stable
-Biane process.
+Four cases in two frames, each an affine image of one base kernel.  The
+process chooses only the exact kernel at the rescaled times (q-OU at lag
+eps (t2 - t1), q-BM from s + eps t1 to s + eps t2) and the half-width of the
+conditioning support (x_plus; 2 sqrt(tau1/(1-q)) for q-BM).  Interior points
+(beta = 1): the state x + eps y tends to a Cauchy process with scale
+``limit_scale()`` and drift ``drift()``.  Boundary points (beta = 2): the
+state x - a t eps + eps^2 y tends to (Z_{t/d} - b t^2)/r, Z the 1/2-stable
+Biane process, with (a, d, b, r) = (0, 1/2, 1, sqrt(1-q)) for q-OU and
+(1/sqrt(s(1-q)), s, 0, sqrt((1-q)/s)) for q-BM, whose left support edge
+moves at speed a.
 
 Convergence is measured as an L1 distance between the rescaled and the limit
 density over a window carrying >= 99% of the limit mass, on a grid that mixes
@@ -31,6 +36,7 @@ each report records the horizon used.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,25 +76,36 @@ class TangentCase:
     def __post_init__(self):
         if self.case not in _CASES:
             raise UnknownProcess(f"unknown tangent case {self.case!r}")
-        p = QParams(self.q)
-        if self.case.startswith("qbm"):
+        # half-width of the support at the base time; a boundary case sits at its left edge
+        half = QParams(self.q).x_plus
+        if self.qbm:
             if self.s is None or not 0.0 < self.s < math.inf:
                 raise InvalidTime("q-BM cases need a finite base time s > 0")
-        if self.case == "qou_interior":
-            if self.x is None or not abs(self.x) < p.x_plus:
-                raise InvalidState("interior case needs x strictly inside (x_minus, x_plus)")
-        elif self.case == "qbm_interior":
             half = 2.0 * math.sqrt(self.s / (1.0 - self.q))
-            if self.x is None or not abs(self.x) < half:
-                raise InvalidState(f"interior case needs |x| < {half}")
-        elif self.case == "qou_boundary":
-            object.__setattr__(self, "x", p.x_minus)
-        else:
-            object.__setattr__(self, "x", -2.0 * math.sqrt(self.s / (1.0 - self.q)))
+        if not self.interior:
+            object.__setattr__(self, "x", -half)
+        elif self.x is None or not abs(self.x) < half:
+            raise InvalidState(f"interior case needs |x| < {half}")
 
     @property
     def params(self):
         return QParams(self.q)
+
+    @property
+    def qbm(self):
+        return self.case.startswith("qbm")
+
+    @property
+    def interior(self):
+        return self.case.endswith("interior")
+
+    def boundary_frame(self):
+        """(a, d, b, r) of the boundary frame: the state x - a t eps + eps^2 y
+        tends to (Z_{t/d} - b t^2)/r, Z the 1/2-stable Biane process."""
+        if self.qbm:
+            c = 1.0 - self.q
+            return 1.0 / math.sqrt(self.s * c), self.s, 0.0, math.sqrt(c / self.s)
+        return 0.0, 0.5, 1.0, math.sqrt(1.0 - self.q)
 
     def limit_scale(self):
         """Multiplicative constant of the limiting process."""
@@ -175,43 +192,22 @@ def rescaled_pdf(case: TangentCase, eps, t1, t2, y1, y2):
         raise InvalidTime(f"eps must be positive, got {eps}")
     if t1 < 0.0 or not t2 > t1:
         raise InvalidTime(f"need 0 <= t1 < t2, got t1={t1}, t2={t2}")
-    p = case.params
-    q, x, s = case.q, case.x, case.s
-    y2 = np.asarray(y2)
-    if case.case == "qou_interior":
-        w1 = x + y1 * e
-        _require_inside(w1, np.abs(w1) > p.x_plus, "the state space")
-        return qou_transition_pdf(p, e * (t2 - t1), w1, x + y2 * e) * e
-    if case.case == "qou_boundary":
-        w1 = p.x_minus + y1 * e * e
-        _require_inside(w1, (w1 < p.x_minus) | (w1 > p.x_plus), "the state space")
-        w2 = p.x_minus + y2 * e * e
-        out = qou_transition_pdf(p, e * (t2 - t1), w1, w2) * e * e
-        return _zero_outside(out, w2 < p.x_minus)
-    tau1, tau2 = s + t1 * e, s + t2 * e
-    b1 = 2.0 * np.sqrt(tau1 / (1.0 - q))
-    if case.case == "qbm_interior":
-        w1 = x + y1 * e
-        _require_inside(w1, np.abs(w1) > b1, "the time-tau1 support")
-        return qbm_transition_pdf(p, tau1, tau2, w1, x + y2 * e) * e
-    a = 1.0 / math.sqrt(s * (1.0 - q))
-    w1 = x - a * t1 * e + y1 * e * e
-    _require_inside(w1, np.abs(w1) > b1, "the time-tau1 support")
-    w2 = x - a * t2 * e + y2 * e * e
-    b2 = 2.0 * np.sqrt(tau2 / (1.0 - q))
-    out = qbm_transition_pdf(p, tau1, tau2, w1, w2) * e * e
-    return _zero_outside(out, np.abs(w2) > b2)
-
-
-def _require_inside(w1, outside, support):
-    if np.any(outside):
-        w = float(np.asarray(w1)[outside].flat[0])
-        raise OutOfSupport(f"conditioning point {w} outside {support}")
-
-
-def _zero_outside(values, outside_mask):
-    out = np.where(outside_mask, 0.0, values)
-    return out.item() if np.ndim(out) == 0 else out
+    p, x = case.params, case.x
+    if case.qbm:
+        tau1, tau2 = case.s + t1 * e, case.s + t2 * e
+        kernel = partial(qbm_transition_pdf, p, tau1, tau2)
+        half = 2.0 * np.sqrt(tau1 / (1.0 - case.q))
+    else:
+        kernel, half = partial(qou_transition_pdf, p, e * (t2 - t1)), p.x_plus
+    # the frame x - a t eps + eps^beta y; g = eps^(beta - 1), and a = 0 and
+    # g = 1 add and multiply exactly, so the interior frame is x + eps y bit for bit
+    a, g = (0.0, 1.0) if case.interior else (case.boundary_frame()[0], e)
+    w1 = x - a * t1 * e + y1 * e * g
+    if np.any(np.abs(w1) > half):
+        w = float(np.asarray(w1)[np.abs(w1) > half].flat[0])
+        raise OutOfSupport(f"conditioning point {w} outside the time-t1 support")
+    w2 = x - a * t2 * e + np.asarray(y2) * e * g
+    return kernel(w1, w2) * e * g
 
 
 def limit_pdf(case: TangentCase, t1, t2, y1, y2, scale_override=None):
@@ -223,41 +219,31 @@ def limit_pdf(case: TangentCase, t1, t2, y1, y2, scale_override=None):
     """
     if t1 < 0.0 or not t2 > t1:
         raise InvalidTime(f"need 0 <= t1 < t2, got t1={t1}, t2={t2}")
-    q, s = case.q, case.s
-    if case.case in ("qou_interior", "qbm_interior"):
+    if case.interior:
         c = case.limit_scale() if scale_override is None else scale_override
         drift = case.drift()
         return cauchy_transition_pdf(
             c * t1, c * t2, y1 - t1 * drift, np.asarray(y2) - t2 * drift
         )
-    if case.case == "qou_boundary":
-        r = math.sqrt(1.0 - q)
-        if y1 < 0.0 or (t1 > 0.0 and y1 == 0.0):
-            raise OutOfSupport(f"y1={y1} outside the limit support [0, inf)")
-        z2 = r * np.asarray(y2) + t2 * t2
-        return biane_half_pdf(2.0 * t1, 2.0 * t2, r * y1 + t1 * t1, z2) * r
-    # m f(t1, t2, m y1, m y2), f the Biane kernel and m = sqrt(s^3 (1-q)), is
-    # n f(t1/s, t2/s, n y1, n y2) with n = m/s^2 by self-similarity; unlike m
-    # and m y2, these stay in double range for any base time s
-    n = math.sqrt((1.0 - q) / s)
-    t1, t2, z1 = t1 / s, t2 / s, n * y1
-    if t1 > 0.0 and z1 <= t1 * t1 / 4.0:
+    _, d, b, r = case.boundary_frame()
+    # Y = (Z_{t/d} - b t^2)/r has the density r f(t1/d, t2/d, r y1 + b t1^2, r y2 + b t2^2),
+    # f the Biane kernel.  For q-BM this is the self-similar rescaling of
+    # m f(t1, t2, m y1, m y2), m = sqrt(s^3 (1-q)): r y stays in double range for any s
+    z1 = r * y1 + b * t1 * t1
+    u1, u2 = t1 / d, t2 / d
+    if not (z1 > u1 * u1 / 4.0 or u1 == z1 == 0.0):
         raise OutOfSupport(f"y1={y1} outside the limit support")
-    return biane_half_pdf(t1, t2, z1, n * np.asarray(y2)) * n
+    return biane_half_pdf(u1, u2, z1, r * np.asarray(y2) + b * t2 * t2) * r
 
 
 def _limit_quantile(case, window_t, prob):
     """Quantile of the limit's y2 marginal from (t1=0, y1=0) at time window_t;
     prob may be an array."""
-    if case.case in ("qou_interior", "qbm_interior"):
+    if case.interior:
         gam = case.limit_scale() * window_t
         return case.drift() * window_t + gam * np.tan(np.pi * (prob - 0.5))
-    if case.case == "qou_boundary":
-        r = math.sqrt(1.0 - case.q)
-        xq = half_stable_quantile(2.0 * window_t, prob)
-        return (xq - window_t * window_t) / r
-    # Q_t(p)/m = Q_{t/s}(p)/n, scaled as in limit_pdf
-    return half_stable_quantile(window_t / case.s, prob) / math.sqrt((1.0 - case.q) / case.s)
+    _, d, b, r = case.boundary_frame()
+    return (half_stable_quantile(window_t / d, prob) - b * window_t * window_t) / r
 
 
 # Window horizons calibrated so the standard ladder operates in the
@@ -276,7 +262,7 @@ def default_window(case: TangentCase, coverage=0.99, horizon=None):
     """Window (t1=0, y1=0, calibrated t2) covering ``coverage`` of the limit mass."""
     t2 = horizon if horizon is not None else _HORIZON[case.case](case.q, case.s)
     tail = 1.0 - coverage
-    if case.case in ("qou_interior", "qbm_interior"):
+    if case.interior:
         lo = _limit_quantile(case, t2, tail / 2.0)
         hi = _limit_quantile(case, t2, 1.0 - tail / 2.0)
     else:
@@ -292,7 +278,7 @@ def _window_grid(case, window, resolution):
     n_u = resolution // 2
     uniform = np.linspace(window.y2_lo, window.y2_hi, n_u)
     tail = 1.0 - window.coverage
-    if case.case in ("qou_interior", "qbm_interior"):
+    if case.interior:
         probs = np.linspace(tail / 2.0, 1.0 - tail / 2.0, n_u)
     else:
         probs = np.linspace(1e-6, 1.0 - tail, n_u)

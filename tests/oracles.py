@@ -1,11 +1,12 @@
 """Reference forms the tests compare the package against.
 
 The displayed quadratic forms of the q-kernels (phi_{q,k}, psi_{q,k} and
-their two-time analogues phi*_{q,k}, psi*_{q,k}), the closed-form
-distribution function of the free 1/2-stable marginal, and the three
-q-kernels evaluated from their displayed products in mpmath.  The package
-evaluates the q-kernels through one regrouped q-OU product instead, so these
-forms are independent of its code.
+their two-time analogues phi*_{q,k}, psi*_{q,k}), the free 1/2-stable and
+Cauchy marginals and the half-stable distribution function in closed form,
+and the three q-kernels evaluated from their displayed products in mpmath.
+The package evaluates the q-kernels through one regrouped q-OU product and
+the marginals as its kernels started at the origin, so these forms are
+independent of its code.
 """
 
 import math
@@ -52,6 +53,21 @@ def psi_star(q, k, t1, t2, y2):
     """psi*_{q,k}(t1, t2, y2) = (t2 - t1 q^k)(1 - q^{k+1})[t2 (1+q^k)^2 - (1-q) y2^2 q^k]."""
     qk = np.power(q, k)
     return (t2 - t1 * qk) * (1.0 - q * qk) * (t2 * (1.0 + qk) ** 2 - (1.0 - q) * y2 * y2 * qk)
+
+
+def half_stable_marginal(t, x):
+    """Free 1/2-stable marginal t sqrt(4x - t^2) / (2 pi x^2) on (t^2/4, inf)."""
+    xarr = np.asarray(x, dtype=float)
+    sq = np.sqrt(np.clip(4.0 * xarr - t * t, 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = t * sq / (2.0 * math.pi * xarr * xarr)
+    return np.where(xarr <= t * t / 4.0, 0.0, val)
+
+
+def cauchy_marginal(t, x):
+    """Cauchy law with scale t: t / (pi (x^2 + t^2))."""
+    xarr = np.asarray(x, dtype=float)
+    return t / (math.pi * (xarr * xarr + t * t))
 
 
 def half_stable_cdf(t, x):

@@ -48,6 +48,10 @@ class TestInputValidation:
         ["density", "--process", "half_stable", "--t", "inf", "--grid", "0.5:2:5"],
         ["density", "--process", "qnormal", "--q", "0", "--grid", "0:inf:5"],
         ["density", "--process", "qnormal", "--q", "0", "--grid", "-inf:1:5"],
+        ["density", "--process", "qnormal", "--q", "0.5", "--grid=-1.7e308:1.7e308:5"],
+        ["density", "--process", "qou", "--q", "0.5", "--delta", "1e-310", "--x", "0",
+         "--grid", "0:1:3"],
+        ["density", "--process", "half_stable", "--t", "0", "--grid", "0.5:2:5"],
         ["verify", "--suite", "kernels", "--samples", "-1"],
         ["verify", "--suite", "kernels", "--samples", "0"],
         ["verify", "--suite", "freeprob", "--samples", "0"],
@@ -56,7 +60,8 @@ class TestInputValidation:
         ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0", "--ladder", "inf,0.1"],
     ], ids=["simulate-paths-0", "jumps-paths-0", "init-fixed-abc", "init-fixed-nan",
             "simulate-t1-inf", "density-x-nan", "density-t-inf", "density-grid-inf",
-            "density-grid-minus-inf", "verify-samples-minus-1", "verify-samples-0",
+            "density-grid-minus-inf", "density-grid-span-overflow", "density-qou-subnormal-lag",
+            "density-t-0", "verify-samples-minus-1", "verify-samples-0",
             "verify-freeprob-samples-0", "ladder-nan", "ladder-negative", "ladder-inf"])
     def test_exits_one_with_one_line(self, argv, tmp_path, capsys):
         code, out, err = run(argv + (["--output-dir", str(tmp_path)] if argv[0] == "simulate"

@@ -15,17 +15,19 @@ from qtangent.freeprob import (
     verification_report,
     verify_identities,
 )
-from qtangent.kernels import biane_shifted_pdf, cauchy_marginal, half_stable_marginal, qnormal_pdf
+from qtangent.kernels import biane_half_pdf, biane_shifted_pdf, cauchy_transition_pdf, qnormal_pdf
 from qtangent.qspecial import QParams
 from qtangent.sampling import SeedSpec
 
 
+# the time-t marginals: the kernels started at the origin
+
 def cauchy_density(t):
-    return lambda x: cauchy_marginal(t, x)
+    return lambda x: cauchy_transition_pdf(0.0, t, 0.0, x)
 
 
 def half_stable_density(t):
-    return lambda x: half_stable_marginal(t, x)
+    return lambda x: biane_half_pdf(0.0, t, 0.0, x)
 
 
 class TestCauchyStieltjes:

@@ -11,9 +11,7 @@ from qtangent.errors import InvalidState, InvalidTime, TruncationExceeded
 from qtangent.kernels import (
     biane_half_pdf,
     biane_shifted_pdf,
-    cauchy_marginal,
     cauchy_transition_pdf,
-    half_stable_marginal,
     half_stable_quantile,
     qbm_transition_pdf,
     qnormal_pdf,
@@ -22,7 +20,16 @@ from qtangent.kernels import (
 from qtangent.qspecial import QParams, TruncationPolicy
 from qtangent.tangent import TangentCase, default_window
 
-from oracles import half_stable_cdf, mp_qbm, mp_qnormal, mp_qou, phi_star, psi_star
+from oracles import (
+    cauchy_marginal,
+    half_stable_cdf,
+    half_stable_marginal,
+    mp_qbm,
+    mp_qnormal,
+    mp_qou,
+    phi_star,
+    psi_star,
+)
 
 
 class TestQNormal:
@@ -103,6 +110,20 @@ class TestQOUKernel:
         with pytest.raises(InvalidTime):
             qou_transition_pdf(QParams(0.5), 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("q", [-0.99, -0.5, 0.0, 0.5, 0.99])
+    def test_lag_floor(self, q):
+        # at the floor 1e-307 the k = 0 term's 16/u still fits a double: finite values and
+        # no warning from the edge state to the far edge; below it the lag is rejected
+        p = QParams(q)
+        ys = np.linspace(p.x_minus, 0.999 * p.x_plus, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (p.x_minus, 0.0):
+                assert np.all(np.isfinite(qou_transition_pdf(p, 1e-307, x, ys)))
+        for bad in (9e-308, 1e-310, 5e-324):
+            with pytest.raises(InvalidTime):
+                qou_transition_pdf(p, bad, 0.0, ys)
+
     def test_conditioning_state_validated(self):
         p = QParams(0.5)
         with pytest.raises(InvalidState):
@@ -143,6 +164,11 @@ class TestQOUKernel:
             got = qou_transition_pdf(p, 0.1, 0.0, np.array([-1e200, 0.0, 1e200]))
             assert got[0] == got[2] == 0.0 and got[1] > 0.0
             assert qbm_transition_pdf(p, 1.0, 2.0, 0.3, 1e200) == 0.0
+            # before t2 = 1 the wrapper's y2/sqrt(t2) overflows to +-inf: outside too
+            ys = np.array([-1.7e308, 0.0, 1.7e308])
+            for t1, y1 in ((0.0, 0.0), (0.01, 0.1)):
+                got = qbm_transition_pdf(p, t1, 0.02, y1, ys)
+                assert got[0] == got[2] == 0.0 and got[1] > 0.0
         assert capfd.readouterr().err == ""
 
     def test_chapman_kolmogorov(self):
@@ -258,6 +284,19 @@ class TestStableKernels:
         np.testing.assert_allclose(
             biane_half_pdf(0.0, t, 0.0, ys), half_stable_marginal(t, ys), rtol=1e-13)
 
+    @pytest.mark.parametrize("kernel, t1, y1", [
+        (cauchy_transition_pdf, 0.0, 0.0),
+        (biane_half_pdf, 2.0, 1.5),
+        (biane_shifted_pdf, 1.0, 1.0),
+    ])
+    def test_far_targets_are_zero_without_warnings(self, kernel, t1, y1):
+        # the denominators overflow (to inf, or to inf - inf in the Biane kernel)
+        ys = np.array([1e300, 8.5e307, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(kernel(t1, t1 + 1.0, y1, ys), 0.0)
+            assert kernel(t1, t1 + 1.0, y1, 1.7e308) == 0.0
+
     def test_biane_half_boundary_zero(self):
         assert biane_half_pdf(1.0, 2.0, 1.0, 1.0) == 0.0
 
@@ -303,28 +342,29 @@ class TestStableKernels:
                         0.0, np.inf, limit=300)
         assert total == pytest.approx(1.0, abs=1e-8)
 
+    # The free stable marginals are the kernels started at the origin.
+
     def test_half_stable_marginal_spot(self):
-        assert half_stable_marginal(2.0, 2.0) == pytest.approx(1 / (2 * math.pi))
-        assert half_stable_marginal(1.5, 1.5 ** 2 / 4) == 0.0
+        assert biane_half_pdf(0.0, 2.0, 0.0, 2.0) == pytest.approx(1 / (2 * math.pi))
+        assert biane_half_pdf(0.0, 1.5, 0.0, 1.5 ** 2 / 4) == 0.0
 
     def test_cauchy_marginal_peak(self):
-        assert cauchy_marginal(1.0, 0.0) == pytest.approx(1 / math.pi)
+        assert cauchy_transition_pdf(0.0, 2.0, 0.0, 0.0) == pytest.approx(1 / (2 * math.pi))
+        ys = np.linspace(-40.0, 40.0, 33)
+        np.testing.assert_allclose(
+            cauchy_transition_pdf(0.0, 2.5, 0.0, ys), cauchy_marginal(2.5, ys), rtol=1e-15)
 
     def test_half_stable_cdf_matches_quadrature(self):
         for x in (0.3, 1.0, 7.0):
-            val, _ = quad(lambda u: half_stable_marginal(1.0, 0.25 + u * u) * 2 * u,
+            val, _ = quad(lambda u: biane_half_pdf(0.0, 1.0, 0.0, 0.25 + u * u) * 2 * u,
                           0.0, math.sqrt(x - 0.25), limit=200)
             assert half_stable_cdf(1.0, x) == pytest.approx(val, abs=1e-10)
 
     def test_marginal_time_validation(self):
-        with pytest.raises(InvalidTime):
-            half_stable_marginal(0.0, 1.0)
-        with pytest.raises(InvalidTime):
-            cauchy_marginal(-1.0, 0.0)
-        for fn in (half_stable_marginal, cauchy_marginal):
-            for bad in (math.inf, math.nan):
+        for kernel in (biane_half_pdf, cauchy_transition_pdf):
+            for bad in (0.0, -1.0, math.inf, math.nan):
                 with pytest.raises(InvalidTime):
-                    fn(bad, 1.0)
+                    kernel(0.0, bad, 0.0, 1.0)
 
     def test_two_time_kernels_reject_non_finite_arguments(self):
         with pytest.raises(InvalidTime):

@@ -12,7 +12,6 @@ from qtangent.freeprob import g_half_closed
 from qtangent.kernels import (
     biane_half_pdf,
     cauchy_transition_pdf,
-    half_stable_marginal,
     qbm_transition_pdf,
     qou_transition_pdf,
 )
@@ -121,7 +120,7 @@ class TestComplexAndPeaked:
     def test_stieltjes_transform_of_half_stable(self, z):
         t = 1.5
         lo = t * t / 4.0
-        f = lambda u: half_stable_marginal(t, lo + u * u) / (z - lo - u * u) * (2.0 * u)
+        f = lambda u: biane_half_pdf(0.0, t, 0.0, lo + u * u) / (z - lo - u * u) * (2.0 * u)
         got = integrate(f, 0.0, math.inf, epsabs=1e-12, epsrel=1e-11)
         assert isinstance(got, complex)
         assert abs(got - g_half_closed(t, z)) < 1e-11

@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from qtangent.errors import NonFinite
 from qtangent.kernels import (
-    cauchy_marginal,
-    half_stable_marginal,
+    biane_half_pdf,
+    cauchy_transition_pdf,
     half_stable_quantile,
     qnormal_pdf,
     qou_transition_pdf,
@@ -41,7 +41,7 @@ def half_stable_table():
     1 - 1e-10 quantile, on 128 nodes geometric in the distance to the edge."""
     hi = float(half_stable_quantile(1.0, 1.0 - 1e-10))
     nodes = (0.25 + np.concatenate([[0.0], np.geomspace(1e-8, hi - 0.25, 127)]))[None, :]
-    return nodes, batch_cdf_tables(half_stable_marginal(1.0, gauss_points(nodes)), nodes)
+    return nodes, batch_cdf_tables(biane_half_pdf(0.0, 1.0, 0.0, gauss_points(nodes)), nodes)
 
 
 class TestBuildCdf:
@@ -74,7 +74,7 @@ class TestBuildCdf:
         # cut at the 1e-10 and 1 - 1e-10 quantiles, 256 nodes uniform in asinh(x)
         cut = math.tan(math.pi * (0.5 - 1e-10))
         nodes = np.sinh(np.linspace(-math.asinh(cut), math.asinh(cut), 256))[None, :]
-        cdf = batch_cdf_tables(cauchy_marginal(1.0, gauss_points(nodes)), nodes)
+        cdf = batch_cdf_tables(cauchy_transition_pdf(0.0, 1.0, 0.0, gauss_points(nodes)), nodes)
         assert np.all(np.isfinite(nodes[0, [0, -1]]))
         assert sample(nodes, cdf, 0.5)[0] == pytest.approx(0.0, abs=1e-9)
         # 256 nodes stretched over ~19 decades: percent-level quantiles
@@ -159,7 +159,7 @@ def test_truncated_table_mass_against_quadrature():
     # tabulated masses agree with adaptive quadrature on interior intervals
     nodes, cdf = half_stable_table()
     i, j = 10, 40
-    mass, _ = quad(lambda x: half_stable_marginal(1.0, x), nodes[0, i], nodes[0, j], limit=200)
+    mass, _ = quad(lambda x: biane_half_pdf(0.0, 1.0, 0.0, x), nodes[0, i], nodes[0, j], limit=200)
     assert cdf[0, j] - cdf[0, i] == pytest.approx(mass, abs=1e-6)
 
 

@@ -110,6 +110,15 @@ class TestLimitPdf:
         with pytest.raises(OutOfSupport):
             limit_pdf(case, 0.5, 1.0, -1.0, 2.0)
 
+    @pytest.mark.parametrize("name, s", [("qou_boundary", None), ("qbm_boundary", 1.0)])
+    @pytest.mark.parametrize("t1, y1", [(0.0, -1.0), (0.5, -1.0), (0.5, 0.0)])
+    def test_boundary_limits_reject_a_bad_start_alike(self, name, s, t1, y1):
+        # both boundary frames test the Biane support z1 > T1^2/4, or T1 = z1 = 0
+        case = TangentCase(name, 0.5, s=s)
+        with pytest.raises(OutOfSupport):
+            limit_pdf(case, t1, 1.0, y1, 2.0)
+        assert limit_pdf(case, 0.0, 1.0, 0.0, 2.0) > 0.0
+
 
 class TestRescaledPdf:
     def test_interior_matches_limit_at_small_eps(self):
