@@ -232,14 +232,12 @@ def _cmd_simulate(args):
     p = QParams(args.q)
     grid = sim.TimeGrid(args.t0, args.t1, args.steps)
     init = _parse_init(args.init, args.process)
-    paths = sim.simulate_ensemble(args.process, p, grid, init, args.seed, args.paths)
+    times, values = sim.simulate_ensemble(args.process, p, grid, init, args.seed, args.paths)
     os.makedirs(args.output_dir, exist_ok=True)
-    names = []
-    for i, path in enumerate(paths):
+    for i, row in enumerate(values):
         name = os.path.join(args.output_dir, f"path_{i:03d}.csv")
-        _write_text(name, _csv(zip(path.times, path.values), ["t", "value"]))
-        names.append(name)
-    sys.stderr.write(f"wrote {len(names)} path files to {args.output_dir}\n")
+        _write_text(name, _csv(zip(times, row), ["t", "value"]))
+    sys.stderr.write(f"wrote {len(values)} path files to {args.output_dir}\n")
     return 0
 
 
@@ -275,9 +273,10 @@ def _cmd_tangent(args):
 
 
 def _cmd_jumps(args):
-    seed = SeedSpec(args.seed)
-    stats = sim.sup_jump_estimate(args.q, args.S, args.T, args.a, args.paths, args.steps, seed)
+    # the bound validates the times and the threshold before any path is drawn
     bound = sim.jump_bound(args.q, args.S, args.T, args.a)
+    stats = sim.sup_jump_estimate(args.q, args.S, args.T, args.a, args.paths, args.steps,
+                                  args.seed)
     result = {
         "q": args.q, "S": args.S, "T": args.T, "a": args.a,
         "paths": args.paths, "steps": args.steps,

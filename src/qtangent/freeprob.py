@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BranchCut, InvalidTime, NonConvergentLadder
 from .kernels import biane_half_pdf, biane_shifted_pdf, cauchy_transition_pdf
-from .quadrature import integrate
+from .quadrature import integrate, integrate_from_edge
 from .sampling import SeedSpec
 
 __all__ = [
@@ -55,17 +55,12 @@ def cauchy_stieltjes(density, lo, z):
         raise BranchCut("quadrature transform needs Im z > 0")
     z = complex(z)
     tol = dict(epsabs=1e-12, epsrel=1e-11)
+
+    def f(x):
+        return density(x) / (z - x)
     if math.isfinite(lo):
-        return _from_edge(density, lo, z, tol)
-    return integrate(lambda x: density(x) / (z - x), -math.inf, math.inf, **tol)
-
-
-def _from_edge(dens, a, z, tol):
-    # int_a^inf dens(x)/(z-x) dx in x = a + u^2
-    def f(u):
-        x = a + u * u
-        return dens(x) / (z - x) * (2.0 * u)
-    return integrate(f, 0.0, math.inf, **tol)
+        return integrate_from_edge(f, lo, **tol)
+    return integrate(f, -math.inf, math.inf, **tol)
 
 
 def _reject_slit(z, branch_point):
@@ -162,8 +157,8 @@ def _sample_region(gen, n):
 
 def _biane3_quadrature(s, t, x, z):
     """int_0^inf p^(1/2)_{s,t}(x, y)/(z - y) dy with the y = u^2 substitution."""
-    return _from_edge(lambda y: biane_shifted_pdf(s, t, x, y), 0.0, z,
-                      dict(epsabs=1e-10, epsrel=1e-10))
+    return integrate_from_edge(lambda y: biane_shifted_pdf(s, t, x, y) / (z - y), 0.0,
+                               epsabs=1e-10, epsrel=1e-10)
 
 
 def verify_identities(kind, sample_points=200, seed=SeedSpec(20260808)):

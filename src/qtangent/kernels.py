@@ -22,7 +22,8 @@ divided by u, as is the prefactor 1 - e^{-2d} = u (1 + e^{-d}): u^2 underflows
 below d ~ 1e-160, phi_{q,0}/u stays in range down to d = 1e-300.  The k >= 1
 factors use the analogous factorisation of their cross terms, and each also
 carries the factor 1 - q^k of the constant (q; q)_inf, so one product over k
-serves the whole kernel.
+serves the whole kernel, cut where ``series_terms`` puts ``rel_tol``
+(1e-14 by default).
 
 The q-OU lag and the q-BM times may be arrays that broadcast against the
 states, so one call evaluates a whole ladder of times (the tangent studies
@@ -37,6 +38,7 @@ The Cauchy and Biane kernels are the two base laws of the tangent limits:
 the boundary limit as (Z_{t/d} - b t^2)/r of the Biane process Z, with
 (d, b, r) = (1/2, 1, sqrt(1-q)) for q-OU and (s, 0, sqrt((1-q)/s)) for q-BM.
 Started at the origin they are the Cauchy and free 1/2-stable marginals.
+A value of theirs beyond double range raises NonFinite.
 
 The half-stable quantile inverts the distribution function
 F_t(x) = (2/pi) [arctan(w) - w t^2/(4x)], w = sqrt(4x/t^2 - 1): with
@@ -49,8 +51,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidState, InvalidTime
-from .qspecial import DEFAULT_POLICY, QParams, series_terms
+from .errors import InvalidState, InvalidTime, NonFinite
+from .qspecial import QParams, series_terms
 
 __all__ = [
     "qnormal_pdf",
@@ -140,7 +142,7 @@ def _qou_factor(c, x, y, cyy, out, phi, tmp):
     return out
 
 
-def _qou_core(p: QParams, delta, x, y, x_minus_y, policy):
+def _qou_core(p: QParams, delta, x, y, x_minus_y, rel_tol):
     """The q-OU transition density at lag delta in (0, inf] from x to y, 0 for |y| >= x_plus.
 
     delta is a float or an array broadcasting against the float arrays x and y;
@@ -160,7 +162,7 @@ def _qou_core(p: QParams, delta, x, y, x_minus_y, policy):
     # regrouped phi_{q,0}/u: exact identity with the displayed quadratic form over u;
     # (x - y)^2 alone would underflow at the tangent scale of lags below 1e-154
     phi0_u = e2 * c1 / u * x_minus_y * x_minus_y + u * (e1 * (4.0 - c1 * x * y) + u * u)
-    K = series_terms(q, policy)
+    K = series_terms(q, rel_tol)
     qk = np.power(q, np.arange(1, K + 1, dtype=float)).reshape((K,) + (1,) * np.ndim(e1))
     a = (1.0 + qk) * (1.0 + qk)
     g = e1 * qk
@@ -173,7 +175,7 @@ def _qou_core(p: QParams, delta, x, y, x_minus_y, policy):
     return np.where(outside, 0.0, cq * (1.0 + e1) * sq / phi0_u * tail)
 
 
-def qnormal_pdf(p: QParams, x, policy=DEFAULT_POLICY):
+def qnormal_pdf(p: QParams, x, rel_tol=1e-14):
     """Density of the q-normal law on [-2/sqrt(1-q), 2/sqrt(1-q)].
 
     At q = 0 this is the Wigner semicircle law sqrt(4 - x^2)/(2 pi); as
@@ -181,10 +183,10 @@ def qnormal_pdf(p: QParams, x, policy=DEFAULT_POLICY):
     infinite lag.
     """
     y = np.asarray(x, dtype=float)
-    return _as_float_or_array(_qou_core(p, math.inf, 0.0, y, -y, policy))
+    return _as_float_or_array(_qou_core(p, math.inf, 0.0, y, -y, rel_tol))
 
 
-def qou_transition_pdf(p: QParams, delta, x, y, policy=DEFAULT_POLICY):
+def qou_transition_pdf(p: QParams, delta, x, y, rel_tol=1e-14):
     """Transition density of the stationary q-OU process over a time lag delta.
 
     Depends on (s, t) only through delta = t - s.  Zero for target states
@@ -199,7 +201,7 @@ def qou_transition_pdf(p: QParams, delta, x, y, policy=DEFAULT_POLICY):
     if not np.max(np.abs(x)) <= p.x_plus * (1.0 + 1e-12):
         raise InvalidState(f"conditioning state x={x} outside [{p.x_minus}, {p.x_plus}]")
     xarr, yarr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    out = _qou_core(p, d, xarr, yarr, xarr - yarr, policy)
+    out = _qou_core(p, d, xarr, yarr, xarr - yarr, rel_tol)
     return _as_float_or_array(out)
 
 
@@ -241,8 +243,15 @@ def qbm_transition_pdf(p: QParams, t1, t2, y1, y2):
     with np.errstate(over="ignore"):  # far targets overflow for t2 < 1: outside in the core
         x_minus_y = (y1a - y2a) / r2 + y1a * ((t2a - t1a) / (r1 + r2) / r1 / r2)
         y = y2a / r2
-    out = _qou_core(p, _each(_bm_lag, t1a, t2a), y1a / r1, y, x_minus_y, DEFAULT_POLICY)
+    out = _qou_core(p, _each(_bm_lag, t1a, t2a), y1a / r1, y, x_minus_y, 1e-14)
     return _as_float_or_array(out / r2)
+
+
+def _representable(out, kernel):
+    """The density values as a float or array; NonFinite where they overflow."""
+    if not np.isfinite(out).all():
+        raise NonFinite(f"{kernel} density overflows a double at these times and states")
+    return _as_float_or_array(out)
 
 
 def cauchy_transition_pdf(t1, t2, y1, y2):
@@ -251,15 +260,19 @@ def cauchy_transition_pdf(t1, t2, y1, y2):
         raise InvalidTime(f"Cauchy kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
     if not np.isfinite(y1).all():
         raise InvalidState(f"y1={y1} is not finite")
-    y2a = np.asarray(y2, dtype=float)
     dt = t2 - t1
-    with np.errstate(over="ignore"):  # far targets: an infinite denominator, density 0
-        out = dt / math.pi / ((y2a - y1) ** 2 + dt * dt)
-    return _as_float_or_array(out)
+    with np.errstate(over="ignore"):  # far targets: h = inf, density 0
+        h = np.hypot(np.asarray(y2, dtype=float) - y1, dt)
+        out = dt / h / h / math.pi
+    return _representable(out, "Cauchy")
 
 
 def biane_half_pdf(t1, t2, y1, y2):
-    """1/2-stable Biane process kernel f^(1/2); the time-t support is [t^2/4, inf)."""
+    """1/2-stable Biane process kernel f^(1/2); the time-t support is [t^2/4, inf).
+
+    Its denominator (y2-y1)^2 - dt (t1 y2 - t2 y1), dt = t2 - t1, is taken as
+    the sum of squares (y2 - y1 - dt t1/2)^2 + dt^2 (y1 - t1^2/4) through hypot.
+    """
     if not 0.0 <= t1 < t2 < math.inf:
         raise InvalidTime(f"Biane kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
     y1a = np.asarray(y1, dtype=float)
@@ -270,26 +283,30 @@ def biane_half_pdf(t1, t2, y1, y2):
     dt = t2 - t1
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sq = np.sqrt(np.clip(4.0 * y2a - t2 * t2, 0.0, None))
-        den = 2.0 * math.pi * ((y2a - y1a) ** 2 - dt * (t1 * y2a - t2 * y1a))
-        val = dt * sq / den
-    # far targets overflow the denominator (to inf, or nan as inf - inf): density 0
-    out = np.where((y2a <= t2 * t2 / 4.0) | ~np.isfinite(den), 0.0, val)
-    return _as_float_or_array(out)
+        h = np.hypot(y2a - y1a - dt * t1 / 2.0, dt * np.sqrt(y1a - t1 * t1 / 4.0))
+        val = dt / h * (sq / h) / (2.0 * math.pi)
+    # 4 y2 overflows only where the density underflows
+    return _representable(np.where((y2a <= t2 * t2 / 4.0) | np.isinf(sq), 0.0, val), "Biane")
 
 
 def biane_shifted_pdf(t1, t2, y1, y2):
-    """Kernel of the drift-and-time-scaled Biane process Z^(1/2)_{2t} - t^2 on (0, inf)."""
+    """Kernel of the drift-and-time-scaled Biane process Z^(1/2)_{2t} - t^2 on (0, inf).
+
+    Its denominator (y2-y1)^2 + 2 (y1+y2) dt^2 + dt^4 is taken as the product
+    ((sqrt y2 - sqrt y1)^2 + dt^2)((sqrt y2 + sqrt y1)^2 + dt^2) through hypot.
+    """
     if not 0.0 < t1 < t2 < math.inf:
         raise InvalidTime(f"shifted Biane kernel requires 0 < t1 < t2 < inf, got t1={t1}, t2={t2}")
     if not 0.0 < y1 < math.inf:
         raise InvalidState(f"y1={y1} outside the support (0, inf)")
     y2a = np.asarray(y2, dtype=float)
     dt = t2 - t1
-    sq = np.sqrt(np.clip(y2a, 0.0, None))
-    with np.errstate(over="ignore"):  # far targets: an infinite denominator, density 0
-        den = math.pi * ((y2a - y1) ** 2 + 2.0 * (y1 + y2a) * dt * dt + dt ** 4)
-    out = np.where(y2a <= 0.0, 0.0, 2.0 * dt * sq / den)
-    return _as_float_or_array(out)
+    sq, sq1 = np.sqrt(np.clip(y2a, 0.0, None)), math.sqrt(y1)
+    with np.errstate(over="ignore"):
+        h1 = np.hypot((y2a - y1) / (sq1 + sq), dt)
+        h2 = np.hypot(sq + sq1, dt)
+        val = 2.0 * (dt / h1) * (sq / h2) / h1 / h2 / math.pi
+    return _representable(np.where(y2a <= 0.0, 0.0, val), "shifted Biane")
 
 
 # Taylor coefficients of phi - sin(phi) = phi^3 sum_k c_k phi^(2k), k = 0..8: below

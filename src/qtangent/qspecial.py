@@ -1,8 +1,8 @@
-"""q-series building blocks: the deformation parameter and the truncation policy.
+"""q-series building blocks: the deformation parameter q and the product length.
 
 Every kernel product in ``kernels`` has factors that approach 1 geometrically
-in k; ``series_terms`` says where a ``TruncationPolicy`` cuts them.
-Everything here is a pure function of its arguments.
+in k; ``series_terms`` says after how many terms a relative tolerance cuts
+them, at most 10,000.  Everything here is a pure function of its arguments.
 """
 
 import math
@@ -12,10 +12,11 @@ from .errors import NonConvergent, TruncationExceeded
 
 __all__ = [
     "QParams",
-    "TruncationPolicy",
-    "DEFAULT_POLICY",
     "series_terms",
 ]
+
+# Most product terms any kernel evaluates: enough for |q| <= 0.995 at rel_tol 1e-14
+_K_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -38,45 +39,20 @@ class QParams:
         object.__setattr__(self, "x_minus", -xp)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Where to cut the infinite products.
+def series_terms(q, rel_tol=1e-14):
+    """Number of product terms after which |q|^k drops below rel_tol (1 - |q|) 1e-2.
 
-    Products are truncated once the next factor differs from 1 by less than
-    ``rel_tol * (1 - |q|)``; geometric decay of the factors then bounds the
-    total relative error by a small multiple of ``rel_tol``.
-    """
-
-    rel_tol: float = 1e-14
-    k_max: int = 10_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
-
-    def threshold(self, q):
-        return self.rel_tol * (1.0 - abs(q))
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-
-def series_terms(q, policy=DEFAULT_POLICY):
-    """Number of product terms after which |q|^k drops below the policy threshold.
-
-    Two extra decades below the threshold cover the O(1) constants that
-    multiply q^k in the factor families.  Raises TruncationExceeded if k_max
-    is insufficient.
+    Products are cut once the next factor differs from 1 by less than
+    rel_tol (1 - |q|); geometric decay of the factors then bounds the total
+    relative error by a small multiple of rel_tol.  The two extra decades
+    cover the O(1) constants that multiply q^k in the factor families.
+    Raises TruncationExceeded if that needs more than 10,000 terms.
     """
     if q == 0.0:
         return 1
-    thr = policy.threshold(q) * 1e-2
+    thr = rel_tol * (1.0 - abs(q)) * 1e-2
     n = int(math.ceil(math.log(thr) / math.log(abs(q))))
     n = max(n, 1)
-    if n > policy.k_max:
-        raise TruncationExceeded(
-            f"need {n} terms at q={q} but k_max={policy.k_max}"
-        )
+    if n > _K_MAX:
+        raise TruncationExceeded(f"need {n} terms at q={q} but k_max={_K_MAX}")
     return n

@@ -7,7 +7,9 @@ Each interval's error is |G(I) - G(L) - G(R)|, the n-point rule on the
 interval against the same rule on its halves; the halves' sum is the value
 kept.  Each round bisects the fewest worst intervals whose errors cover the
 excess over the tolerance.  Infinite limits are mapped onto (-1, 1) or
-[0, 1); complex integrands are accepted.
+[0, 1); complex integrands are accepted.  ``integrate_from_edge`` takes a
+half-line in x = edge + u^2, which removes the square-root vanishing of a
+density at its support edge.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-__all__ = ["integrate"]
+__all__ = ["integrate", "integrate_from_edge"]
 
 _X, _W = np.polynomial.legendre.leggauss(10)
 _LIMIT = 400  # most intervals held at once
@@ -86,3 +88,8 @@ def integrate(f, a, b, epsabs, epsrel):
         coarse = np.r_[coarse[keep], left[split], right[split]]
         left = np.r_[left[keep], quarters[0]]
         right = np.r_[right[keep], quarters[1]]
+
+
+def integrate_from_edge(f, edge, epsabs, epsrel):
+    """int_edge^inf f(x) dx in x = edge + u^2."""
+    return integrate(lambda u: f(edge + u * u) * (2.0 * u), 0.0, math.inf, epsabs, epsrel)

@@ -13,9 +13,9 @@ so rounding moves a drawn law by at most 5e-4 of that width (a larger share
 of the narrower core near the support edge).  It then deduplicates the
 states, evaluates the kernel once on the (states x nodes x Gauss points)
 array, and every path draws from its state's row through a monotone-cubic
-inverse CDF.  Path i consumes stream_index i of the base seed, and every
-stage works row by row, so a path's values do not depend on which other
-paths share its batch.
+inverse CDF.  An ensemble is one (paths, steps + 1) array of values: row i
+consumes stream_index i of the base seed, and every stage works row by row,
+so a path's values do not depend on which other paths share its batch.
 """
 
 import math
@@ -25,30 +25,27 @@ import numpy as np
 
 from .errors import InvalidCount, InvalidInit, InvalidThreshold, InvalidTime, UnknownProcess
 from .kernels import _bm_lag, qnormal_pdf, qou_transition_pdf
-from .qspecial import QParams, TruncationPolicy
+from .qspecial import QParams
 from .sampling import SeedSpec, batch_cdf_tables, cheb_nodes, gauss_points, pchip_quantile
 
 __all__ = [
     "TimeGrid",
-    "PathSample",
     "JumpStats",
     "Stationary",
     "Origin",
     "Fixed",
-    "simulate_path",
     "simulate_ensemble",
     "moment4_closed",
     "moment4_estimate",
     "jump_bound",
     "sup_jump_estimate",
-    "max_increments",
 ]
 
 # Simulation-table settings: kernel values at ~1e-4 relative error (quantile
 # interpolation dominates beyond that), 96 sinh-placed nodes per conditional
 # with a monotone-cubic quantile, and conditioning states rounded to a lattice
 # whose step is 1e-3 of the kernel's core width at x = 0.
-_SIM_POLICY = TruncationPolicy(rel_tol=1e-4)
+_SIM_REL_TOL = 1e-4
 _SIM_NODES = 96
 _LATTICE = 1e-3
 
@@ -91,26 +88,10 @@ class Fixed:
 
 
 @dataclass(frozen=True)
-class PathSample:
-    """Discretized cadlag trajectory skeleton with its provenance."""
-
-    process: str
-    q: float
-    times: np.ndarray
-    values: np.ndarray
-    seed: SeedSpec
-    init: str = ""
-
-    def increments(self):
-        return np.diff(self.values)
-
-
-@dataclass(frozen=True)
 class JumpStats:
     """Ensemble statistics of the largest grid increment per path."""
 
     max_abs_increment: float
-    threshold: float
     exceed_count: int
     ensemble_size: int
 
@@ -162,7 +143,7 @@ def _draw(p: QParams, lag, x, u, n_nodes=_SIM_NODES):
     lo, hi = p.x_minus, p.x_plus
     if lag == math.inf:
         nodes = cheb_nodes(lo, hi, 257)[None, :]
-        cdf = batch_cdf_tables(qnormal_pdf(p, gauss_points(nodes), _SIM_POLICY), nodes)
+        cdf = batch_cdf_tables(qnormal_pdf(p, gauss_points(nodes), _SIM_REL_TOL), nodes)
         return pchip_quantile(nodes, cdf, np.zeros(len(u), dtype=np.intp), u)
     q = p.q
     width = 2.0 * hi
@@ -173,37 +154,45 @@ def _draw(p: QParams, lag, x, u, n_nodes=_SIM_NODES):
     c = np.sqrt(np.maximum(4.0 / (1.0 - q) - states * states, 0.0))
     scales = np.clip(lag * c + second, width * 1e-9, width / 2.0)
     nodes = _conditional_nodes(lo, hi, states, scales, n_nodes)
-    dens = qou_transition_pdf(p, lag, states[:, None], gauss_points(nodes), _SIM_POLICY)
+    dens = qou_transition_pdf(p, lag, states[:, None], gauss_points(nodes), _SIM_REL_TOL)
     return pchip_quantile(nodes, batch_cdf_tables(dens, nodes), row, u)
 
 
 def _start(process, p, t0, init):
-    """(start state in q-OU coordinates, label); a state of None is a q-normal draw."""
+    """The start state in q-OU coordinates; None is a q-normal draw."""
     if process not in ("qou", "qbm"):
         raise UnknownProcess(f"cannot simulate process {process!r}")
     if process == "qbm" and isinstance(init, Origin):
         if t0 != 0.0:
             raise InvalidInit("Origin start requires t0 = 0")
-        return 0.0, "origin"
+        return 0.0
     if not isinstance(init, (Stationary, Fixed)):
         raise InvalidInit("q-OU accepts Stationary or Fixed starts, "
                           "q-BM Origin, Stationary (marginal) or Fixed")
     if process == "qbm" and t0 <= 0.0:
         raise InvalidInit("Stationary (marginal) and Fixed q-BM starts require t0 > 0")
     if isinstance(init, Stationary):
-        return None, "stationary" if process == "qou" else "marginal"
+        return None
     root = 1.0 if process == "qou" else math.sqrt(t0)
     if not abs(init.x) <= p.x_plus * root:
         raise InvalidInit(f"x={init.x} outside the time-t0 support "
                           f"[-{p.x_plus * root}, {p.x_plus * root}]")
-    return init.x / root, f"fixed:{init.x}"
+    return init.x / root
 
 
-def _simulate(process, p, grid, init, seeds):
-    """Every process runs as one q-OU chain; q-BM values are sqrt(t) times its states."""
+def simulate_ensemble(process, p: QParams, grid: TimeGrid, init, base_seed, n_paths):
+    """(times, values) of n_paths trajectories, sampling each step from the exact kernel.
+
+    values has shape (n_paths, steps + 1); row i consumes stream_index i of
+    base_seed and does not depend on n_paths: every stage of a step works
+    row by row.  Every process runs as one q-OU chain; q-BM values are
+    sqrt(t) times its states.
+    """
+    if n_paths < 1:
+        raise InvalidCount(f"need at least one path, got {n_paths}")
     times = grid.times
-    U = np.stack([s.generator().random(len(times)) for s in seeds])
-    x0, init_label = _start(process, p, times[0], init)
+    U = np.stack([SeedSpec(base_seed, i).generator().random(len(times)) for i in range(n_paths)])
+    x0 = _start(process, p, times[0], init)
     X = np.empty(U.shape)
     X[:, 0] = _draw(p, math.inf, None, U[:, 0]) if x0 is None else x0
     for j in range(grid.steps):
@@ -211,24 +200,7 @@ def _simulate(process, p, grid, init, seeds):
     values = X if process == "qou" else np.sqrt(times) * X
     if isinstance(init, Fixed):
         values[:, 0] = init.x
-    return [PathSample(process, p.q, times, v, s, init_label) for v, s in zip(values, seeds)]
-
-
-def simulate_path(process, p: QParams, grid: TimeGrid, init, seed: SeedSpec):
-    """One trajectory, sampling each step from the exact transition kernel."""
-    return _simulate(process, p, grid, init, [seed])[0]
-
-
-def simulate_ensemble(process, p: QParams, grid: TimeGrid, init, base_seed, n_paths):
-    """n_paths trajectories; path i uses stream_index i of base_seed.
-
-    Path i equals simulate_path(..., SeedSpec(base_seed, i)) bit for bit,
-    whatever n_paths is: every stage of a step works row by row.
-    """
-    if n_paths < 1:
-        raise InvalidCount(f"need at least one path, got {n_paths}")
-    seeds = [SeedSpec(base_seed, i) for i in range(n_paths)]
-    return _simulate(process, p, grid, init, seeds)
+    return times, values
 
 
 def moment4_closed(q, s, t):
@@ -274,26 +246,18 @@ def jump_bound(q, S, T, a):
     return min(1.0, (1.0 - q) * (T * T - S * S) / a ** 4)
 
 
-def max_increments(q, S, T, n_paths, steps, seed_base):
-    """Largest absolute grid increment of each of n_paths q-BM paths on [S, T].
+def sup_jump_estimate(q, S, T, a, n_paths, steps, base_seed: int):
+    """Fraction of n_paths q-BM paths on [S, T] whose largest grid increment exceeds a.
 
-    Paths start at the origin for S = 0 and from the time-S marginal otherwise.
-    """
-    p = QParams(q)
-    grid = TimeGrid(S, T, steps)
-    init = Origin() if S == 0.0 else Stationary()
-    paths = simulate_ensemble("qbm", p, grid, init, seed_base, n_paths)
-    return np.array([np.max(np.abs(path.increments())) for path in paths])
-
-
-def sup_jump_estimate(q, S, T, a, n_paths, steps, seed: SeedSpec):
-    """Fraction of simulated paths whose largest grid increment exceeds a.
-
-    The grid maximum converges to the supremum of the jump sizes as the mesh
-    refines, so this estimates the left side of the closed-form jump bound.
+    Paths start at the origin for S = 0 and from the time-S marginal
+    otherwise; path i uses stream_index i of base_seed.  The grid maximum
+    converges to the supremum of the jump sizes as the mesh refines, so this
+    estimates the left side of the closed-form jump bound.
     """
     if not a >= 0.0:
         raise InvalidThreshold(f"threshold a must be nonnegative, got {a}")
-    mx = max_increments(q, S, T, n_paths, steps, seed.base_seed)
-    exceed = int(np.sum(mx > a))
-    return JumpStats(float(np.max(mx)), a, exceed, n_paths)
+    init = Origin() if S == 0.0 else Stationary()
+    _, values = simulate_ensemble("qbm", QParams(q), TimeGrid(S, T, steps), init,
+                                  base_seed, n_paths)
+    mx = np.max(np.abs(np.diff(values, axis=1)), axis=1)
+    return JumpStats(float(np.max(mx)), int(np.sum(mx > a)), n_paths)

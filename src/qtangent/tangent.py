@@ -5,12 +5,13 @@ Four cases in two frames, each an affine image of one base kernel.  The
 process chooses only the exact kernel at the rescaled times (q-OU at lag
 eps (t2 - t1), q-BM from s + eps t1 to s + eps t2) and the half-width of the
 conditioning support (x_plus; 2 sqrt(tau1/(1-q)) for q-BM).  Interior points
-(beta = 1): the state x + eps y tends to a Cauchy process with scale
-``limit_scale()`` and drift ``drift()``.  Boundary points (beta = 2): the
-state x - a t eps + eps^2 y tends to (Z_{t/d} - b t^2)/r, Z the 1/2-stable
-Biane process, with (a, d, b, r) = (0, 1/2, 1, sqrt(1-q)) for q-OU and
-(1/sqrt(s(1-q)), s, 0, sqrt((1-q)/s)) for q-BM, whose left support edge
-moves at speed a.
+(beta = 1): the state x + eps y tends to c C_t + v t, C the standard Cauchy
+process, with (c, v) = (sqrt(4/(1-q) - x^2), 0) for q-OU and
+(sqrt(4s/(1-q) - x^2)/(2s), x/(2s)) for q-BM (``interior_frame()``).
+Boundary points (beta = 2): the state x - a t eps + eps^2 y tends to
+(Z_{t/d} - b t^2)/r, Z the 1/2-stable Biane process, with (a, d, b, r) =
+(0, 1/2, 1, sqrt(1-q)) for q-OU and (1/sqrt(s(1-q)), s, 0, sqrt((1-q)/s))
+for q-BM, whose left support edge moves at speed a (``boundary_frame()``).
 
 Convergence is measured as an L1 distance between the rescaled and the limit
 density over a window carrying >= 99% of the limit mass, on a grid that mixes
@@ -107,22 +108,14 @@ class TangentCase:
             return 1.0 / math.sqrt(self.s * c), self.s, 0.0, math.sqrt(c / self.s)
         return 0.0, 0.5, 1.0, math.sqrt(1.0 - self.q)
 
-    def limit_scale(self):
-        """Multiplicative constant of the limiting process."""
-        if self.case == "qou_interior":
-            return math.sqrt(4.0 / (1.0 - self.q) - self.x * self.x)
-        if self.case == "qbm_interior":
-            return math.sqrt(4.0 * self.s / (1.0 - self.q) - self.x * self.x) / (2.0 * self.s)
-        if self.case == "qou_boundary":
-            return 4.0 / math.sqrt(1.0 - self.q)
-        # 1/(s^1.5 sqrt(1-q)) without the OverflowError of s ** 1.5 at large s
-        return math.sqrt((1.0 - self.q) / self.s) / (self.s * (1.0 - self.q))
-
-    def drift(self):
-        """Linear drift of the limit (qbm_interior only, else 0)."""
-        if self.case == "qbm_interior":
-            return self.x / (2.0 * self.s)
-        return 0.0
+    def interior_frame(self):
+        """(c, v) of the interior frame: the state x + eps y tends to
+        c C_t + v t, C the standard Cauchy process."""
+        if self.qbm:
+            s = self.s
+            return (math.sqrt(4.0 * s / (1.0 - self.q) - self.x * self.x) / (2.0 * s),
+                    self.x / (2.0 * s))
+        return math.sqrt(4.0 / (1.0 - self.q) - self.x * self.x), 0.0
 
 
 @dataclass(frozen=True)
@@ -213,18 +206,17 @@ def rescaled_pdf(case: TangentCase, eps, t1, t2, y1, y2):
 def limit_pdf(case: TangentCase, t1, t2, y1, y2, scale_override=None):
     """Closed-form limiting transition density of the tangent process.
 
-    ``scale_override`` substitutes the multiplicative constant of the Cauchy
-    limits (used as a negative control: a wrong constant must make the
-    convergence study fail).
+    ``scale_override`` substitutes the scale c of the interior frame (used
+    as a negative control: a wrong constant must make the convergence study
+    fail).
     """
     if t1 < 0.0 or not t2 > t1:
         raise InvalidTime(f"need 0 <= t1 < t2, got t1={t1}, t2={t2}")
     if case.interior:
-        c = case.limit_scale() if scale_override is None else scale_override
-        drift = case.drift()
-        return cauchy_transition_pdf(
-            c * t1, c * t2, y1 - t1 * drift, np.asarray(y2) - t2 * drift
-        )
+        c, v = case.interior_frame()
+        if scale_override is not None:
+            c = scale_override
+        return cauchy_transition_pdf(c * t1, c * t2, y1 - t1 * v, np.asarray(y2) - t2 * v)
     _, d, b, r = case.boundary_frame()
     # Y = (Z_{t/d} - b t^2)/r has the density r f(t1/d, t2/d, r y1 + b t1^2, r y2 + b t2^2),
     # f the Biane kernel.  For q-BM this is the self-similar rescaling of
@@ -240,8 +232,8 @@ def _limit_quantile(case, window_t, prob):
     """Quantile of the limit's y2 marginal from (t1=0, y1=0) at time window_t;
     prob may be an array."""
     if case.interior:
-        gam = case.limit_scale() * window_t
-        return case.drift() * window_t + gam * np.tan(np.pi * (prob - 0.5))
+        c, v = case.interior_frame()
+        return v * window_t + c * window_t * np.tan(np.pi * (prob - 0.5))
     _, d, b, r = case.boundary_frame()
     return (half_stable_quantile(window_t / d, prob) - b * window_t * window_t) / r
 

@@ -11,8 +11,8 @@ Every integral runs through ``quadrature.integrate`` (adaptive 10-point
 Gauss-Legendre, epsabs = epsrel = 1e-11, at most 400 intervals), which calls
 the kernel once per refinement round on all open nodes.  Bounded q-OU and
 q-BM supports are integrated in y = r sin(theta), which removes the
-square-root vanishing at both edges; the Biane half-line takes y = edge + u^2
-for the same reason.
+square-root vanishing at both edges; the Biane half-line goes through
+``quadrature.integrate_from_edge`` (y = edge + u^2) for the same reason.
 """
 
 import math
@@ -26,7 +26,7 @@ from .kernels import (
     qou_transition_pdf,
 )
 from .qspecial import QParams
-from .quadrature import integrate
+from .quadrature import integrate, integrate_from_edge
 from .sampling import SeedSpec
 from .tangent import TangentCase, convergence_study
 
@@ -49,11 +49,6 @@ def _over_interval(f, r):
     """int_{-r}^{r} f(y) dy in y = r sin(theta)."""
     return integrate(lambda th: f(r * np.sin(th)) * (r * np.cos(th)),
                      -0.5 * math.pi, 0.5 * math.pi, **_TOL)
-
-
-def _over_half_line(f, edge):
-    """int_edge^inf f(y) dy in y = edge + u^2."""
-    return integrate(lambda u: f(edge + u * u) * (2.0 * u), 0.0, math.inf, **_TOL)
 
 
 def _norm_case(gen, which):
@@ -80,21 +75,31 @@ def _norm_case(gen, which):
     t1 = gen.uniform(0.05, 2.0)
     t2 = t1 + gen.uniform(0.05, 3.0)
     y1 = t1 * t1 / 4.0 + gen.uniform(0.05, 3.0)
-    return _over_half_line(lambda y: biane_half_pdf(t1, t2, y1, y), t2 * t2 / 4.0)
+    return integrate_from_edge(lambda y: biane_half_pdf(t1, t2, y1, y), t2 * t2 / 4.0, **_TOL)
 
 
-def kernel_normalization_report(n_sets=50, seed=SeedSpec(1), tol=1e-7):
-    """Max |integral - 1| per kernel family over randomized parameters."""
+def _row(kind, samples, worst, threshold):
+    return {"kind": kind, "samples": samples, "max_residual": worst, "threshold": threshold,
+            "pass": bool(worst < threshold)}
+
+
+def _sweep(kind, residual, n_sets, seed, stream, threshold):
+    """Report rows of the max residual(gen, family) over n_sets draws, per kernel family."""
     out = []
     for idx, which in enumerate(("qou", "qbm", "cauchy", "biane_half")):
-        gen = SeedSpec(seed.base_seed, 11 + idx).generator()
-        worst = max(abs(_norm_case(gen, which) - 1.0) for _ in range(n_sets))
-        out.append({"kind": f"normalization:{which}", "samples": n_sets,
-                    "max_residual": worst, "threshold": tol, "pass": bool(worst < tol)})
+        gen = SeedSpec(seed.base_seed, stream + idx).generator()
+        worst = max(residual(gen, which) for _ in range(n_sets))
+        out.append(_row(f"{kind}:{which}", n_sets, worst, threshold))
     return out
 
 
-def _ck_case(gen, which):
+def kernel_normalization_report(n_sets=50, seed=SeedSpec(1)):
+    """Max |integral - 1| per kernel family over randomized parameters, gated at 1e-7."""
+    return _sweep("normalization", lambda gen, which: abs(_norm_case(gen, which) - 1.0),
+                  n_sets, seed, 11, 1e-7)
+
+
+def _ck_residual(gen, which):
     if which == "qou":
         q = gen.uniform(-0.9, 0.9)
         p = QParams(q)
@@ -103,7 +108,7 @@ def _ck_case(gen, which):
         y = gen.uniform(-0.8, 0.8) * p.x_plus
         val = _over_interval(lambda z: qou_transition_pdf(p, d1, x, z)
                              * qou_transition_pdf(p, d2, z, y), p.x_plus)
-        return val, qou_transition_pdf(p, d1 + d2, x, y)
+        return abs(val - qou_transition_pdf(p, d1 + d2, x, y))
     if which == "qbm":
         q = gen.uniform(-0.9, 0.9)
         p = QParams(q)
@@ -115,7 +120,7 @@ def _ck_case(gen, which):
         bu = 2.0 * math.sqrt(u / (1.0 - q))
         val = _over_interval(lambda z: qbm_transition_pdf(p, t1, u, y1, z)
                              * qbm_transition_pdf(p, u, t2, z, y2), bu)
-        return val, qbm_transition_pdf(p, t1, t2, y1, y2)
+        return abs(val - qbm_transition_pdf(p, t1, t2, y1, y2))
     if which == "cauchy":
         t1 = gen.uniform(0.0, 1.5)
         u = t1 + gen.uniform(0.1, 1.5)
@@ -123,29 +128,20 @@ def _ck_case(gen, which):
         y1, y2 = gen.uniform(-2.0, 2.0, 2)
         val = integrate(lambda z: cauchy_transition_pdf(t1, u, y1, z)
                         * cauchy_transition_pdf(u, t2, z, y2), -math.inf, math.inf, **_TOL)
-        return val, cauchy_transition_pdf(t1, t2, y1, y2)
+        return abs(val - cauchy_transition_pdf(t1, t2, y1, y2))
     t1 = gen.uniform(0.05, 1.0)
     u = t1 + gen.uniform(0.1, 1.0)
     t2 = u + gen.uniform(0.1, 1.0)
     y1 = t1 * t1 / 4.0 + gen.uniform(0.05, 2.0)
     y2 = t2 * t2 / 4.0 + gen.uniform(0.05, 2.0)
-    val = _over_half_line(lambda z: biane_half_pdf(t1, u, y1, z)
-                          * biane_half_pdf(u, t2, z, y2), u * u / 4.0)
-    return val, biane_half_pdf(t1, t2, y1, y2)
+    val = integrate_from_edge(lambda z: biane_half_pdf(t1, u, y1, z)
+                              * biane_half_pdf(u, t2, z, y2), u * u / 4.0, **_TOL)
+    return abs(val - biane_half_pdf(t1, t2, y1, y2))
 
 
-def chapman_kolmogorov_report(n_sets=50, seed=SeedSpec(2), tol=1e-6):
-    """Max |int p_1 p_2 - p_12| per kernel family over randomized parameters."""
-    out = []
-    for idx, which in enumerate(("qou", "qbm", "cauchy", "biane_half")):
-        gen = SeedSpec(seed.base_seed, 21 + idx).generator()
-        worst = 0.0
-        for _ in range(n_sets):
-            composed, direct = _ck_case(gen, which)
-            worst = max(worst, abs(composed - direct))
-        out.append({"kind": f"chapman_kolmogorov:{which}", "samples": n_sets,
-                    "max_residual": worst, "threshold": tol, "pass": bool(worst < tol)})
-    return out
+def chapman_kolmogorov_report(n_sets=50, seed=SeedSpec(2)):
+    """Max |int p_1 p_2 - p_12| per kernel family over randomized parameters, gated at 1e-6."""
+    return _sweep("chapman_kolmogorov", _ck_residual, n_sets, seed, 21, 1e-6)
 
 
 def _displayed_qbm(q, t1, t2, y1, y2):
@@ -163,9 +159,9 @@ def _displayed_qbm(q, t1, t2, y1, y2):
     return float(head / phi[0] * np.prod(psi / phi[1:]))
 
 
-def ou_bm_identity_report(n_points=100, seed=SeedSpec(3), tol=1e-10):
-    """Relative residual of the OU <-> BM kernel identity at random points,
-    q-OU from ``qou_transition_pdf`` and q-BM from its displayed product."""
+def ou_bm_identity_report(n_points=100, seed=SeedSpec(3)):
+    """Relative residual of the OU <-> BM kernel identity at random points, gated
+    at 1e-10: q-OU from ``qou_transition_pdf``, q-BM from its displayed product."""
     gen = seed.generator()
     worst = 0.0
     for _ in range(n_points):
@@ -180,8 +176,7 @@ def ou_bm_identity_report(n_points=100, seed=SeedSpec(3), tol=1e-10):
             q, math.exp(2.0 * s), math.exp(2.0 * t), math.exp(s) * x, math.exp(t) * y
         )
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
-    return [{"kind": "ou_bm_identity", "samples": n_points, "max_residual": worst,
-             "threshold": tol, "pass": bool(worst < tol)}]
+    return [_row("ou_bm_identity", n_points, worst, 1e-10)]
 
 
 def kernels_verification_report(n_sets=50, n_points=100, seed=SeedSpec(5)):

@@ -138,3 +138,17 @@ def mp_qbm(q, t1, t2, y1, y2):
         val *= (t2 - t1 * qk) * (1 - q * qk) * (t2 * (1 + qk) ** 2 - (1 - q) * y2 * y2 * qk)
         val /= phi(qk)
     return val
+
+
+def mp_stable_kernel(kernel, t1, t2, y1, y2):
+    """The displayed Cauchy, Biane and shifted Biane kernels in mpmath, by kernel name."""
+    t1, t2, y1, y2 = (mp.mpf(v) for v in (t1, t2, y1, y2))
+    dt = t2 - t1
+    if kernel == "cauchy":
+        return dt / mp.pi / ((y2 - y1) ** 2 + dt * dt)
+    if kernel == "biane_half":
+        if y2 <= t2 * t2 / 4:
+            return mp.mpf(0)
+        return dt * mp.sqrt(4 * y2 - t2 * t2) / (2 * mp.pi * ((y2 - y1) ** 2
+                                                            - dt * (t1 * y2 - t2 * y1)))
+    return 2 * dt * mp.sqrt(y2) / (mp.pi * ((y2 - y1) ** 2 + 2 * (y1 + y2) * dt ** 2 + dt ** 4))

@@ -62,9 +62,9 @@ def test_criterion_2_large_jump_bound():
     t0 = time.time()
     failures = []
     for q in (0.0, 0.5, 0.9):
-        ens = simulate_ensemble("qbm", QParams(q), TimeGrid(0.0, 1.0, 500),
-                                Origin(), 2002, 500)
-        mx = np.array([np.max(np.abs(np.diff(p.values))) for p in ens])
+        _, values = simulate_ensemble("qbm", QParams(q), TimeGrid(0.0, 1.0, 500),
+                                      Origin(), 2002, 500)
+        mx = np.max(np.abs(np.diff(values, axis=1)), axis=1)
         for a in (0.5, 1.0, 2.0):
             frac = float(np.mean(mx > a))
             se = math.sqrt(max(frac * (1.0 - frac), 1.0 / 500) / 500)
@@ -142,9 +142,12 @@ def test_criterion_5_kernel_integrity():
     # normalization 1e-7, Chapman-Kolmogorov 1e-6 (50 sets each),
     # OU<->BM identity 1e-10 relative at 100 points
     t0 = time.time()
-    rows = kernel_normalization_report(n_sets=50, tol=1e-7)
-    rows += chapman_kolmogorov_report(n_sets=50, tol=1e-6)
-    rows += ou_bm_identity_report(n_points=100, tol=1e-10)
+    rows = kernel_normalization_report(n_sets=50)
+    rows += chapman_kolmogorov_report(n_sets=50)
+    rows += ou_bm_identity_report(n_points=100)
+    tolerance = {"normalization": 1e-7, "chapman_kolmogorov": 1e-6, "ou_bm_identity": 1e-10}
+    assert [r["threshold"] for r in rows] == [tolerance[r["kind"].split(":")[0]] for r in rows]
+    assert len(rows) == 9
     bad = [r for r in rows if not r["pass"]]
     elapsed = time.time() - t0
     worst = max(r["max_residual"] / r["threshold"] for r in rows)
@@ -188,12 +191,11 @@ def test_criterion_7_trajectory_regime():
     medians = []
     violations = 0
     for q in (0.0, 0.5, 0.95):
-        ens = simulate_ensemble("qbm", QParams(q), TimeGrid(0.0, 4.0, 2000),
-                                Origin(), 3003, 100)
-        for path in ens:
-            bound = 2.0 * np.sqrt(path.times / (1.0 - q))
-            violations += int(np.any(np.abs(path.values) > bound + 1e-9))
-        medians.append(float(np.median([np.max(np.abs(np.diff(p.values))) for p in ens])))
+        times, values = simulate_ensemble("qbm", QParams(q), TimeGrid(0.0, 4.0, 2000),
+                                          Origin(), 3003, 100)
+        bound = 2.0 * np.sqrt(times / (1.0 - q))
+        violations += int(np.sum(np.any(np.abs(values) > bound + 1e-9, axis=1)))
+        medians.append(float(np.median(np.max(np.abs(np.diff(values, axis=1)), axis=1))))
     monotone = medians[0] > medians[1] > medians[2]
     elapsed = time.time() - t0
     _report("7 trajectory regime (envelope + jump-size monotonicity)",

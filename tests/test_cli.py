@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qtangent
+import qtangent.simulate
 from qtangent.cli import parse_and_dispatch
 
 
@@ -68,6 +69,46 @@ class TestInputValidation:
                                      else []), capsys)
         assert_usage_error(code, err)
         assert "nan" not in out
+
+
+class TestExtremeInputs:
+    """Good input at the ends of double range exits 0 with finite numbers and nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--process", "biane_shifted", "--t1", "1", "--t2", "1e80", "--y1", "1",
+         "--grid", "1:2:3"],
+        ["density", "--process", "cauchy_marginal", "--t", "1e200", "--grid", "0:1e200:3"],
+        ["density", "--process", "cauchy", "--t1", "0", "--t2", "1e-300", "--y1", "0",
+         "--grid", "0:1e-300:3"],
+        ["density", "--process", "biane_half", "--t1", "0", "--t2", "1e100", "--y1", "0",
+         "--grid", "3e199:4e199:3"],
+        ["density", "--process", "qbm", "--q", "0.5", "--t1", "1e-300", "--t2", "2e-300",
+         "--y1", "0", "--grid", "-1e-150:1e-150:3"],
+        ["density", "--process", "qbm", "--q", "0.5", "--t1", "1e300", "--t2", "2e300",
+         "--y1", "0", "--grid", "-1e150:1e150:3"],
+        ["tangent", "--case", "qbm_boundary", "--q", "0.5", "--s", "1e-300",
+         "--ladder", "0.1,0.05"],
+        ["tangent", "--case", "qbm_boundary", "--q", "0.5", "--s", "1e300",
+         "--ladder", "0.1,0.05"],
+    ], ids=["biane-shifted-span-1e80", "cauchy-marginal-t-1e200", "cauchy-span-1e-300",
+            "biane-half-span-1e100", "qbm-t-1e-300", "qbm-t-1e300",
+            "tangent-qbm-boundary-s-1e-300", "tangent-qbm-boundary-s-1e300"])
+    def test_exits_zero_with_finite_values(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        if argv[0] == "density":
+            values = [float(v) for line in out.strip().split("\n")[1:] for v in line.split(",")]
+        else:
+            values = [row["l1"] for row in json.loads(out)["result"]["ladder"]]
+        assert len(values) > 0 and all(math.isfinite(v) for v in values)
+        assert "nan" not in out and "inf" not in out
+
+    def test_density_overflow_exits_one(self, capsys):
+        # the Cauchy peak 1/(pi dt) is not a double below dt ~ 5.6e-309
+        code, out, err = run(["density", "--process", "cauchy", "--t1", "0", "--t2", "1e-310",
+                              "--y1", "0", "--grid", "0:1e-300:3"], capsys)
+        assert_usage_error(code, err)
+        assert out == ""
 
 
 class TestDensityCommand:
@@ -293,6 +334,15 @@ class TestJumpsCommand:
         assert result["bound"] == 0.5
         assert 0.0 <= result["exceed_fraction"] <= 1.0
         assert result["within_bound"] is True
+
+
+    def test_threshold_checked_before_simulating(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulate_ensemble called")
+        monkeypatch.setattr(qtangent.simulate, "simulate_ensemble", fail)
+        code, out, err = run(["jumps", "--q", "0.9", "--T", "1", "--a", "0"], capsys)
+        assert_usage_error(code, err)
+        assert "threshold" in err and out == ""
 
 
 class TestBianeCommand:

@@ -17,7 +17,7 @@ from qtangent.kernels import (
     qnormal_pdf,
     qou_transition_pdf,
 )
-from qtangent.qspecial import QParams, TruncationPolicy
+from qtangent.qspecial import QParams
 from qtangent.tangent import TangentCase, default_window
 
 from oracles import (
@@ -27,6 +27,7 @@ from oracles import (
     mp_qbm,
     mp_qnormal,
     mp_qou,
+    mp_stable_kernel,
     phi_star,
     psi_star,
 )
@@ -52,18 +53,18 @@ class TestQNormal:
         assert qnormal_pdf(QParams(q), 0.0) == pytest.approx(expected, rel=1e-13)
 
     def test_truncation_exceeded(self):
-        # the kernel product needs more than k_max = 10^4 terms above |q| = 0.995
+        # the kernel product needs more than 10^4 terms above |q| = 0.995
         with pytest.raises(TruncationExceeded):
             qnormal_pdf(QParams(0.999), 0.0)
         with pytest.raises(TruncationExceeded):
-            qnormal_pdf(QParams(0.5), 0.0, TruncationPolicy(k_max=3))
+            qou_transition_pdf(QParams(-0.999), 0.1, 0.0, 0.0)
 
     def test_kmax_doubling_stability(self):
-        # rel_tol sets the truncation; a larger k_max leaves the values unchanged
+        # rel_tol sets the truncation: a hundred times tighter moves the
+        # values by less than ten times the default
         p = QParams(0.9)
         xs = np.linspace(-0.99, 0.99, 7) * p.x_plus
-        base = qnormal_pdf(p, xs, TruncationPolicy(1e-14, 5000))
-        np.testing.assert_array_equal(qnormal_pdf(p, xs, TruncationPolicy(1e-14, 10000)), base)
+        np.testing.assert_allclose(qnormal_pdf(p, xs, 1e-16), qnormal_pdf(p, xs), rtol=1e-13)
 
     def test_symmetry(self):
         p = QParams(-0.7)
@@ -250,7 +251,6 @@ class TestTailProductForms:
     @pytest.mark.parametrize("rel_tol", [1e-14, 1e-4])
     def test_qou_forms_bitwise_equal(self, monkeypatch, rel_tol):
         gen = np.random.default_rng(21)
-        policy = TruncationPolicy(rel_tol)
         for _ in range(40):
             p = QParams(gen.uniform(-0.95, 0.95))
             x = gen.uniform(-1.0, 1.0, (3, 1)) * p.x_plus
@@ -258,7 +258,7 @@ class TestTailProductForms:
             # delta = inf is the q-normal law and the q-BM start at the origin
             for delta in (10.0 ** gen.uniform(-6.0, 0.5), math.inf):
                 vector, loop = self._both_forms(
-                    monkeypatch, kernels._qou_core, p, delta, x, y, x - y, policy)
+                    monkeypatch, kernels._qou_core, p, delta, x, y, x - y, rel_tol)
                 assert np.all(np.isfinite(vector))
                 np.testing.assert_array_equal(vector, loop)
 
@@ -375,6 +375,26 @@ class TestStableKernels:
             biane_half_pdf(1.0, 2.0, math.inf, 1.0)
         with pytest.raises(InvalidState):
             biane_shifted_pdf(1.0, 2.0, math.nan, 1.0)
+
+
+@pytest.mark.parametrize("span", [1e-150, 1.0, 1e100, 1e150])
+@pytest.mark.parametrize("kernel, t1, y1, ys, power", [
+    (cauchy_transition_pdf, 0.3, 0.5, (-2.0, 0.1, 3.0), 1),
+    (biane_half_pdf, 0.5, 0.2, (0.8, 1.0, 5.0), 2),
+    (biane_shifted_pdf, 0.5, 0.7, (0.01, 1.0, 5.0), 2),
+], ids=["cauchy", "biane_half", "biane_shifted"])
+def test_stable_kernels_at_extreme_spans(kernel, t1, y1, ys, power, span):
+    # times t span and states y span^power (the self-similar scaling), against
+    # the displayed forms at 50 digits: no span or state is squared on its own
+    name = kernel.__name__.replace("_transition", "").replace("_pdf", "")
+    t1, t2 = t1 * span, (t1 + 1.2) * span
+    y1, ys = y1 * span ** power, [y * span ** power for y in ys]
+    with warnings.catch_warnings(), mp.workdps(50):
+        warnings.simplefilter("error")
+        got = kernel(t1, t2, y1, np.array(ys))
+        want = [float(mp_stable_kernel(name, t1, t2, y1, y)) for y in ys]
+    assert np.all(got > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 class TestSelfSimilarity:

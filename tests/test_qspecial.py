@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qtangent.errors import NonConvergent
-from qtangent.qspecial import DEFAULT_POLICY, QParams, TruncationPolicy, series_terms
+from qtangent.errors import NonConvergent, TruncationExceeded
+from qtangent.qspecial import QParams, series_terms
 
 from oracles import phi_qk, phi_star, psi_qk, psi_star
 
@@ -119,13 +119,19 @@ class TestPhiPsi:
         assert phi_star(0.0, 0, 1.0, 2.0, 0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_default_policy_values():
-    assert DEFAULT_POLICY.rel_tol == 1e-14
-    assert DEFAULT_POLICY.k_max == 10_000
+@pytest.mark.parametrize("rel_tol, table", [
+    (1e-14, (1, 55, 372, 777, 4124, 8407)),
+    (1e-4, (1, 21, 153, 328, 1833, 3814)),
+])
+def test_series_terms_table(rel_tol, table):
+    # product lengths at q = 0, +-0.5, 0.9, 0.95, +-0.99, 0.995: the kernels'
+    # default tolerance and the simulator's
+    for qs, k in zip(((0.0,), (0.5, -0.5), (0.9,), (0.95,), (0.99, -0.99), (0.995,)), table):
+        assert [series_terms(q, rel_tol) for q in qs] == [k] * len(qs)
+    assert series_terms(0.9) == series_terms(0.9, 1e-14)
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(k_max=0)
+@pytest.mark.parametrize("q", [0.999, -0.999])
+def test_series_terms_beyond_ten_thousand_terms(q):
+    with pytest.raises(TruncationExceeded):
+        series_terms(q)

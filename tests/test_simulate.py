@@ -15,11 +15,9 @@ from qtangent.simulate import (
     Stationary,
     TimeGrid,
     jump_bound,
-    max_increments,
     moment4_closed,
     moment4_estimate,
     simulate_ensemble,
-    simulate_path,
     sup_jump_estimate,
 )
 
@@ -38,68 +36,88 @@ class TestTimeGrid:
             TimeGrid(0.0, math.inf, 10)
 
 
+def one_path(process, p, grid, init, seed):
+    """Row 0 of a one-path ensemble, with the grid times."""
+    times, values = simulate_ensemble(process, p, grid, init, seed, 1)
+    return times, values[0]
+
+
 class TestSimulatePath:
     def test_fixed_seed_reproduces(self):
         p = QParams(0.5)
         g = TimeGrid(0.0, 1.0, 30)
-        a = simulate_path("qou", p, g, Stationary(), SeedSpec(7, 1))
-        b = simulate_path("qou", p, g, Stationary(), SeedSpec(7, 1))
-        np.testing.assert_array_equal(a.values, b.values)
+        _, a = one_path("qou", p, g, Stationary(), 7)
+        _, b = one_path("qou", p, g, Stationary(), 7)
+        np.testing.assert_array_equal(a, b)
 
     def test_initial_conditions(self):
         p = QParams(0.5)
         g = TimeGrid(0.0, 1.0, 5)
-        fixed = simulate_path("qou", p, g, Fixed(0.3), SeedSpec(1))
-        assert fixed.values[0] == 0.3
-        origin = simulate_path("qbm", p, g, Origin(), SeedSpec(1))
-        assert origin.values[0] == 0.0
+        assert one_path("qou", p, g, Fixed(0.3), 1)[1][0] == 0.3
+        assert one_path("qbm", p, g, Origin(), 1)[1][0] == 0.0
 
     def test_invalid_inits(self):
         p = QParams(0.5)
         g = TimeGrid(0.0, 1.0, 5)
         with pytest.raises(InvalidInit):
-            simulate_path("qou", p, g, Fixed(p.x_plus * 2), SeedSpec(1))
+            one_path("qou", p, g, Fixed(p.x_plus * 2), 1)
         with pytest.raises(InvalidInit):
-            simulate_path("qou", p, g, Origin(), SeedSpec(1))
+            one_path("qou", p, g, Origin(), 1)
         with pytest.raises(InvalidInit):
-            simulate_path("qbm", p, TimeGrid(1.0, 2.0, 5), Origin(), SeedSpec(1))
+            one_path("qbm", p, TimeGrid(1.0, 2.0, 5), Origin(), 1)
         with pytest.raises(InvalidInit):
-            simulate_path("qou", p, g, Fixed(math.nan), SeedSpec(1))
+            one_path("qou", p, g, Fixed(math.nan), 1)
 
     def test_qbm_support_confinement(self):
         p = QParams(0.9)
-        g = TimeGrid(0.0, 4.0, 300)
-        path = simulate_path("qbm", p, g, Origin(), SeedSpec(3))
-        bound = 2.0 * np.sqrt(path.times / (1 - 0.9))
-        assert np.all(np.abs(path.values) <= bound + 1e-9)
+        times, values = one_path("qbm", p, TimeGrid(0.0, 4.0, 300), Origin(), 3)
+        bound = 2.0 * np.sqrt(times / (1 - 0.9))
+        assert np.all(np.abs(values) <= bound + 1e-9)
 
     def test_qou_support_confinement(self):
         p = QParams(-0.5)
-        path = simulate_path("qou", p, TimeGrid(0.0, 2.0, 200), Stationary(), SeedSpec(4))
-        assert np.all(np.abs(path.values) <= p.x_plus + 1e-9)
+        _, values = one_path("qou", p, TimeGrid(0.0, 2.0, 200), Stationary(), 4)
+        assert np.all(np.abs(values) <= p.x_plus + 1e-9)
 
 
 class TestEnsemble:
+    def test_shape_and_times(self):
+        g = TimeGrid(1.0, 2.0, 8)
+        times, values = simulate_ensemble("qbm", QParams(0.5), g, Stationary(), 2, 4)
+        assert values.shape == (4, 9)
+        np.testing.assert_array_equal(times, g.times)
+
+    @pytest.mark.parametrize("process, grid, init", [
+        ("qou", TimeGrid(0.0, 1.0, 12), Stationary()),
+        ("qbm", TimeGrid(0.0, 1.0, 12), Origin()),
+        ("qbm", TimeGrid(1.0, 2.0, 12), Fixed(0.4)),
+    ], ids=["qou-stationary", "qbm-origin", "qbm-fixed"])
+    def test_rows_do_not_depend_on_ensemble_size(self, process, grid, init):
+        p = QParams(0.5)
+        _, three = simulate_ensemble(process, p, grid, init, 11, 3)
+        _, seven = simulate_ensemble(process, p, grid, init, 11, 7)
+        np.testing.assert_array_equal(three, seven[:3])
+
     def test_matches_individual_paths(self):
         # 300 paths put (states x 380) kernel points past the loop crossover of
-        # the tail product, a single path stays below it: the two must agree
+        # the tail product, a single path stays below it: row i must equal the
+        # last row of an ensemble of i + 1 paths
         p = QParams(0.5)
         for grid, n_paths, picks in ((TimeGrid(0.0, 1.0, 20), 6, (0, 2, 5)),
                                      (TimeGrid(0.0, 1.0, 5), 300, (0, 7, 150, 299))):
-            ens = simulate_ensemble("qbm", p, grid, Origin(), 11, n_paths)
+            _, ens = simulate_ensemble("qbm", p, grid, Origin(), 11, n_paths)
             for i in picks:
-                single = simulate_path("qbm", p, grid, Origin(), SeedSpec(11, i))
-                np.testing.assert_array_equal(ens[i].values, single.values)
+                _, head = simulate_ensemble("qbm", p, grid, Origin(), 11, i + 1)
+                np.testing.assert_array_equal(ens[i], head[i])
 
     def test_batch_size_invariance(self):
         # two paths evaluate the tail product as one (K, points) array, 200 as
         # a loop over k; the paths they share must agree bit for bit
         p = QParams(0.3)
         g = TimeGrid(0.0, 1.0, 15)
-        a = simulate_ensemble("qou", p, g, Stationary(), 5, 2)
-        b = simulate_ensemble("qou", p, g, Stationary(), 5, 200)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.values, pb.values)
+        _, a = simulate_ensemble("qou", p, g, Stationary(), 5, 2)
+        _, b = simulate_ensemble("qou", p, g, Stationary(), 5, 200)
+        np.testing.assert_array_equal(a, b[:2])
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(InvalidCount):
@@ -112,11 +130,10 @@ class TestEnsemble:
         # are autocorrelated so the tolerance uses a crude effective n
         q = 0.5
         p = QParams(q)
-        ens = simulate_ensemble("qou", p, TimeGrid(0.0, 5.0, 25), Stationary(), 21, 200)
-        pooled = np.concatenate([path.values for path in ens])
-        n_eff = len(pooled) / 4.0
+        _, values = simulate_ensemble("qou", p, TimeGrid(0.0, 5.0, 25), Stationary(), 21, 200)
+        n_eff = values.size / 4.0
         tol = 4.0 * math.sqrt((2.0 + q - 1.0) / n_eff)
-        assert abs(float(np.var(pooled)) - 1.0) < tol
+        assert abs(float(np.var(values)) - 1.0) < tol
 
     def test_qbm_marginal_matches_closed_form(self):
         # pooled time-t values against the sqrt(t)-dilated q-normal (L1 on 50
@@ -124,8 +141,8 @@ class TestEnsemble:
         # the 0.03 bound so the check has discriminating power
         q, t, n_paths = 0.5, 1.0, 40_000
         p = QParams(q)
-        ens = simulate_ensemble("qbm", p, TimeGrid(0.0, t, 4), Origin(), 31, n_paths)
-        finals = np.array([path.values[-1] for path in ens])
+        _, values = simulate_ensemble("qbm", p, TimeGrid(0.0, t, 4), Origin(), 31, n_paths)
+        finals = values[:, -1]
         b = 2.0 * math.sqrt(t / (1 - q))
         edges = np.linspace(-b, b, 51)
         hist, _ = np.histogram(finals, bins=edges, density=True)
@@ -182,29 +199,43 @@ class TestJumpBound:
             jump_bound(0.5, 0.0, 1.0, 0.0)
 
 
+def max_increments(q, S, T, n_paths, steps, seed):
+    """Largest absolute grid increment of each q-BM path, as sup_jump_estimate draws them."""
+    init = Origin() if S == 0.0 else Stationary()
+    _, values = simulate_ensemble("qbm", QParams(q), TimeGrid(S, T, steps), init, seed, n_paths)
+    return np.max(np.abs(np.diff(values, axis=1)), axis=1)
+
+
 @pytest.fixture(scope="module")
 def increments():
-    return max_increments(0.5, 0.0, 1.0, 80, 120, seed_base=42)
+    return max_increments(0.5, 0.0, 1.0, 80, 120, 42)
 
 
 class TestSupJump:
     def test_zero_threshold_everything_exceeds(self):
-        stats = sup_jump_estimate(0.5, 0.0, 1.0, 0.0, 40, 80, SeedSpec(1))
+        stats = sup_jump_estimate(0.5, 0.0, 1.0, 0.0, 40, 80, 1)
         assert stats.exceed_fraction == 1.0
 
     def test_huge_threshold_nothing_exceeds(self):
-        stats = sup_jump_estimate(0.5, 0.0, 1.0, 1e3, 40, 80, SeedSpec(1))
+        stats = sup_jump_estimate(0.5, 0.0, 1.0, 1e3, 40, 80, 1)
         assert stats.exceed_fraction == 0.0
+
+    @pytest.mark.parametrize("S, a", [(0.0, 0.5), (1.0, 0.3)])
+    def test_counts_the_ensemble_increments(self, S, a):
+        # the statistics are those of the ensemble drawn with the same seed
+        stats = sup_jump_estimate(0.5, S, S + 1.0, a, 30, 40, 9)
+        mx = max_increments(0.5, S, S + 1.0, 30, 40, 9)
+        assert stats == JumpStats(float(np.max(mx)), int(np.sum(mx > a)), 30)
 
     def test_monotone_in_threshold(self, increments):
         fracs = [float(np.mean(increments > a)) for a in (0.25, 0.5, 1.0, 2.0)]
         assert all(b <= a for a, b in zip(fracs, fracs[1:]))
 
     def test_counts_bounded_by_ensemble(self, increments):
-        stats = JumpStats(float(np.max(increments)), 0.5,
-                          int(np.sum(increments > 0.5)), len(increments))
+        stats = JumpStats(float(np.max(increments)), int(np.sum(increments > 0.5)),
+                          len(increments))
         assert 0 <= stats.exceed_count <= stats.ensemble_size
 
     def test_marginal_start_above_zero(self):
-        inc = max_increments(0.5, 1.0, 2.0, 10, 30, seed_base=3)
+        inc = max_increments(0.5, 1.0, 2.0, 10, 30, 3)
         assert len(inc) == 10 and np.all(inc >= 0.0)

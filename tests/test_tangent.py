@@ -40,11 +40,27 @@ class TestTangentCase:
                 TangentCase("qbm_boundary", 0.0, s=bad)
 
     def test_boundary_scale_at_extreme_base_times(self):
-        # 1/(s^1.5 sqrt(1-q)), rounded to inf or 0 where it leaves double range
-        assert TangentCase("qbm_boundary", 0.5, s=2.0).limit_scale() == pytest.approx(
-            1.0 / (2.0 ** 1.5 * math.sqrt(0.5)), rel=1e-15)
-        assert TangentCase("qbm_boundary", 0.5, s=1e-300).limit_scale() == math.inf
-        assert TangentCase("qbm_boundary", 0.5, s=1e300).limit_scale() == 0.0
+        # (a, d, b, r) = (1/sqrt(s(1-q)), s, 0, sqrt((1-q)/s)), finite and
+        # positive (b aside) wherever s is
+        a, d, b, r = TangentCase("qbm_boundary", 0.5, s=2.0).boundary_frame()
+        assert (a, d, b) == (1.0, 2.0, 0.0) and r == pytest.approx(0.5, rel=1e-15)
+        for s in (1e-300, 1e300):
+            a, d, b, r = TangentCase("qbm_boundary", 0.5, s=s).boundary_frame()
+            assert b == 0.0 and d == s
+            assert all(0.0 < v < math.inf for v in (a, r))
+            assert a * r == pytest.approx(1.0 / s, rel=1e-15)
+        assert TangentCase("qou_boundary", 0.5).boundary_frame() == (0.0, 0.5, 1.0,
+                                                                   math.sqrt(0.5))
+
+    @pytest.mark.parametrize("q, x, s", [(0.5, 0.7, None), (-0.3, -1.1, None),
+                                         (0.9, 1.1, 2.0), (0.0, -0.04, 1e-3)])
+    def test_interior_frame(self, q, x, s):
+        case = TangentCase("qbm_interior" if s else "qou_interior", q, x=x, s=s)
+        if s:
+            want = (math.sqrt(4.0 * s / (1.0 - q) - x * x) / (2.0 * s), x / (2.0 * s))
+        else:
+            want = (math.sqrt(4.0 / (1.0 - q) - x * x), 0.0)
+        assert case.interior_frame() == want
 
     def test_unknown_case(self):
         with pytest.raises(UnknownProcess):
@@ -52,8 +68,8 @@ class TestTangentCase:
 
     def test_interior_scale_collapses_at_edge(self):
         xp = 2 / math.sqrt(1 - 0.5)
-        c_edge = TangentCase("qou_interior", 0.5, x=0.999 * xp).limit_scale()
-        c_center = TangentCase("qou_interior", 0.5, x=0.0).limit_scale()
+        c_edge = TangentCase("qou_interior", 0.5, x=0.999 * xp).interior_frame()[0]
+        c_center = TangentCase("qou_interior", 0.5, x=0.0).interior_frame()[0]
         assert c_edge < 0.05 * c_center
 
 
@@ -68,7 +84,7 @@ class TestLimitPdf:
 
     def test_scale_identity_against_cauchy(self):
         case = TangentCase("qou_interior", 0.5, x=0.7)
-        c = case.limit_scale()
+        c, _ = case.interior_frame()
         gen = np.random.default_rng(2)
         for _ in range(50):
             t1 = gen.uniform(0.0, 1.0)
@@ -81,8 +97,7 @@ class TestLimitPdf:
     def test_drift_identity(self):
         # subtracting the drift line reduces the qbm limit to the driftless case
         case = TangentCase("qbm_interior", 0.5, x=1.0, s=1.0)
-        c = case.limit_scale()
-        drift = case.drift()
+        c, drift = case.interior_frame()
         gen = np.random.default_rng(3)
         for _ in range(50):
             t1 = gen.uniform(0.0, 1.0)
