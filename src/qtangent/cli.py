@@ -6,8 +6,8 @@ verdict (so CI can gate on `qtangent verify` and `qtangent tangent`).
 Identical argv and seed produce byte-identical output files; floats are
 printed with shortest round-trip representation.  No subcommand loads
 scipy: every integral runs through the numpy quadrature in
-``qtangent.quadrature``.  freeprob, tangent and verify are imported only by
-the subcommands that use them.
+``qtangent.quadrature``.  simulate, freeprob, tangent and verify are
+imported only by the subcommands that use them.
 """
 
 import argparse
@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, simulate as sim
+from . import __version__
 from .errors import QTangentError
 from .kernels import (
     biane_half_pdf,
@@ -30,7 +30,6 @@ from .kernels import (
     qou_transition_pdf,
 )
 from .qspecial import QParams
-from .sampling import SeedSpec
 
 __all__ = ["main", "parse_and_dispatch"]
 
@@ -77,6 +76,17 @@ def _parse_ladder(spec):
     if len(vals) < 2 or any(b >= a for a, b in zip(vals, vals[1:])):
         raise _UsageError("ladder must be strictly decreasing")
     return vals
+
+
+def _seed(text):
+    """An integer seed >= 0; a bad one is a one-line error, without the usage text."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise _UsageError(f"argument --seed: invalid int value: {text!r}") from None
+    if value < 0:
+        raise _UsageError(f"argument --seed: seed must be >= 0, got {value}")
+    return value
 
 
 def _write_text(path, text):
@@ -128,9 +138,10 @@ def _build_parser():
     s.add_argument("--t1", type=float, required=True)
     s.add_argument("--steps", type=int, required=True)
     s.add_argument("--paths", type=int, default=1)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--init", default=None,
-                   help="stationary | origin | fixed:X (defaults: qou stationary, qbm origin)")
+                   help="stationary | origin | fixed:X (default stationary: the time-t0 "
+                        "marginal, the origin for qbm at t0 = 0; origin needs qbm and t0 = 0)")
     s.add_argument("--output-dir", default=".", help="directory for path_###.csv files")
 
     t = subs.add_parser("tangent", help="convergence study of a tangent-process limit")
@@ -158,7 +169,7 @@ def _build_parser():
     j.add_argument("--a", type=float, required=True, help="jump size threshold")
     j.add_argument("--paths", type=int, default=500)
     j.add_argument("--steps", type=int, default=500)
-    j.add_argument("--seed", type=int, default=0)
+    j.add_argument("--seed", type=_seed, default=0)
     j.add_argument("--output", "-o", default=None)
 
     b = subs.add_parser("biane", help="Biane transition transform against the closed kernel")
@@ -173,7 +184,7 @@ def _build_parser():
     v.add_argument("--suite", choices=["freeprob", "kernels", "tangent", "all"],
                    default="all")
     v.add_argument("--samples", type=int, default=200)
-    v.add_argument("--seed", type=int, default=20260808)
+    v.add_argument("--seed", type=_seed, default=20260808)
     v.add_argument("--output", "-o", default=None)
     return parser
 
@@ -213,26 +224,30 @@ def _cmd_density(args):
     return 0
 
 
-def _parse_init(spec, process):
-    if spec is None:
-        return sim.Stationary() if process == "qou" else sim.Origin()
-    if spec == "stationary":
-        return sim.Stationary()
+def _parse_init(args):
+    """The start state of --init, or None for the time-t0 marginal."""
+    spec = args.init
+    if spec is None or spec == "stationary":
+        return None
     if spec == "origin":
-        return sim.Origin()
+        if args.process != "qbm" or args.t0 != 0.0:
+            raise _UsageError("origin start needs --process qbm and --t0 0")
+        return None
     if spec.startswith("fixed:"):
         try:
-            return sim.Fixed(float(spec.split(":", 1)[1]))
+            return float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise _UsageError(f"fixed start needs a number, got {spec!r}") from exc
     raise _UsageError(f"unknown init {spec!r}; use stationary | origin | fixed:X")
 
 
 def _cmd_simulate(args):
+    from . import simulate as sim
+
     p = QParams(args.q)
     grid = sim.TimeGrid(args.t0, args.t1, args.steps)
-    init = _parse_init(args.init, args.process)
-    times, values = sim.simulate_ensemble(args.process, p, grid, init, args.seed, args.paths)
+    x0 = _parse_init(args)
+    times, values = sim.simulate_ensemble(args.process, p, grid, x0, args.seed, args.paths)
     os.makedirs(args.output_dir, exist_ok=True)
     for i, row in enumerate(values):
         name = os.path.join(args.output_dir, f"path_{i:03d}.csv")
@@ -268,11 +283,13 @@ def _cmd_tangent(args):
         case, _parse_ladder(args.ladder), window=window, resolution=args.resolution,
         threshold=args.threshold, slack=args.slack, scale_override=args.wrong_scale,
     )
-    _write_text(args.output, _envelope("tangent", report.to_dict()))
-    return 0 if report.verdict else 2
+    _write_text(args.output, _envelope("tangent", report))
+    return 0 if report["verdict"] == "pass" else 2
 
 
 def _cmd_jumps(args):
+    from . import simulate as sim
+
     # the bound validates the times and the threshold before any path is drawn
     bound = sim.jump_bound(args.q, args.S, args.T, args.a)
     stats = sim.sup_jump_estimate(args.q, args.S, args.T, args.a, args.paths, args.steps,
@@ -315,20 +332,18 @@ def _cmd_biane(args):
 
 
 def _cmd_verify(args):
-    from . import freeprob
-    from .verify import kernels_verification_report, tangent_verification_report
+    from . import verify
 
     if args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, got {args.samples}")
-    seed = SeedSpec(args.seed)
     report = []
     if args.suite in ("freeprob", "all"):
-        report += freeprob.verification_report(sample_points=args.samples, seed=seed)
+        report += verify.freeprob_verification_report(args.samples, args.seed)
     if args.suite in ("kernels", "all"):
-        report += kernels_verification_report(
-            n_sets=min(args.samples, 50), n_points=min(2 * args.samples, 100), seed=seed)
+        report += verify.kernels_verification_report(
+            n_sets=min(args.samples, 50), n_points=min(2 * args.samples, 100), seed=args.seed)
     if args.suite in ("tangent", "all"):
-        report += tangent_verification_report()
+        report += verify.tangent_verification_report()
     ok = all(row["pass"] for row in report)
     _write_text(args.output, _envelope("verify", report))
     return 0 if ok else 2

@@ -21,10 +21,6 @@ class InvalidState(QTangentError):
     """A state argument lies outside the support of its process."""
 
 
-class InvalidInit(QTangentError):
-    """Initial condition incompatible with the requested process."""
-
-
 class InvalidThreshold(QTangentError):
     """A threshold argument is outside its admissible range."""
 

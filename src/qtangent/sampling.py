@@ -7,18 +7,16 @@ evaluation points) and is renormalized to end at exactly 1.  The rows are
 inverted with a monotone-cubic quantile (:func:`pchip_quantile`).  Node
 placement is the caller's; :func:`cheb_nodes` clusters nodes toward both
 ends of an interval, where the q-normal density vanishes like a square root.
-Randomness flows exclusively from :class:`SeedSpec` streams, so every
-consumer is reproducible.
+Randomness flows exclusively from :func:`stream` (an integer seed and a
+stream index), so every consumer is reproducible.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFinite
 
 __all__ = [
-    "SeedSpec",
+    "stream",
     "batch_cdf_tables",
     "pchip_quantile",
     "gauss_points",
@@ -29,25 +27,15 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
 _TIE = 2.0 ** -53  # spacing of Generator.random() draws in [0, 1)
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Deterministic stream identity: (base_seed, stream_index) -> uniform stream.
+def stream(seed, index=0):
+    """The uniform stream of (seed, index): PCG64 seeded through a SeedSequence spawn key.
 
     Identical pairs reproduce the same stream; distinct pairs give
-    statistically independent streams (PCG64 seeded through SeedSequence
-    spawn keys).
+    statistically independent streams.  A negative seed or index raises
+    ValueError.
     """
-
-    base_seed: int
-    stream_index: int = 0
-
-    def __post_init__(self):
-        if self.base_seed < 0 or self.stream_index < 0:
-            raise ValueError("base_seed and stream_index must be nonnegative")
-
-    def generator(self):
-        ss = np.random.SeedSequence(entropy=self.base_seed, spawn_key=(self.stream_index,))
-        return np.random.Generator(np.random.PCG64(ss))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def batch_cdf_tables(density_matrix, nodes):

@@ -14,8 +14,10 @@ of the narrower core near the support edge).  It then deduplicates the
 states, evaluates the kernel once on the (states x nodes x Gauss points)
 array, and every path draws from its state's row through a monotone-cubic
 inverse CDF.  An ensemble is one (paths, steps + 1) array of values: row i
-consumes stream_index i of the base seed, and every stage works row by row,
-so a path's values do not depend on which other paths share its batch.
+consumes stream i of the base seed, and every stage works row by row, so a
+path's values do not depend on which other paths share its batch.  A start
+is a state or None: None draws from the time-t0 marginal, which for q-BM at
+t0 = 0 is the point mass at the origin.
 """
 
 import math
@@ -23,17 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCount, InvalidInit, InvalidThreshold, InvalidTime, UnknownProcess
+from .errors import InvalidCount, InvalidState, InvalidThreshold, InvalidTime, UnknownProcess
 from .kernels import _bm_lag, qnormal_pdf, qou_transition_pdf
 from .qspecial import QParams
-from .sampling import SeedSpec, batch_cdf_tables, cheb_nodes, gauss_points, pchip_quantile
+from .sampling import batch_cdf_tables, cheb_nodes, gauss_points, pchip_quantile, stream
 
 __all__ = [
     "TimeGrid",
     "JumpStats",
-    "Stationary",
-    "Origin",
-    "Fixed",
     "simulate_ensemble",
     "moment4_closed",
     "moment4_estimate",
@@ -67,24 +66,6 @@ class TimeGrid:
     @property
     def times(self):
         return np.linspace(self.t0, self.t1, self.steps + 1)
-
-
-@dataclass(frozen=True)
-class Stationary:
-    """Start from the marginal law: the q-normal for q-OU, its sqrt(t0)
-    dilation for q-BM at t0 > 0."""
-
-
-@dataclass(frozen=True)
-class Origin:
-    """Start at 0 at time t0 = 0 (q-BM only)."""
-
-
-@dataclass(frozen=True)
-class Fixed:
-    """Start at a fixed admissible state."""
-
-    x: float
 
 
 @dataclass(frozen=True)
@@ -158,32 +139,25 @@ def _draw(p: QParams, lag, x, u, n_nodes=_SIM_NODES):
     return pchip_quantile(nodes, batch_cdf_tables(dens, nodes), row, u)
 
 
-def _start(process, p, t0, init):
-    """The start state in q-OU coordinates; None is a q-normal draw."""
+def _start(process, p, t0, x0):
+    """The start state in q-OU coordinates, None for a q-normal draw; the
+    q-BM marginal at t0 = 0 is the origin, so no q-normal row is drawn."""
     if process not in ("qou", "qbm"):
         raise UnknownProcess(f"cannot simulate process {process!r}")
-    if process == "qbm" and isinstance(init, Origin):
-        if t0 != 0.0:
-            raise InvalidInit("Origin start requires t0 = 0")
-        return 0.0
-    if not isinstance(init, (Stationary, Fixed)):
-        raise InvalidInit("q-OU accepts Stationary or Fixed starts, "
-                          "q-BM Origin, Stationary (marginal) or Fixed")
-    if process == "qbm" and t0 <= 0.0:
-        raise InvalidInit("Stationary (marginal) and Fixed q-BM starts require t0 > 0")
-    if isinstance(init, Stationary):
-        return None
     root = 1.0 if process == "qou" else math.sqrt(t0)
-    if not abs(init.x) <= p.x_plus * root:
-        raise InvalidInit(f"x={init.x} outside the time-t0 support "
-                          f"[-{p.x_plus * root}, {p.x_plus * root}]")
-    return init.x / root
+    if x0 is not None and not abs(x0) <= p.x_plus * root:
+        raise InvalidState(f"x0={x0} outside the time-t0 support "
+                           f"[-{p.x_plus * root}, {p.x_plus * root}]")
+    if root == 0.0:
+        return 0.0
+    return None if x0 is None else x0 / root
 
 
-def simulate_ensemble(process, p: QParams, grid: TimeGrid, init, base_seed, n_paths):
+def simulate_ensemble(process, p: QParams, grid: TimeGrid, x0, base_seed, n_paths):
     """(times, values) of n_paths trajectories, sampling each step from the exact kernel.
 
-    values has shape (n_paths, steps + 1); row i consumes stream_index i of
+    x0 is a state in the time-t0 support or None (the time-t0 marginal).
+    values has shape (n_paths, steps + 1); row i consumes stream i of
     base_seed and does not depend on n_paths: every stage of a step works
     row by row.  Every process runs as one q-OU chain; q-BM values are
     sqrt(t) times its states.
@@ -191,15 +165,15 @@ def simulate_ensemble(process, p: QParams, grid: TimeGrid, init, base_seed, n_pa
     if n_paths < 1:
         raise InvalidCount(f"need at least one path, got {n_paths}")
     times = grid.times
-    U = np.stack([SeedSpec(base_seed, i).generator().random(len(times)) for i in range(n_paths)])
-    x0 = _start(process, p, times[0], init)
+    U = np.stack([stream(base_seed, i).random(len(times)) for i in range(n_paths)])
+    start = _start(process, p, times[0], x0)
     X = np.empty(U.shape)
-    X[:, 0] = _draw(p, math.inf, None, U[:, 0]) if x0 is None else x0
+    X[:, 0] = _draw(p, math.inf, None, U[:, 0]) if start is None else start
     for j in range(grid.steps):
         X[:, j + 1] = _draw(p, _lag(process, times[j], times[j + 1]), X[:, j], U[:, j + 1])
     values = X if process == "qou" else np.sqrt(times) * X
-    if isinstance(init, Fixed):
-        values[:, 0] = init.x
+    if x0 is not None:
+        values[:, 0] = x0
     return times, values
 
 
@@ -211,7 +185,7 @@ def moment4_closed(q, s, t):
     return (2.0 + q) * d * d + 2.0 * (1.0 - q) * s * d
 
 
-def moment4_estimate(q, s, t, n_samples, seed: SeedSpec):
+def moment4_estimate(q, s, t, n_samples, seed: int):
     """Monte Carlo fourth moment of the increment W_t - W_s with its standard error.
 
     W_s is drawn from its sqrt(s)-dilated q-normal marginal, then W_t from the
@@ -223,7 +197,7 @@ def moment4_estimate(q, s, t, n_samples, seed: SeedSpec):
     if n_samples < 1:
         raise InvalidCount(f"need at least one sample, got {n_samples}")
     p = QParams(q)
-    gen = seed.generator()
+    gen = stream(seed)
     x_s = np.zeros(n_samples) if s == 0.0 else _draw(p, math.inf, None, gen.random(n_samples))
     # moment estimation weights the tails; finer tables keep the quantile
     # interpolation bias well below the Monte Carlo error
@@ -249,15 +223,14 @@ def jump_bound(q, S, T, a):
 def sup_jump_estimate(q, S, T, a, n_paths, steps, base_seed: int):
     """Fraction of n_paths q-BM paths on [S, T] whose largest grid increment exceeds a.
 
-    Paths start at the origin for S = 0 and from the time-S marginal
-    otherwise; path i uses stream_index i of base_seed.  The grid maximum
+    Paths start from the time-S marginal (the origin for S = 0); path i
+    uses stream i of base_seed.  The grid maximum
     converges to the supremum of the jump sizes as the mesh refines, so this
     estimates the left side of the closed-form jump bound.
     """
     if not a >= 0.0:
         raise InvalidThreshold(f"threshold a must be nonnegative, got {a}")
-    init = Origin() if S == 0.0 else Stationary()
-    _, values = simulate_ensemble("qbm", QParams(q), TimeGrid(S, T, steps), init,
+    _, values = simulate_ensemble("qbm", QParams(q), TimeGrid(S, T, steps), None,
                                   base_seed, n_paths)
     mx = np.max(np.abs(np.diff(values, axis=1)), axis=1)
     return JumpStats(float(np.max(mx)), int(np.sum(mx > a)), n_paths)

@@ -54,7 +54,6 @@ from .qspecial import QParams
 __all__ = [
     "TangentCase",
     "Window",
-    "ConvergenceReport",
     "rescaled_pdf",
     "limit_pdf",
     "distance",
@@ -134,41 +133,6 @@ class Window:
             raise InvalidTime("window needs 0 <= t1 < t2")
         if not self.y2_hi > self.y2_lo:
             raise InvalidState("window needs y2_lo < y2_hi")
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Ladder of (eps, L1, sup) distances with the pass/fail verdict."""
-
-    case: TangentCase
-    window: Window
-    ladder: tuple
-    verdict: bool
-    threshold: float
-    slack: float
-    scale_override: float = None
-
-    def to_dict(self):
-        d = {
-            "case": self.case.case,
-            "q": self.case.q,
-            "s": self.case.s,
-            "x": self.case.x,
-            "window": {
-                "t1": self.window.t1,
-                "t2": self.window.t2,
-                "y1": self.window.y1,
-                "y2": [self.window.y2_lo, self.window.y2_hi],
-                "coverage": self.window.coverage,
-            },
-            "ladder": [{"eps": e, "l1": l1, "sup": sup} for (e, l1, sup) in self.ladder],
-            "verdict": "pass" if self.verdict else "fail",
-            "threshold": self.threshold,
-            "slack": self.slack,
-        }
-        if self.scale_override is not None:
-            d["scale_override"] = self.scale_override
-        return d
 
 
 def rescaled_pdf(case: TangentCase, eps, t1, t2, y1, y2):
@@ -279,33 +243,31 @@ def _window_grid(case, window, resolution):
     return np.unique(np.concatenate([uniform, quant]))
 
 
-def distance(case: TangentCase, eps, window: Window, resolution=2001, scale_override=None):
-    """(L1, sup) distance between rescaled and limit density over the window.
+def distance(case: TangentCase, ladder, window: Window, resolution=2001, scale_override=None):
+    """(L1, sup) arrays of the distance between rescaled and limit density
+    over the window, entry i at eps = ladder[i].
 
     Trapezoid rule on the mixed uniform/quantile grid.  Regions of the
-    window that the rescaled process cannot reach at this eps contribute the
-    limit's mass there (the exact density is zero on them).  For a 1-D
-    ladder of eps, one grid and one kernel call serve every rung and the
-    result is a pair of arrays, entry i equal to the call with eps[i] alone.
+    window that the rescaled process cannot reach at an eps contribute the
+    limit's mass there (the exact density is zero on them).  One grid and
+    one kernel call serve every rung.
     """
-    rungs = np.asarray(eps, dtype=float)
+    rungs = np.asarray(ladder, dtype=float).reshape(-1, 1)
     grid = _window_grid(case, window, resolution)
-    resc = rescaled_pdf(case, rungs.reshape(-1, 1), window.t1, window.t2, window.y1, grid)
+    resc = rescaled_pdf(case, rungs, window.t1, window.t2, window.y1, grid)
     lim = np.asarray(limit_pdf(case, window.t1, window.t2, window.y1, grid, scale_override))
     diff = np.abs(resc - lim)
     l1 = np.trapezoid(diff, grid, axis=-1)
     sup = np.max(diff, axis=-1)
-    if rungs.ndim == 0:
-        return float(l1[0]), float(sup[0])
     return l1, sup
 
 
 def convergence_study(case: TangentCase, ladder, window: Window = None, resolution=2001,
                       threshold=0.02, slack=0.10, scale_override=None):
-    """Evaluate an eps ladder and produce the pass/fail ConvergenceReport.
+    """Evaluate an eps ladder and report it as the dict the CLI prints.
 
-    Pass requires the L1 distances to be nonincreasing within ``slack``
-    per rung and the terminal L1 to fall below ``threshold``.
+    The verdict is "pass" when the L1 distances are nonincreasing within
+    ``slack`` per rung and the terminal L1 falls below ``threshold``.
     """
     ladder = tuple(float(e) for e in ladder)
     if len(ladder) < 2 or any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -314,9 +276,18 @@ def convergence_study(case: TangentCase, ladder, window: Window = None, resoluti
         window = default_window(case)
     l1s, sups = distance(case, ladder, window, resolution, scale_override)
     l1s = l1s.tolist()
-    rows = list(zip(ladder, l1s, sups.tolist()))
     monotone = all(l1s[i + 1] <= l1s[i] * (1.0 + slack) for i in range(len(l1s) - 1))
-    verdict = monotone and l1s[-1] < threshold
-    return ConvergenceReport(case, window, tuple(rows), verdict, threshold, slack,
-                             scale_override)
+    report = {
+        "case": case.case, "q": case.q, "s": case.s, "x": case.x,
+        "window": {"t1": window.t1, "t2": window.t2, "y1": window.y1,
+                   "y2": [window.y2_lo, window.y2_hi], "coverage": window.coverage},
+        "ladder": [{"eps": e, "l1": l1, "sup": sup}
+                   for e, l1, sup in zip(ladder, l1s, sups.tolist())],
+        "verdict": "pass" if monotone and l1s[-1] < threshold else "fail",
+        "threshold": threshold,
+        "slack": slack,
+    }
+    if scale_override is not None:
+        report["scale_override"] = scale_override
+    return report
 

@@ -8,17 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from qtangent.freeprob import (
-    biane_H,
-    g_half_closed,
-    stieltjes_invert,
-    subordinator_F,
-    verify_identities,
-)
+from qtangent.freeprob import g_half_closed, stieltjes_invert, subordinator_F
 from qtangent.qspecial import QParams
-from qtangent.sampling import SeedSpec
 from qtangent.simulate import (
-    Origin,
     TimeGrid,
     jump_bound,
     moment4_closed,
@@ -30,6 +22,7 @@ from qtangent.verify import (
     chapman_kolmogorov_report,
     kernel_normalization_report,
     ou_bm_identity_report,
+    verify_identities,
 )
 
 LADDER = (0.2, 0.1, 0.05, 0.02, 0.01)
@@ -46,7 +39,7 @@ def test_criterion_1_fourth_moment():
     failures = []
     for q in (-0.5, 0.0, 0.5, 0.9):
         for (s, t) in ((0.0, 1.0), (1.0, 2.0)):
-            est, se = moment4_estimate(q, s, t, 100_000, SeedSpec(1001))
+            est, se = moment4_estimate(q, s, t, 100_000, 1001)
             target = moment4_closed(q, s, t)
             if abs(est - target) > 4.0 * se:
                 failures.append((q, s, t, est, target, se))
@@ -63,7 +56,7 @@ def test_criterion_2_large_jump_bound():
     failures = []
     for q in (0.0, 0.5, 0.9):
         _, values = simulate_ensemble("qbm", QParams(q), TimeGrid(0.0, 1.0, 500),
-                                      Origin(), 2002, 500)
+                                      None, 2002, 500)
         mx = np.max(np.abs(np.diff(values, axis=1)), axis=1)
         for a in (0.5, 1.0, 2.0):
             frac = float(np.mean(mx > a))
@@ -86,12 +79,12 @@ def test_criterion_3_interior_qou_tangent():
         xp = 2.0 / math.sqrt(1.0 - q)
         for frac in (0.0, 0.5, -0.5):
             rep = convergence_study(TangentCase("qou_interior", q, x=frac * xp), LADDER)
-            if not rep.verdict:
-                failures.append((q, frac, [r[1] for r in rep.ladder]))
+            if rep["verdict"] != "pass":
+                failures.append((q, frac, [r["l1"] for r in rep["ladder"]]))
     control = convergence_study(
         TangentCase("qou_interior", 0.5, x=0.5 * 2.0 / math.sqrt(0.5)),
         LADDER, scale_override=1.0)
-    control_ok = not control.verdict
+    control_ok = control["verdict"] == "fail"
     elapsed = time.time() - t0
     _report("3 interior q-OU tangent (Cauchy limit)", not failures and control_ok,
             f"12 studies pass, negative control fails={control_ok}, "
@@ -107,17 +100,17 @@ def test_criterion_4_boundary_and_qbm_tangents():
     failures = []
     for q in (-0.5, 0.0, 0.5, 0.9):
         rep = convergence_study(TangentCase("qou_boundary", q), LADDER)
-        if not rep.verdict:
+        if rep["verdict"] != "pass":
             failures.append(("qou_boundary", q, None))
         for s in (0.5, 1.0, 2.0):
             half = 2.0 * math.sqrt(s / (1.0 - q))
             for frac in (0.0, 0.5, -0.5):
                 rep = convergence_study(
                     TangentCase("qbm_interior", q, x=frac * half, s=s), LADDER)
-                if not rep.verdict:
+                if rep["verdict"] != "pass":
                     failures.append(("qbm_interior", q, s, frac))
             rep = convergence_study(TangentCase("qbm_boundary", q, s=s), LADDER)
-            if not rep.verdict:
+            if rep["verdict"] != "pass":
                 failures.append(("qbm_boundary", q, s))
     # drift location: argmax of the interior q-BM limit at t = 1 sits at x/(2s)
     drift_ok = True
@@ -192,7 +185,7 @@ def test_criterion_7_trajectory_regime():
     violations = 0
     for q in (0.0, 0.5, 0.95):
         times, values = simulate_ensemble("qbm", QParams(q), TimeGrid(0.0, 4.0, 2000),
-                                          Origin(), 3003, 100)
+                                          None, 3003, 100)
         bound = 2.0 * np.sqrt(times / (1.0 - q))
         violations += int(np.sum(np.any(np.abs(values) > bound + 1e-9, axis=1)))
         medians.append(float(np.median(np.max(np.abs(np.diff(values, axis=1)), axis=1))))

@@ -59,11 +59,22 @@ class TestInputValidation:
         ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0", "--ladder", "0.2,nan"],
         ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0", "--ladder", "0.2,-0.1"],
         ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0", "--ladder", "inf,0.1"],
+        ["simulate", "--process", "qou", "--q", "0.5", "--t1", "1", "--steps", "5",
+         "--seed", "-1"],
+        ["jumps", "--q", "0.5", "--T", "1", "--a", "1", "--paths", "2", "--steps", "2",
+         "--seed", "-1"],
+        ["verify", "--suite", "freeprob", "--samples", "2", "--seed", "-1"],
+        ["simulate", "--process", "qou", "--q", "0.5", "--t1", "1", "--steps", "5",
+         "--init", "origin"],
+        ["simulate", "--process", "qbm", "--q", "0.5", "--t0", "1", "--t1", "2", "--steps", "5",
+         "--init", "origin"],
     ], ids=["simulate-paths-0", "jumps-paths-0", "init-fixed-abc", "init-fixed-nan",
             "simulate-t1-inf", "density-x-nan", "density-t-inf", "density-grid-inf",
             "density-grid-minus-inf", "density-grid-span-overflow", "density-qou-subnormal-lag",
             "density-t-0", "verify-samples-minus-1", "verify-samples-0",
-            "verify-freeprob-samples-0", "ladder-nan", "ladder-negative", "ladder-inf"])
+            "verify-freeprob-samples-0", "ladder-nan", "ladder-negative", "ladder-inf",
+            "simulate-seed-minus-1", "jumps-seed-minus-1", "verify-seed-minus-1",
+            "init-origin-qou", "init-origin-qbm-t0-1"])
     def test_exits_one_with_one_line(self, argv, tmp_path, capsys):
         code, out, err = run(argv + (["--output-dir", str(tmp_path)] if argv[0] == "simulate"
                                      else []), capsys)
@@ -210,6 +221,26 @@ class TestSimulateCommand:
         bound = 2 * np.sqrt(data[:, 0] / (1 - 0.95))
         assert np.all(np.abs(data[:, 1]) <= bound + 1e-9)
 
+    @staticmethod
+    def _files(capsys, out_dir, *argv):
+        code, _, err = run(["simulate", "--q", "0.5", "--steps", "6", "--paths", "3",
+                            "--seed", "2", *argv, "--output-dir", str(out_dir)], capsys)
+        assert code == 0, err
+        return {f.name: f.read_bytes() for f in out_dir.iterdir()}
+
+    def test_qbm_origin_is_the_marginal_at_t0_0(self, tmp_path, capsys):
+        # at t0 = 0 the q-BM marginal is the point mass at the origin
+        argv = ("--process", "qbm", "--t1", "1")
+        origin = self._files(capsys, tmp_path / "o", *argv, "--init", "origin")
+        assert len(origin) == 3
+        assert self._files(capsys, tmp_path / "s", *argv, "--init", "stationary") == origin
+        assert self._files(capsys, tmp_path / "d", *argv) == origin
+
+    def test_qbm_default_start_after_t0_is_the_marginal(self, tmp_path, capsys):
+        argv = ("--process", "qbm", "--t0", "1", "--t1", "2")
+        default = self._files(capsys, tmp_path / "d", *argv)
+        assert self._files(capsys, tmp_path / "s", *argv, "--init", "stationary") == default
+
     def test_qou_reruns_byte_identical(self, tmp_path):
         # fresh processes with default arguments, as a user would run them
         argv = ["-m", "qtangent.cli", "simulate", "--process", "qou", "--q", "0.5",
@@ -234,6 +265,15 @@ def test_edge_of_supported_q_writes_no_warnings(argv, err, tmp_path):
     proc = run_fresh(["-m", "qtangent.cli"] + argv, tmp_path)
     assert proc.returncode == 0
     assert proc.stderr == err
+
+
+def test_cli_import_leaves_simulate_unloaded(tmp_path):
+    # only simulate and jumps need the simulator and the samplers
+    proc = run_fresh(["-c", "import sys, qtangent.cli; "
+                            "print(sorted(m for m in ('qtangent.simulate', 'qtangent.sampling') "
+                            "if m in sys.modules))"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -6,18 +6,15 @@ import pytest
 
 from qtangent.errors import BranchCut, InvalidTime, NonConvergentLadder
 from qtangent.freeprob import (
-    VERIFY_KINDS,
     biane_H,
     cauchy_stieltjes,
     g_half_closed,
     stieltjes_invert,
     subordinator_F,
-    verification_report,
-    verify_identities,
 )
 from qtangent.kernels import biane_half_pdf, biane_shifted_pdf, cauchy_transition_pdf, qnormal_pdf
 from qtangent.qspecial import QParams
-from qtangent.sampling import SeedSpec
+from qtangent.verify import _FREEPROB, freeprob_verification_report, verify_identities
 
 
 # the time-t marginals: the kernels started at the origin
@@ -187,21 +184,20 @@ class TestStieltjesInversion:
         with pytest.raises(NonConvergentLadder):
             stieltjes_invert(bad, 0.0)
 
-    def test_ladder_validation(self):
-        with pytest.raises(NonConvergentLadder):
-            stieltjes_invert(lambda z: 1.0 / (z + 1j), 0.0, eps_ladder=(1e-3, 1e-2))
-
 
 class TestVerifySweeps:
-    @pytest.mark.parametrize("kind", VERIFY_KINDS)
+    @pytest.mark.parametrize("kind", list(_FREEPROB))
     def test_all_kinds_under_threshold(self, kind):
-        rows = verification_report((kind,), sample_points=60, seed=SeedSpec(17))
-        assert rows[0]["pass"], rows
+        residual = verify_identities(kind, 60, 17)
+        assert residual < _FREEPROB[kind], residual
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             verify_identities("herglotz")
 
     def test_report_shape(self):
-        rows = verification_report(("subordination",), sample_points=10)
-        assert set(rows[0]) == {"kind", "samples", "max_residual", "threshold", "pass"}
+        rows = freeprob_verification_report(10, 20260808)
+        assert [row["kind"] for row in rows] == list(_FREEPROB)
+        for row in rows:
+            assert list(row) == ["kind", "samples", "max_residual", "threshold", "pass"]
+            assert row["threshold"] == _FREEPROB[row["kind"]]

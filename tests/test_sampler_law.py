@@ -30,7 +30,7 @@ from scipy import stats
 from qtangent.kernels import qbm_transition_pdf, qnormal_pdf, qou_transition_pdf
 from qtangent.qspecial import QParams
 from qtangent.quadrature import integrate
-from qtangent.simulate import Fixed, Origin, Stationary, TimeGrid, simulate_ensemble
+from qtangent.simulate import TimeGrid, simulate_ensemble
 
 N = 20_000
 ALPHA = 1e-5
@@ -69,8 +69,8 @@ def off_lattice(frac, half_width):
     return (frac + 2.0 * OFFSET) * half_width
 
 
-def values_at(process, p, grid, init, column):
-    return simulate_ensemble(process, p, grid, init, SEED, N)[1][:, column]
+def values_at(process, p, grid, x0, column):
+    return simulate_ensemble(process, p, grid, x0, SEED, N)[1][:, column]
 
 
 @pytest.mark.parametrize("q", [0.0, 0.95])
@@ -79,7 +79,7 @@ def values_at(process, p, grid, init, column):
 def test_qou_one_step(q, lag, frac):
     p = QParams(q)
     x = off_lattice(frac, p.x_plus)
-    drawn = values_at("qou", p, TimeGrid(0.0, lag, 1), Fixed(x), 1)
+    drawn = values_at("qou", p, TimeGrid(0.0, lag, 1), x, 1)
     assert_law(drawn, lambda y: qou_transition_pdf(p, lag, x, y), p.x_minus)
 
 
@@ -92,7 +92,7 @@ def test_qou_one_step_at_the_edges(q, lag, frac):
     x = off_lattice(frac, p.x_plus)
     # the oracle at 1e-8, ten thousand times finer than the tables; 1e-14 would
     # need more than 10^4 product terms at |q| = 0.997
-    drawn = values_at("qou", p, TimeGrid(0.0, lag, 1), Fixed(x), 1)
+    drawn = values_at("qou", p, TimeGrid(0.0, lag, 1), x, 1)
     assert_law(drawn, lambda y: qou_transition_pdf(p, lag, x, y, 1e-8), p.x_minus)
 
 
@@ -102,7 +102,7 @@ def test_qou_ten_steps(lag, frac):
     # ten steps of lag d follow the kernel at lag 10 d (Chapman-Kolmogorov)
     p = QParams(0.0)
     x = off_lattice(frac, p.x_plus)
-    drawn = values_at("qou", p, TimeGrid(0.0, 10.0 * lag, 10), Fixed(x), 10)
+    drawn = values_at("qou", p, TimeGrid(0.0, 10.0 * lag, 10), x, 10)
     assert_law(drawn, lambda y: qou_transition_pdf(p, 10.0 * lag, x, y), p.x_minus)
 
 
@@ -112,7 +112,7 @@ def test_qbm_small_step(q, frac):
     p = QParams(q)
     t1, t2 = 1.0, 1.0 + 1e-3
     y = off_lattice(frac, 2.0 * math.sqrt(t1 / (1.0 - q)))
-    drawn = values_at("qbm", p, TimeGrid(t1, t2, 1), Fixed(y), 1)
+    drawn = values_at("qbm", p, TimeGrid(t1, t2, 1), y, 1)
     lo = -2.0 * math.sqrt(t2 / (1.0 - q))
     assert_law(drawn, lambda z: qbm_transition_pdf(p, t1, t2, y, z), lo)
 
@@ -122,7 +122,7 @@ def test_qbm_origin_step(q):
     # from the origin the time-t law is the sqrt(t)-dilated q-normal
     p = QParams(q)
     t = 2.5e-3
-    drawn = values_at("qbm", p, TimeGrid(0.0, t, 1), Origin(), 1)
+    drawn = values_at("qbm", p, TimeGrid(0.0, t, 1), None, 1)
     r = math.sqrt(t)
     assert_law(drawn, lambda z: qnormal_pdf(p, z / r) / r, p.x_minus * r)
 
@@ -131,7 +131,7 @@ def test_qbm_origin_step(q):
 def test_qou_stationary_start_and_step(q):
     # the start and one step of lag 0.1 both follow the q-normal law
     p = QParams(q)
-    _, values = simulate_ensemble("qou", p, TimeGrid(0.0, 0.1, 1), Stationary(), SEED, N)
+    _, values = simulate_ensemble("qou", p, TimeGrid(0.0, 0.1, 1), None, SEED, N)
     for column in (0, 1):
         assert_law(values[:, column], lambda y: qnormal_pdf(p, y), p.x_minus)
 
@@ -139,6 +139,6 @@ def test_qou_stationary_start_and_step(q):
 def test_qbm_marginal_start():
     p = QParams(0.5)
     t0 = 2.0
-    drawn = values_at("qbm", p, TimeGrid(t0, t0 + 0.1, 1), Stationary(), 0)
+    drawn = values_at("qbm", p, TimeGrid(t0, t0 + 0.1, 1), None, 0)
     r = math.sqrt(t0)
     assert_law(drawn, lambda z: qnormal_pdf(p, z / r) / r, p.x_minus * r)

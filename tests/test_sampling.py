@@ -15,11 +15,11 @@ from qtangent.kernels import (
 )
 from qtangent.qspecial import QParams
 from qtangent.sampling import (
-    SeedSpec,
     batch_cdf_tables,
     cheb_nodes,
     gauss_points,
     pchip_quantile,
+    stream,
 )
 
 from oracles import half_stable_cdf
@@ -112,14 +112,14 @@ class TestSample:
     def test_empirical_mean(self, qnormal_table):
         # q-normal has unit variance (checked by quadrature in test_kernels)
         n = 100_000
-        us = SeedSpec(123).generator().random(n)
+        us = stream(123).random(n)
         mean = float(np.mean(sample(*qnormal_table, us)))
         assert abs(mean) < 4.0 / math.sqrt(n)
 
     def test_round_trip_histogram(self, qnormal_table):
         p = QParams(0.5)
         n = 1_000_000
-        us = SeedSpec(77).generator().random(n)
+        us = stream(77).random(n)
         xs = sample(*qnormal_table, us)
         edges = np.linspace(p.x_minus, p.x_plus, 101)
         hist, _ = np.histogram(xs, bins=edges, density=True)
@@ -131,28 +131,29 @@ class TestSample:
 
 class TestUniformStream:
     def test_deterministic(self):
-        s = SeedSpec(5, 3)
-        np.testing.assert_array_equal(s.generator().random(1000), s.generator().random(1000))
+        np.testing.assert_array_equal(stream(5, 3).random(1000), stream(5, 3).random(1000))
 
     def test_streams_differ(self):
-        a = SeedSpec(5, 0).generator().random(1000)
-        b = SeedSpec(5, 1).generator().random(1000)
+        a = stream(5, 0).random(1000)
+        b = stream(5, 1).random(1000)
         assert not np.array_equal(a, b)
 
     def test_matches_generator(self):
         # the documented stream identity: PCG64 seeded through a SeedSequence spawn key
         ss = np.random.SeedSequence(entropy=42, spawn_key=(7,))
         expected = np.random.Generator(np.random.PCG64(ss)).random(100)
-        np.testing.assert_array_equal(SeedSpec(42, 7).generator().random(100), expected)
+        np.testing.assert_array_equal(stream(42, 7).random(100), expected)
 
     def test_kolmogorov_smirnov(self):
-        us = SeedSpec(99).generator().random(10_000)
+        us = stream(99).random(10_000)
         stat = stats.kstest(us, "uniform").statistic
         assert stat < 1.63 / math.sqrt(10_000)
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
-            SeedSpec(-1)
+            stream(-1)
+        with pytest.raises(ValueError):
+            stream(1, -1)
 
 
 def test_truncated_table_mass_against_quadrature():

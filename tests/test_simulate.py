@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qtangent.errors import InvalidCount, InvalidInit, InvalidThreshold, InvalidTime
+from qtangent.errors import InvalidCount, InvalidState, InvalidThreshold, InvalidTime
 from qtangent.kernels import qnormal_pdf
 from qtangent.qspecial import QParams
-from qtangent.sampling import SeedSpec
 from qtangent.simulate import (
-    Fixed,
     JumpStats,
-    Origin,
-    Stationary,
     TimeGrid,
     jump_bound,
     moment4_closed,
@@ -36,9 +32,9 @@ class TestTimeGrid:
             TimeGrid(0.0, math.inf, 10)
 
 
-def one_path(process, p, grid, init, seed):
+def one_path(process, p, grid, x0, seed):
     """Row 0 of a one-path ensemble, with the grid times."""
-    times, values = simulate_ensemble(process, p, grid, init, seed, 1)
+    times, values = simulate_ensemble(process, p, grid, x0, seed, 1)
     return times, values[0]
 
 
@@ -46,56 +42,65 @@ class TestSimulatePath:
     def test_fixed_seed_reproduces(self):
         p = QParams(0.5)
         g = TimeGrid(0.0, 1.0, 30)
-        _, a = one_path("qou", p, g, Stationary(), 7)
-        _, b = one_path("qou", p, g, Stationary(), 7)
+        _, a = one_path("qou", p, g, None, 7)
+        _, b = one_path("qou", p, g, None, 7)
         np.testing.assert_array_equal(a, b)
 
     def test_initial_conditions(self):
         p = QParams(0.5)
         g = TimeGrid(0.0, 1.0, 5)
-        assert one_path("qou", p, g, Fixed(0.3), 1)[1][0] == 0.3
-        assert one_path("qbm", p, g, Origin(), 1)[1][0] == 0.0
+        assert one_path("qou", p, g, 0.3, 1)[1][0] == 0.3
+        assert one_path("qbm", p, g, None, 1)[1][0] == 0.0
 
     def test_invalid_inits(self):
         p = QParams(0.5)
         g = TimeGrid(0.0, 1.0, 5)
-        with pytest.raises(InvalidInit):
-            one_path("qou", p, g, Fixed(p.x_plus * 2), 1)
-        with pytest.raises(InvalidInit):
-            one_path("qou", p, g, Origin(), 1)
-        with pytest.raises(InvalidInit):
-            one_path("qbm", p, TimeGrid(1.0, 2.0, 5), Origin(), 1)
-        with pytest.raises(InvalidInit):
-            one_path("qou", p, g, Fixed(math.nan), 1)
+        with pytest.raises(InvalidState):
+            one_path("qou", p, g, p.x_plus * 2, 1)
+        with pytest.raises(InvalidState):
+            one_path("qou", p, g, math.nan, 1)
+        with pytest.raises(InvalidState):
+            one_path("qbm", p, g, 0.1, 1)
+
+    def test_qbm_from_the_origin_is_the_marginal_start(self):
+        # at t0 = 0 the marginal is the point mass at 0: no q-normal row is
+        # drawn for the start, and no start value is -0.0
+        p = QParams(0.5)
+        g = TimeGrid(0.0, 1.0, 10)
+        _, marginal = simulate_ensemble("qbm", p, g, None, 13, 5)
+        _, origin = simulate_ensemble("qbm", p, g, 0.0, 13, 5)
+        np.testing.assert_array_equal(marginal, origin)
+        assert marginal.tobytes() == origin.tobytes()
+        assert not np.any(np.signbit(marginal[:, 0]))
 
     def test_qbm_support_confinement(self):
         p = QParams(0.9)
-        times, values = one_path("qbm", p, TimeGrid(0.0, 4.0, 300), Origin(), 3)
+        times, values = one_path("qbm", p, TimeGrid(0.0, 4.0, 300), None, 3)
         bound = 2.0 * np.sqrt(times / (1 - 0.9))
         assert np.all(np.abs(values) <= bound + 1e-9)
 
     def test_qou_support_confinement(self):
         p = QParams(-0.5)
-        _, values = one_path("qou", p, TimeGrid(0.0, 2.0, 200), Stationary(), 4)
+        _, values = one_path("qou", p, TimeGrid(0.0, 2.0, 200), None, 4)
         assert np.all(np.abs(values) <= p.x_plus + 1e-9)
 
 
 class TestEnsemble:
     def test_shape_and_times(self):
         g = TimeGrid(1.0, 2.0, 8)
-        times, values = simulate_ensemble("qbm", QParams(0.5), g, Stationary(), 2, 4)
+        times, values = simulate_ensemble("qbm", QParams(0.5), g, None, 2, 4)
         assert values.shape == (4, 9)
         np.testing.assert_array_equal(times, g.times)
 
-    @pytest.mark.parametrize("process, grid, init", [
-        ("qou", TimeGrid(0.0, 1.0, 12), Stationary()),
-        ("qbm", TimeGrid(0.0, 1.0, 12), Origin()),
-        ("qbm", TimeGrid(1.0, 2.0, 12), Fixed(0.4)),
+    @pytest.mark.parametrize("process, grid, x0", [
+        ("qou", TimeGrid(0.0, 1.0, 12), None),
+        ("qbm", TimeGrid(0.0, 1.0, 12), None),
+        ("qbm", TimeGrid(1.0, 2.0, 12), 0.4),
     ], ids=["qou-stationary", "qbm-origin", "qbm-fixed"])
-    def test_rows_do_not_depend_on_ensemble_size(self, process, grid, init):
+    def test_rows_do_not_depend_on_ensemble_size(self, process, grid, x0):
         p = QParams(0.5)
-        _, three = simulate_ensemble(process, p, grid, init, 11, 3)
-        _, seven = simulate_ensemble(process, p, grid, init, 11, 7)
+        _, three = simulate_ensemble(process, p, grid, x0, 11, 3)
+        _, seven = simulate_ensemble(process, p, grid, x0, 11, 7)
         np.testing.assert_array_equal(three, seven[:3])
 
     def test_matches_individual_paths(self):
@@ -105,9 +110,9 @@ class TestEnsemble:
         p = QParams(0.5)
         for grid, n_paths, picks in ((TimeGrid(0.0, 1.0, 20), 6, (0, 2, 5)),
                                      (TimeGrid(0.0, 1.0, 5), 300, (0, 7, 150, 299))):
-            _, ens = simulate_ensemble("qbm", p, grid, Origin(), 11, n_paths)
+            _, ens = simulate_ensemble("qbm", p, grid, None, 11, n_paths)
             for i in picks:
-                _, head = simulate_ensemble("qbm", p, grid, Origin(), 11, i + 1)
+                _, head = simulate_ensemble("qbm", p, grid, None, 11, i + 1)
                 np.testing.assert_array_equal(ens[i], head[i])
 
     def test_batch_size_invariance(self):
@@ -115,22 +120,22 @@ class TestEnsemble:
         # a loop over k; the paths they share must agree bit for bit
         p = QParams(0.3)
         g = TimeGrid(0.0, 1.0, 15)
-        _, a = simulate_ensemble("qou", p, g, Stationary(), 5, 2)
-        _, b = simulate_ensemble("qou", p, g, Stationary(), 5, 200)
+        _, a = simulate_ensemble("qou", p, g, None, 5, 2)
+        _, b = simulate_ensemble("qou", p, g, None, 5, 200)
         np.testing.assert_array_equal(a, b[:2])
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(InvalidCount):
-            simulate_ensemble("qbm", QParams(0.5), TimeGrid(0.0, 1.0, 5), Origin(), 1, 0)
+            simulate_ensemble("qbm", QParams(0.5), TimeGrid(0.0, 1.0, 5), None, 1, 0)
         with pytest.raises(InvalidCount):
-            moment4_estimate(0.5, 0.0, 1.0, 0, SeedSpec(1))
+            moment4_estimate(0.5, 0.0, 1.0, 0, 1)
 
     def test_stationary_pooled_variance(self):
         # pooled marginals of a stationary run have unit variance; the paths
         # are autocorrelated so the tolerance uses a crude effective n
         q = 0.5
         p = QParams(q)
-        _, values = simulate_ensemble("qou", p, TimeGrid(0.0, 5.0, 25), Stationary(), 21, 200)
+        _, values = simulate_ensemble("qou", p, TimeGrid(0.0, 5.0, 25), None, 21, 200)
         n_eff = values.size / 4.0
         tol = 4.0 * math.sqrt((2.0 + q - 1.0) / n_eff)
         assert abs(float(np.var(values)) - 1.0) < tol
@@ -141,7 +146,7 @@ class TestEnsemble:
         # the 0.03 bound so the check has discriminating power
         q, t, n_paths = 0.5, 1.0, 40_000
         p = QParams(q)
-        _, values = simulate_ensemble("qbm", p, TimeGrid(0.0, t, 4), Origin(), 31, n_paths)
+        _, values = simulate_ensemble("qbm", p, TimeGrid(0.0, t, 4), None, 31, n_paths)
         finals = values[:, -1]
         b = 2.0 * math.sqrt(t / (1 - q))
         edges = np.linspace(-b, b, 51)
@@ -165,21 +170,21 @@ class TestMoment4:
             moment4_closed(0.5, -1.0, 1.0)
 
     def test_estimate_from_origin(self):
-        est, se = moment4_estimate(0.0, 0.0, 1.0, 30_000, SeedSpec(8))
+        est, se = moment4_estimate(0.0, 0.0, 1.0, 30_000, 8)
         assert abs(est - 2.0) < 4.0 * se
 
     def test_estimate_conditional_step(self):
-        est, se = moment4_estimate(0.5, 1.0, 2.0, 30_000, SeedSpec(9))
+        est, se = moment4_estimate(0.5, 1.0, 2.0, 30_000, 9)
         assert abs(est - 3.5) < 4.0 * se
 
     def test_single_sample_flags_infinite_error(self):
-        est, se = moment4_estimate(0.5, 0.0, 1.0, 1, SeedSpec(10))
+        est, se = moment4_estimate(0.5, 0.0, 1.0, 1, 10)
         assert math.isfinite(est)
         assert se == math.inf
 
     def test_deterministic(self):
-        a = moment4_estimate(0.2, 0.0, 1.0, 500, SeedSpec(12))
-        b = moment4_estimate(0.2, 0.0, 1.0, 500, SeedSpec(12))
+        a = moment4_estimate(0.2, 0.0, 1.0, 500, 12)
+        b = moment4_estimate(0.2, 0.0, 1.0, 500, 12)
         assert a == b
 
 
@@ -201,8 +206,7 @@ class TestJumpBound:
 
 def max_increments(q, S, T, n_paths, steps, seed):
     """Largest absolute grid increment of each q-BM path, as sup_jump_estimate draws them."""
-    init = Origin() if S == 0.0 else Stationary()
-    _, values = simulate_ensemble("qbm", QParams(q), TimeGrid(S, T, steps), init, seed, n_paths)
+    _, values = simulate_ensemble("qbm", QParams(q), TimeGrid(S, T, steps), None, seed, n_paths)
     return np.max(np.abs(np.diff(values, axis=1)), axis=1)
 
 

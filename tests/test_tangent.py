@@ -6,7 +6,6 @@ import pytest
 from qtangent.errors import InvalidCount, InvalidState, InvalidTime, OutOfSupport, UnknownProcess
 from qtangent.kernels import cauchy_transition_pdf
 from qtangent.tangent import (
-    ConvergenceReport,
     TangentCase,
     Window,
     convergence_study,
@@ -180,9 +179,8 @@ class TestDistance:
     def test_ladder_monotone(self):
         case = TangentCase("qou_interior", 0.5, x=0.0)
         w = default_window(case)
-        l1_coarse, _ = distance(case, 1e-1, w)
-        l1_fine, _ = distance(case, 1e-3, w)
-        assert l1_fine < l1_coarse
+        l1s, _ = distance(case, (1e-1, 1e-3), w)
+        assert l1s[1] < l1s[0]
 
     def test_window_carries_limit_mass(self):
         # tail bookkeeping: the default window holds ~99% of the limit mass
@@ -223,7 +221,8 @@ class TestBatchedLadder:
         l1s, sups = distance(case, LADDER, w)
         assert l1s.shape == sups.shape == (len(LADDER),)
         for eps, l1, sup in zip(LADDER, l1s, sups):
-            assert distance(case, eps, w) == (l1, sup)
+            one_l1, one_sup = distance(case, (eps,), w)
+            assert (one_l1[0], one_sup[0]) == (l1, sup)
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c.case)
     def test_rescaled_rows_equal_single_rung_calls(self, case):
@@ -245,27 +244,28 @@ class TestBatchedLadder:
         w = default_window(case)
         for bad in (-5, 0, 3, 31):
             with pytest.raises(InvalidCount):
-                distance(case, 0.1, w, resolution=bad)
-        assert distance(case, 0.1, w, resolution=32)[0] > 0.0
+                distance(case, (0.1,), w, resolution=bad)
+        assert distance(case, (0.1,), w, resolution=32)[0][0] > 0.0
 
 
 class TestConvergenceStudy:
     def test_interior_passes(self):
         case = TangentCase("qou_interior", 0.5, x=0.5 * 2 / math.sqrt(0.5))
         report = convergence_study(case, LADDER)
-        assert report.verdict
-        l1s = [row[1] for row in report.ladder]
+        assert report["verdict"] == "pass"
+        l1s = [row["l1"] for row in report["ladder"]]
         assert all(b <= a * 1.1 for a, b in zip(l1s, l1s[1:]))
         assert l1s[-1] < 0.02
 
     def test_wrong_scale_fails(self):
         case = TangentCase("qou_interior", 0.5, x=0.5 * 2 / math.sqrt(0.5))
         report = convergence_study(case, LADDER, scale_override=1.0)
-        assert not report.verdict
+        assert report["verdict"] == "fail"
+        assert report["scale_override"] == 1.0
 
     def test_qbm_boundary_passes(self):
         report = convergence_study(TangentCase("qbm_boundary", 0.0, s=1.0), LADDER)
-        assert report.verdict
+        assert report["verdict"] == "pass"
 
     def test_ladder_validation(self):
         case = TangentCase("qou_interior", 0.0, x=0.0)
@@ -276,13 +276,16 @@ class TestConvergenceStudy:
 
     def test_report_dict_shape(self):
         case = TangentCase("qbm_interior", 0.0, x=0.5, s=1.0)
-        report = convergence_study(case, (0.1, 0.05, 0.01))
-        d = report.to_dict()
+        w = default_window(case)
+        d = convergence_study(case, (0.1, 0.05, 0.01), window=w)
+        assert list(d) == ["case", "q", "s", "x", "window", "ladder", "verdict", "threshold",
+                           "slack"]
         assert d["case"] == "qbm_interior"
         assert d["verdict"] == "pass"
-        assert len(d["ladder"]) == 3
-        assert {"eps", "l1", "sup"} <= set(d["ladder"][0])
-        assert d["window"]["t2"] == report.window.t2
+        assert [row["eps"] for row in d["ladder"]] == [0.1, 0.05, 0.01]
+        assert list(d["ladder"][0]) == ["eps", "l1", "sup"]
+        assert d["window"] == {"t1": w.t1, "t2": w.t2, "y1": w.y1, "y2": [w.y2_lo, w.y2_hi],
+                               "coverage": w.coverage}
 
     def test_window_validation(self):
         with pytest.raises(InvalidTime):
