@@ -29,13 +29,13 @@ from .kernels import (
     qnormal_pdf,
     qou_transition_pdf,
 )
-from .qspecial import QParams
 
 __all__ = ["main", "parse_and_dispatch"]
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on usage errors; the contract here is 1
+    # argparse prints the usage and exits with code 2 on usage errors; here
+    # they are the same one-line message and exit code 1 as every other error
     def __init__(self, *a, **kw):
         super().__init__(*a, **kw)
         # accept grid/ladder values like -2:2:401, -.5:1:5 or -inf:1:5 as
@@ -43,7 +43,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise _UsageError(message)
 
 
@@ -79,7 +78,7 @@ def _parse_ladder(spec):
 
 
 def _seed(text):
-    """An integer seed >= 0; a bad one is a one-line error, without the usage text."""
+    """An integer seed >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -195,15 +194,15 @@ def _cmd_density(args):
     if proc in ("qnormal", "qou", "qbm") and args.q is None:
         raise _UsageError(f"--q is required for {proc}")
     if proc == "qnormal":
-        pdf = qnormal_pdf(QParams(args.q), grid)
+        pdf = qnormal_pdf(args.q, grid)
     elif proc == "qou":
         if args.delta is None or args.x is None:
             raise _UsageError("qou needs --delta and --x")
-        pdf = qou_transition_pdf(QParams(args.q), args.delta, args.x, grid)
+        pdf = qou_transition_pdf(args.q, args.delta, args.x, grid)
     elif proc == "qbm":
         if args.t1 is None or args.t2 is None or args.y1 is None:
             raise _UsageError("qbm needs --t1, --t2 and --y1")
-        pdf = qbm_transition_pdf(QParams(args.q), args.t1, args.t2, args.y1, grid)
+        pdf = qbm_transition_pdf(args.q, args.t1, args.t2, args.y1, grid)
     elif proc in ("cauchy", "biane_half", "biane_shifted"):
         if args.t1 is None or args.t2 is None or args.y1 is None:
             raise _UsageError(f"{proc} needs --t1, --t2 and --y1")
@@ -244,10 +243,9 @@ def _parse_init(args):
 def _cmd_simulate(args):
     from . import simulate as sim
 
-    p = QParams(args.q)
     grid = sim.TimeGrid(args.t0, args.t1, args.steps)
     x0 = _parse_init(args)
-    times, values = sim.simulate_ensemble(args.process, p, grid, x0, args.seed, args.paths)
+    times, values = sim.simulate_ensemble(args.process, args.q, grid, x0, args.seed, args.paths)
     os.makedirs(args.output_dir, exist_ok=True)
     for i, row in enumerate(values):
         name = os.path.join(args.output_dir, f"path_{i:03d}.csv")
@@ -290,20 +288,8 @@ def _cmd_tangent(args):
 def _cmd_jumps(args):
     from . import simulate as sim
 
-    # the bound validates the times and the threshold before any path is drawn
-    bound = sim.jump_bound(args.q, args.S, args.T, args.a)
-    stats = sim.sup_jump_estimate(args.q, args.S, args.T, args.a, args.paths, args.steps,
-                                  args.seed)
-    result = {
-        "q": args.q, "S": args.S, "T": args.T, "a": args.a,
-        "paths": args.paths, "steps": args.steps,
-        "exceed_fraction": stats.exceed_fraction,
-        "exceed_count": stats.exceed_count,
-        "max_abs_increment": stats.max_abs_increment,
-        "binomial_std_error": stats.binomial_std_error,
-        "bound": bound,
-        "within_bound": bool(stats.exceed_fraction <= bound + 3.0 * stats.binomial_std_error),
-    }
+    result = sim.sup_jump_estimate(args.q, args.S, args.T, args.a, args.paths, args.steps,
+                                   args.seed)
     _write_text(args.output, _envelope("jumps", result))
     return 0
 
@@ -365,10 +351,7 @@ def parse_and_dispatch(argv):
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except _UsageError as exc:
-        sys.stderr.write(f"qtangent: error: {exc}\n")
-        return 1
-    except QTangentError as exc:
+    except (_UsageError, QTangentError) as exc:
         sys.stderr.write(f"qtangent: error: {exc}\n")
         return 1
 

@@ -23,7 +23,9 @@ below d ~ 1e-160, phi_{q,0}/u stays in range down to d = 1e-300.  The k >= 1
 factors use the analogous factorisation of their cross terms, and each also
 carries the factor 1 - q^k of the constant (q; q)_inf, so one product over k
 serves the whole kernel, cut where ``series_terms`` puts ``rel_tol``
-(1e-14 by default).
+(1e-14 by default).  q is a float in (-1, 1); ``x_plus(q)`` checks it and
+gives the support edge 2/sqrt(1-q) of the q-OU state space (the time-t
+q-BM edge is 2 sqrt(t/(1-q))).
 
 The q-OU lag and the q-BM times may be arrays that broadcast against the
 states, so one call evaluates a whole ladder of times (the tangent studies
@@ -51,10 +53,11 @@ import math
 
 import numpy as np
 
-from .errors import InvalidState, InvalidTime, NonFinite
-from .qspecial import QParams, series_terms
+from .errors import InvalidState, InvalidTime, NonConvergent, NonFinite, TruncationExceeded
 
 __all__ = [
+    "x_plus",
+    "series_terms",
     "qnormal_pdf",
     "qou_transition_pdf",
     "qbm_transition_pdf",
@@ -69,6 +72,34 @@ __all__ = [
 # (K, points) array, which costs fewer numpy calls.  Measured crossover:
 # about 1,000 points for every K.
 _LOOP_POINTS = 1024
+# Most product terms any kernel evaluates: enough for |q| <= 0.995 at rel_tol 1e-14
+_K_MAX = 10_000
+
+
+def x_plus(q):
+    """Right edge 2/sqrt(1-q) of the q-OU state space; NonConvergent unless -1 < q < 1."""
+    if not -1.0 < q < 1.0:
+        raise NonConvergent(f"q must lie in (-1, 1), got {q}")
+    return 2.0 / math.sqrt(1.0 - q)
+
+
+def series_terms(q, rel_tol=1e-14):
+    """Number of product terms after which |q|^k drops below rel_tol (1 - |q|) 1e-2.
+
+    Products are cut once the next factor differs from 1 by less than
+    rel_tol (1 - |q|); geometric decay of the factors then bounds the total
+    relative error by a small multiple of rel_tol.  The two extra decades
+    cover the O(1) constants that multiply q^k in the factor families.
+    Raises TruncationExceeded if that needs more than 10,000 terms.
+    """
+    if q == 0.0:
+        return 1
+    thr = rel_tol * (1.0 - abs(q)) * 1e-2
+    n = int(math.ceil(math.log(thr) / math.log(abs(q))))
+    n = max(n, 1)
+    if n > _K_MAX:
+        raise TruncationExceeded(f"need {n} terms at q={q} but k_max={_K_MAX}")
+    return n
 
 
 def _as_float_or_array(out):
@@ -142,20 +173,19 @@ def _qou_factor(c, x, y, cyy, out, phi, tmp):
     return out
 
 
-def _qou_core(p: QParams, delta, x, y, x_minus_y, rel_tol):
-    """The q-OU transition density at lag delta in (0, inf] from x to y, 0 for |y| >= x_plus.
+def _qou_core(q, delta, x, y, x_minus_y, rel_tol):
+    """The q-OU transition density at lag delta in (0, inf] from x to y, 0 for |y| >= x_plus(q).
 
     delta is a float or an array broadcasting against the float arrays x and y;
     delta = inf is the q-normal law of y.  The caller passes x - y, to full accuracy.
     """
-    q = p.q
     c1 = 1.0 - q
     e1 = _each(math.exp, -delta)
     e2 = e1 * e1
     u = -_each(math.expm1, -delta)
     # targets outside the support evaluate at the placeholder y = x - y = 0, so
     # that far targets cannot overflow; the final mask sets them to 0
-    outside = np.abs(y) >= p.x_plus
+    outside = np.abs(y) >= x_plus(q)
     y = np.where(outside, 0.0, y)
     x_minus_y = np.where(outside, 0.0, x_minus_y)
     cyy = c1 * y * y
@@ -175,7 +205,7 @@ def _qou_core(p: QParams, delta, x, y, x_minus_y, rel_tol):
     return np.where(outside, 0.0, cq * (1.0 + e1) * sq / phi0_u * tail)
 
 
-def qnormal_pdf(p: QParams, x, rel_tol=1e-14):
+def qnormal_pdf(q, x, rel_tol=1e-14):
     """Density of the q-normal law on [-2/sqrt(1-q), 2/sqrt(1-q)].
 
     At q = 0 this is the Wigner semicircle law sqrt(4 - x^2)/(2 pi); as
@@ -183,25 +213,26 @@ def qnormal_pdf(p: QParams, x, rel_tol=1e-14):
     infinite lag.
     """
     y = np.asarray(x, dtype=float)
-    return _as_float_or_array(_qou_core(p, math.inf, 0.0, y, -y, rel_tol))
+    return _as_float_or_array(_qou_core(q, math.inf, 0.0, y, -y, rel_tol))
 
 
-def qou_transition_pdf(p: QParams, delta, x, y, rel_tol=1e-14):
+def qou_transition_pdf(q, delta, x, y, rel_tol=1e-14):
     """Transition density of the stationary q-OU process over a time lag delta.
 
     Depends on (s, t) only through delta = t - s.  Zero for target states
-    |y| >= x_plus; the conditioning state x must lie in [x_minus, x_plus].
+    |y| >= x_plus(q); the conditioning state x must lie in [-x_plus(q), x_plus(q)].
     delta may be an array broadcasting against x and y.  Lags below 1e-307
     are rejected: the regrouped k = 0 term e^{-2 delta}(1-q)(x-y)^2/u reaches
     16/u, which overflows below it.
     """
+    xp = x_plus(q)
     d = _time(delta)
     if not _all((1e-307 <= d) & (d < math.inf)):
         raise InvalidTime(f"q-OU kernel requires a finite lag delta >= 1e-307, got {delta}")
-    if not np.max(np.abs(x)) <= p.x_plus * (1.0 + 1e-12):
-        raise InvalidState(f"conditioning state x={x} outside [{p.x_minus}, {p.x_plus}]")
+    if not np.max(np.abs(x)) <= xp * (1.0 + 1e-12):
+        raise InvalidState(f"conditioning state x={x} outside [{-xp}, {xp}]")
     xarr, yarr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    out = _qou_core(p, d, xarr, yarr, xarr - yarr, rel_tol)
+    out = _qou_core(q, d, xarr, yarr, xarr - yarr, rel_tol)
     return _as_float_or_array(out)
 
 
@@ -215,7 +246,7 @@ def _bm_root(t):
     return math.sqrt(t) if t > 0.0 else math.inf
 
 
-def qbm_transition_pdf(p: QParams, t1, t2, y1, y2):
+def qbm_transition_pdf(q, t1, t2, y1, y2):
     """Transition density of the q-Brownian motion from (t1, y1) to (t2, .).
 
     Supports t1 = 0 only with y1 = 0 (start at the origin).  Zero outside
@@ -227,7 +258,7 @@ def qbm_transition_pdf(p: QParams, t1, t2, y1, y2):
     y2/sqrt(t2), divided by sqrt(t2).  A start at the origin is delta = inf,
     the sqrt(t2)-dilated q-normal law.
     """
-    q = p.q
+    x_plus(q)  # rejects q outside (-1, 1) before any time or state is read
     t1a, t2a = _time(t1), _time(t2)
     if not _all((0.0 <= t1a) & (t1a < t2a) & (t2a < math.inf)):
         raise InvalidTime(f"q-BM kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
@@ -243,7 +274,7 @@ def qbm_transition_pdf(p: QParams, t1, t2, y1, y2):
     with np.errstate(over="ignore"):  # far targets overflow for t2 < 1: outside in the core
         x_minus_y = (y1a - y2a) / r2 + y1a * ((t2a - t1a) / (r1 + r2) / r1 / r2)
         y = y2a / r2
-    out = _qou_core(p, _each(_bm_lag, t1a, t2a), y1a / r1, y, x_minus_y, 1e-14)
+    out = _qou_core(q, _each(_bm_lag, t1a, t2a), y1a / r1, y, x_minus_y, 1e-14)
     return _as_float_or_array(out / r2)
 
 

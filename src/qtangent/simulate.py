@@ -17,7 +17,10 @@ inverse CDF.  An ensemble is one (paths, steps + 1) array of values: row i
 consumes stream i of the base seed, and every stage works row by row, so a
 path's values do not depend on which other paths share its batch.  A start
 is a state or None: None draws from the time-t0 marginal, which for q-BM at
-t0 = 0 is the point mass at the origin.
+t0 = 0 is the point mass at the origin.  q is a float in (-1, 1), checked by
+``kernels.x_plus``, which also gives the q-OU support edge the lattice and
+node rows are clamped to.  ``sup_jump_estimate`` reports the jump statistics
+as the dict the CLI prints.
 """
 
 import math
@@ -26,13 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCount, InvalidState, InvalidThreshold, InvalidTime, UnknownProcess
-from .kernels import _bm_lag, qnormal_pdf, qou_transition_pdf
-from .qspecial import QParams
+from .kernels import _bm_lag, qnormal_pdf, qou_transition_pdf, x_plus
 from .sampling import batch_cdf_tables, cheb_nodes, gauss_points, pchip_quantile, stream
 
 __all__ = [
     "TimeGrid",
-    "JumpStats",
     "simulate_ensemble",
     "moment4_closed",
     "moment4_estimate",
@@ -68,24 +69,6 @@ class TimeGrid:
         return np.linspace(self.t0, self.t1, self.steps + 1)
 
 
-@dataclass(frozen=True)
-class JumpStats:
-    """Ensemble statistics of the largest grid increment per path."""
-
-    max_abs_increment: float
-    exceed_count: int
-    ensemble_size: int
-
-    @property
-    def exceed_fraction(self):
-        return self.exceed_count / self.ensemble_size
-
-    @property
-    def binomial_std_error(self):
-        f = self.exceed_fraction
-        return math.sqrt(max(f * (1.0 - f), 0.0) / self.ensemble_size)
-
-
 def _lag(process, t1, t2):
     """The q-OU lag of the step t1 -> t2: the step itself for q-OU, and for
     q-BM the time change W_{e^{2t}} = e^t X_t (infinite from t1 = 0)."""
@@ -111,7 +94,7 @@ def _conditional_nodes(lo, hi, xs, scales, n_nodes):
     return np.clip(rows, lo, hi)
 
 
-def _draw(p: QParams, lag, x, u, n_nodes=_SIM_NODES):
+def _draw(q, lag, x, u, n_nodes=_SIM_NODES):
     """q-OU states at lag in (0, inf] from the states x, one uniform of u each.
 
     An infinite lag draws every entry from the q-normal law (x is ignored)
@@ -121,12 +104,12 @@ def _draw(p: QParams, lag, x, u, n_nodes=_SIM_NODES):
     lag c_{q,x} + 4 lag^2/sqrt(1-q) (c_{q,x} = sqrt(4/(1-q) - x^2), the
     tangent-process scale).
     """
-    lo, hi = p.x_minus, p.x_plus
+    hi = x_plus(q)
+    lo = -hi
     if lag == math.inf:
         nodes = cheb_nodes(lo, hi, 257)[None, :]
-        cdf = batch_cdf_tables(qnormal_pdf(p, gauss_points(nodes), _SIM_REL_TOL), nodes)
+        cdf = batch_cdf_tables(qnormal_pdf(q, gauss_points(nodes), _SIM_REL_TOL), nodes)
         return pchip_quantile(nodes, cdf, np.zeros(len(u), dtype=np.intp), u)
-    q = p.q
     width = 2.0 * hi
     second = lag * lag * 4.0 / math.sqrt(1.0 - q)  # second-order part of the core width
     step = _LATTICE * (lag * hi + second)  # c_{q,0} = hi
@@ -135,25 +118,25 @@ def _draw(p: QParams, lag, x, u, n_nodes=_SIM_NODES):
     c = np.sqrt(np.maximum(4.0 / (1.0 - q) - states * states, 0.0))
     scales = np.clip(lag * c + second, width * 1e-9, width / 2.0)
     nodes = _conditional_nodes(lo, hi, states, scales, n_nodes)
-    dens = qou_transition_pdf(p, lag, states[:, None], gauss_points(nodes), _SIM_REL_TOL)
+    dens = qou_transition_pdf(q, lag, states[:, None], gauss_points(nodes), _SIM_REL_TOL)
     return pchip_quantile(nodes, batch_cdf_tables(dens, nodes), row, u)
 
 
-def _start(process, p, t0, x0):
+def _start(process, q, t0, x0):
     """The start state in q-OU coordinates, None for a q-normal draw; the
     q-BM marginal at t0 = 0 is the origin, so no q-normal row is drawn."""
     if process not in ("qou", "qbm"):
         raise UnknownProcess(f"cannot simulate process {process!r}")
     root = 1.0 if process == "qou" else math.sqrt(t0)
-    if x0 is not None and not abs(x0) <= p.x_plus * root:
-        raise InvalidState(f"x0={x0} outside the time-t0 support "
-                           f"[-{p.x_plus * root}, {p.x_plus * root}]")
+    edge = x_plus(q) * root
+    if x0 is not None and not abs(x0) <= edge:
+        raise InvalidState(f"x0={x0} outside the time-t0 support [-{edge}, {edge}]")
     if root == 0.0:
         return 0.0
     return None if x0 is None else x0 / root
 
 
-def simulate_ensemble(process, p: QParams, grid: TimeGrid, x0, base_seed, n_paths):
+def simulate_ensemble(process, q, grid: TimeGrid, x0, base_seed, n_paths):
     """(times, values) of n_paths trajectories, sampling each step from the exact kernel.
 
     x0 is a state in the time-t0 support or None (the time-t0 marginal).
@@ -166,11 +149,11 @@ def simulate_ensemble(process, p: QParams, grid: TimeGrid, x0, base_seed, n_path
         raise InvalidCount(f"need at least one path, got {n_paths}")
     times = grid.times
     U = np.stack([stream(base_seed, i).random(len(times)) for i in range(n_paths)])
-    start = _start(process, p, times[0], x0)
+    start = _start(process, q, times[0], x0)
     X = np.empty(U.shape)
-    X[:, 0] = _draw(p, math.inf, None, U[:, 0]) if start is None else start
+    X[:, 0] = _draw(q, math.inf, None, U[:, 0]) if start is None else start
     for j in range(grid.steps):
-        X[:, j + 1] = _draw(p, _lag(process, times[j], times[j + 1]), X[:, j], U[:, j + 1])
+        X[:, j + 1] = _draw(q, _lag(process, times[j], times[j + 1]), X[:, j], U[:, j + 1])
     values = X if process == "qou" else np.sqrt(times) * X
     if x0 is not None:
         values[:, 0] = x0
@@ -196,12 +179,11 @@ def moment4_estimate(q, s, t, n_samples, seed: int):
         raise InvalidTime(f"need 0 <= s < t, got s={s}, t={t}")
     if n_samples < 1:
         raise InvalidCount(f"need at least one sample, got {n_samples}")
-    p = QParams(q)
     gen = stream(seed)
-    x_s = np.zeros(n_samples) if s == 0.0 else _draw(p, math.inf, None, gen.random(n_samples))
+    x_s = np.zeros(n_samples) if s == 0.0 else _draw(q, math.inf, None, gen.random(n_samples))
     # moment estimation weights the tails; finer tables keep the quantile
     # interpolation bias well below the Monte Carlo error
-    x_t = _draw(p, _lag("qbm", s, t), x_s, gen.random(n_samples), n_nodes=257)
+    x_t = _draw(q, _lag("qbm", s, t), x_s, gen.random(n_samples), n_nodes=257)
     d = math.sqrt(t) * x_t - math.sqrt(s) * x_s
     d4 = d ** 4
     est = float(np.mean(d4))
@@ -217,20 +199,33 @@ def jump_bound(q, S, T, a):
         raise InvalidTime(f"need 0 <= S < T, got S={S}, T={T}")
     if not a > 0.0:
         raise InvalidThreshold(f"threshold a must be positive, got {a}")
+    x_plus(q)  # rejects q outside (-1, 1)
     return min(1.0, (1.0 - q) * (T * T - S * S) / a ** 4)
 
 
 def sup_jump_estimate(q, S, T, a, n_paths, steps, base_seed: int):
-    """Fraction of n_paths q-BM paths on [S, T] whose largest grid increment exceeds a.
+    """Fraction of n_paths q-BM paths on [S, T] whose largest grid increment
+    exceeds a, against the closed-form bound, as the dict the CLI prints.
 
+    ``jump_bound`` checks q, the times and a > 0 before any path is drawn.
     Paths start from the time-S marginal (the origin for S = 0); path i
-    uses stream i of base_seed.  The grid maximum
-    converges to the supremum of the jump sizes as the mesh refines, so this
-    estimates the left side of the closed-form jump bound.
+    uses stream i of base_seed.  The grid maximum converges to the supremum
+    of the jump sizes as the mesh refines, so the fraction estimates the
+    left side of the bound; ``within_bound`` allows three binomial standard
+    errors.
     """
-    if not a >= 0.0:
-        raise InvalidThreshold(f"threshold a must be nonnegative, got {a}")
-    _, values = simulate_ensemble("qbm", QParams(q), TimeGrid(S, T, steps), None,
-                                  base_seed, n_paths)
+    bound = jump_bound(q, S, T, a)
+    _, values = simulate_ensemble("qbm", q, TimeGrid(S, T, steps), None, base_seed, n_paths)
     mx = np.max(np.abs(np.diff(values, axis=1)), axis=1)
-    return JumpStats(float(np.max(mx)), int(np.sum(mx > a)), n_paths)
+    count = int(np.sum(mx > a))
+    fraction = count / n_paths
+    std_error = math.sqrt(max(fraction * (1.0 - fraction), 0.0) / n_paths)
+    return {
+        "q": q, "S": S, "T": T, "a": a, "paths": n_paths, "steps": steps,
+        "exceed_fraction": fraction,
+        "exceed_count": count,
+        "max_abs_increment": float(np.max(mx)),
+        "binomial_std_error": std_error,
+        "bound": bound,
+        "within_bound": bool(fraction <= bound + 3.0 * std_error),
+    }

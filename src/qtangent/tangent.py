@@ -4,9 +4,10 @@ transition densities at finite epsilon against their closed-form limits.
 Four cases in two frames, each an affine image of one base kernel.  The
 process chooses only the exact kernel at the rescaled times (q-OU at lag
 eps (t2 - t1), q-BM from s + eps t1 to s + eps t2) and the half-width of the
-conditioning support (x_plus; 2 sqrt(tau1/(1-q)) for q-BM).  Interior points
-(beta = 1): the state x + eps y tends to c C_t + v t, C the standard Cauchy
-process, with (c, v) = (sqrt(4/(1-q) - x^2), 0) for q-OU and
+conditioning support (``kernels.x_plus(q)`` = 2/sqrt(1-q); 2 sqrt(tau1/(1-q))
+for q-BM).  A case holds q as a float, which ``TangentCase`` checks.
+Interior points (beta = 1): the state x + eps y tends to c C_t + v t, C the
+standard Cauchy process, with (c, v) = (sqrt(4/(1-q) - x^2), 0) for q-OU and
 (sqrt(4s/(1-q) - x^2)/(2s), x/(2s)) for q-BM (``interior_frame()``).
 Boundary points (beta = 2): the state x - a t eps + eps^2 y tends to
 (Z_{t/d} - b t^2)/r, Z the 1/2-stable Biane process, with (a, d, b, r) =
@@ -48,8 +49,8 @@ from .kernels import (
     half_stable_quantile,
     qbm_transition_pdf,
     qou_transition_pdf,
+    x_plus,
 )
-from .qspecial import QParams
 
 __all__ = [
     "TangentCase",
@@ -77,7 +78,7 @@ class TangentCase:
         if self.case not in _CASES:
             raise UnknownProcess(f"unknown tangent case {self.case!r}")
         # half-width of the support at the base time; a boundary case sits at its left edge
-        half = QParams(self.q).x_plus
+        half = x_plus(self.q)
         if self.qbm:
             if self.s is None or not 0.0 < self.s < math.inf:
                 raise InvalidTime("q-BM cases need a finite base time s > 0")
@@ -86,10 +87,6 @@ class TangentCase:
             object.__setattr__(self, "x", -half)
         elif self.x is None or not abs(self.x) < half:
             raise InvalidState(f"interior case needs |x| < {half}")
-
-    @property
-    def params(self):
-        return QParams(self.q)
 
     @property
     def qbm(self):
@@ -149,13 +146,13 @@ def rescaled_pdf(case: TangentCase, eps, t1, t2, y1, y2):
         raise InvalidTime(f"eps must be positive, got {eps}")
     if t1 < 0.0 or not t2 > t1:
         raise InvalidTime(f"need 0 <= t1 < t2, got t1={t1}, t2={t2}")
-    p, x = case.params, case.x
+    q, x = case.q, case.x
     if case.qbm:
         tau1, tau2 = case.s + t1 * e, case.s + t2 * e
-        kernel = partial(qbm_transition_pdf, p, tau1, tau2)
-        half = 2.0 * np.sqrt(tau1 / (1.0 - case.q))
+        kernel = partial(qbm_transition_pdf, q, tau1, tau2)
+        half = 2.0 * np.sqrt(tau1 / (1.0 - q))
     else:
-        kernel, half = partial(qou_transition_pdf, p, e * (t2 - t1)), p.x_plus
+        kernel, half = partial(qou_transition_pdf, q, e * (t2 - t1)), x_plus(q)
     # the frame x - a t eps + eps^beta y; g = eps^(beta - 1), and a = 0 and
     # g = 1 add and multiply exactly, so the interior frame is x + eps y bit for bit
     a, g = (0.0, 1.0) if case.interior else (case.boundary_frame()[0], e)

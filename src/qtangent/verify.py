@@ -37,8 +37,8 @@ from .kernels import (
     cauchy_transition_pdf,
     qbm_transition_pdf,
     qou_transition_pdf,
+    x_plus,
 )
-from .qspecial import QParams
 from .quadrature import integrate, integrate_from_edge
 from .sampling import stream
 from .tangent import TangentCase, convergence_study
@@ -77,18 +77,17 @@ def _over_interval(f, r):
 def _norm_case(gen, which):
     if which == "qou":
         q = gen.uniform(-0.9, 0.9)
-        p = QParams(q)
+        xp = x_plus(q)
         d = gen.uniform(0.05, 5.0)
-        x = gen.uniform(-0.95, 0.95) * p.x_plus
-        return _over_interval(lambda y: qou_transition_pdf(p, d, x, y), p.x_plus)
+        x = gen.uniform(-0.95, 0.95) * xp
+        return _over_interval(lambda y: qou_transition_pdf(q, d, x, y), xp)
     if which == "qbm":
         q = gen.uniform(-0.9, 0.9)
-        p = QParams(q)
         t1 = gen.uniform(0.1, 2.0)
         t2 = t1 + gen.uniform(0.05, 3.0)
         y1 = gen.uniform(-0.95, 0.95) * 2.0 * math.sqrt(t1 / (1.0 - q))
         b2 = 2.0 * math.sqrt(t2 / (1.0 - q))
-        return _over_interval(lambda y: qbm_transition_pdf(p, t1, t2, y1, y), b2)
+        return _over_interval(lambda y: qbm_transition_pdf(q, t1, t2, y1, y), b2)
     if which == "cauchy":
         t1 = gen.uniform(0.0, 2.0)
         t2 = t1 + gen.uniform(0.05, 3.0)
@@ -126,25 +125,24 @@ def kernel_normalization_report(n_sets=50, seed=1):
 def _ck_residual(gen, which):
     if which == "qou":
         q = gen.uniform(-0.9, 0.9)
-        p = QParams(q)
+        xp = x_plus(q)
         d1, d2 = gen.uniform(0.1, 1.5, 2)
-        x = gen.uniform(-0.8, 0.8) * p.x_plus
-        y = gen.uniform(-0.8, 0.8) * p.x_plus
-        val = _over_interval(lambda z: qou_transition_pdf(p, d1, x, z)
-                             * qou_transition_pdf(p, d2, z, y), p.x_plus)
-        return abs(val - qou_transition_pdf(p, d1 + d2, x, y))
+        x = gen.uniform(-0.8, 0.8) * xp
+        y = gen.uniform(-0.8, 0.8) * xp
+        val = _over_interval(lambda z: qou_transition_pdf(q, d1, x, z)
+                             * qou_transition_pdf(q, d2, z, y), xp)
+        return abs(val - qou_transition_pdf(q, d1 + d2, x, y))
     if which == "qbm":
         q = gen.uniform(-0.9, 0.9)
-        p = QParams(q)
         t1 = gen.uniform(0.1, 1.5)
         u = t1 + gen.uniform(0.1, 1.5)
         t2 = u + gen.uniform(0.1, 1.5)
         y1 = gen.uniform(-0.8, 0.8) * 2.0 * math.sqrt(t1 / (1.0 - q))
         y2 = gen.uniform(-0.8, 0.8) * 2.0 * math.sqrt(t2 / (1.0 - q))
         bu = 2.0 * math.sqrt(u / (1.0 - q))
-        val = _over_interval(lambda z: qbm_transition_pdf(p, t1, u, y1, z)
-                             * qbm_transition_pdf(p, u, t2, z, y2), bu)
-        return abs(val - qbm_transition_pdf(p, t1, t2, y1, y2))
+        val = _over_interval(lambda z: qbm_transition_pdf(q, t1, u, y1, z)
+                             * qbm_transition_pdf(q, u, t2, z, y2), bu)
+        return abs(val - qbm_transition_pdf(q, t1, t2, y1, y2))
     if which == "cauchy":
         t1 = gen.uniform(0.0, 1.5)
         u = t1 + gen.uniform(0.1, 1.5)
@@ -191,12 +189,12 @@ def ou_bm_identity_report(n_points=100, seed=3):
     worst = 0.0
     for _ in range(n_points):
         q = gen.uniform(-0.9, 0.9)
-        p = QParams(q)
+        xp = x_plus(q)
         s = gen.uniform(-1.0, 1.0)
         t = s + gen.uniform(0.05, 2.0)
-        x = gen.uniform(-0.9, 0.9) * p.x_plus
-        y = gen.uniform(-0.9, 0.9) * p.x_plus
-        lhs = qou_transition_pdf(p, t - s, x, y)
+        x = gen.uniform(-0.9, 0.9) * xp
+        y = gen.uniform(-0.9, 0.9) * xp
+        lhs = qou_transition_pdf(q, t - s, x, y)
         rhs = math.exp(t) * _displayed_qbm(
             q, math.exp(2.0 * s), math.exp(2.0 * t), math.exp(s) * x, math.exp(t) * y
         )
@@ -314,7 +312,7 @@ def tangent_verification_report():
         row(f"tangent:{case.case}", rep, rep["verdict"] == "pass")
 
     for q in _QS:
-        xp = 2.0 / math.sqrt(1.0 - q)
+        xp = x_plus(q)
         for frac in (0.0, 0.5, -0.5):
             run(TangentCase("qou_interior", q, x=frac * xp))
         run(TangentCase("qou_boundary", q))
@@ -324,7 +322,7 @@ def tangent_verification_report():
                 run(TangentCase("qbm_interior", q, x=frac * half, s=s))
             run(TangentCase("qbm_boundary", q, s=s))
     # negative control: a wrong limit scale must fail
-    control = convergence_study(TangentCase("qou_interior", 0.5, x=0.5 * 2.0 / math.sqrt(0.5)),
+    control = convergence_study(TangentCase("qou_interior", 0.5, x=0.5 * x_plus(0.5)),
                                 _LADDER, scale_override=1.0)
     row("tangent:negative_control", control, control["verdict"] == "fail")
     return report

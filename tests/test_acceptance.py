@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qtangent.freeprob import g_half_closed, stieltjes_invert, subordinator_F
-from qtangent.qspecial import QParams
 from qtangent.simulate import (
     TimeGrid,
     jump_bound,
@@ -55,7 +54,7 @@ def test_criterion_2_large_jump_bound():
     t0 = time.time()
     failures = []
     for q in (0.0, 0.5, 0.9):
-        _, values = simulate_ensemble("qbm", QParams(q), TimeGrid(0.0, 1.0, 500),
+        _, values = simulate_ensemble("qbm", q, TimeGrid(0.0, 1.0, 500),
                                       None, 2002, 500)
         mx = np.max(np.abs(np.diff(values, axis=1)), axis=1)
         for a in (0.5, 1.0, 2.0):
@@ -184,7 +183,7 @@ def test_criterion_7_trajectory_regime():
     medians = []
     violations = 0
     for q in (0.0, 0.5, 0.95):
-        times, values = simulate_ensemble("qbm", QParams(q), TimeGrid(0.0, 4.0, 2000),
+        times, values = simulate_ensemble("qbm", q, TimeGrid(0.0, 4.0, 2000),
                                           None, 3003, 100)
         bound = 2.0 * np.sqrt(times / (1.0 - q))
         violations += int(np.sum(np.any(np.abs(values) > bound + 1e-9, axis=1)))

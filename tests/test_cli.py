@@ -68,13 +68,18 @@ class TestInputValidation:
          "--init", "origin"],
         ["simulate", "--process", "qbm", "--q", "0.5", "--t0", "1", "--t1", "2", "--steps", "5",
          "--init", "origin"],
+        ["jumps", "--q", "0.5", "--T", "1", "--a", "1", "--steps", "abc"],
+        ["density", "--process", "qnormal", "--q", "0", "--grid", "0:1:5", "--bogus", "1"],
+        ["jumps", "--q", "0.5", "--T", "1"],
+        ["density", "--process", "nope", "--grid", "0:1:3"],
     ], ids=["simulate-paths-0", "jumps-paths-0", "init-fixed-abc", "init-fixed-nan",
             "simulate-t1-inf", "density-x-nan", "density-t-inf", "density-grid-inf",
             "density-grid-minus-inf", "density-grid-span-overflow", "density-qou-subnormal-lag",
             "density-t-0", "verify-samples-minus-1", "verify-samples-0",
             "verify-freeprob-samples-0", "ladder-nan", "ladder-negative", "ladder-inf",
             "simulate-seed-minus-1", "jumps-seed-minus-1", "verify-seed-minus-1",
-            "init-origin-qou", "init-origin-qbm-t0-1"])
+            "init-origin-qou", "init-origin-qbm-t0-1", "argparse-bad-int",
+            "argparse-unknown-flag", "argparse-missing-flag", "argparse-bad-choice"])
     def test_exits_one_with_one_line(self, argv, tmp_path, capsys):
         code, out, err = run(argv + (["--output-dir", str(tmp_path)] if argv[0] == "simulate"
                                      else []), capsys)

@@ -12,8 +12,13 @@ from qtangent.freeprob import (
     stieltjes_invert,
     subordinator_F,
 )
-from qtangent.kernels import biane_half_pdf, biane_shifted_pdf, cauchy_transition_pdf, qnormal_pdf
-from qtangent.qspecial import QParams
+from qtangent.kernels import (
+    biane_half_pdf,
+    biane_shifted_pdf,
+    cauchy_transition_pdf,
+    qnormal_pdf,
+    x_plus,
+)
 from qtangent.verify import _FREEPROB, freeprob_verification_report, verify_identities
 
 
@@ -58,8 +63,8 @@ class TestCauchyStieltjes:
             cauchy_stieltjes(cauchy_density(1.0), -math.inf, complex(0.0, -1.0))
 
     def test_qnormal_measure(self):
-        p = QParams(0.5)
-        g = cauchy_stieltjes(lambda x: qnormal_pdf(p, x), p.x_minus, 5j)
+        q = 0.5
+        g = cauchy_stieltjes(lambda x: qnormal_pdf(q, x), -x_plus(q), 5j)
         # zG(z) -> 1 for a probability measure
         assert 5j * g == pytest.approx(1.0 + 0j, abs=0.05)
 

@@ -16,8 +16,8 @@ from qtangent.kernels import (
     qbm_transition_pdf,
     qnormal_pdf,
     qou_transition_pdf,
+    x_plus,
 )
-from qtangent.qspecial import QParams
 from qtangent.tangent import TangentCase, default_window
 from qtangent.verify import (
     chapman_kolmogorov_report,
@@ -41,12 +41,12 @@ from oracles import (
 
 class TestQNormal:
     def test_semicircle_at_zero(self):
-        assert qnormal_pdf(QParams(0.0), 0.0) == pytest.approx(1 / math.pi, rel=1e-14)
+        assert qnormal_pdf(0.0, 0.0) == pytest.approx(1 / math.pi, rel=1e-14)
 
     def test_boundary_zero(self):
-        p = QParams(0.5)
-        assert qnormal_pdf(p, p.x_plus) == 0.0
-        assert qnormal_pdf(p, p.x_plus + 1.0) == 0.0
+        q = 0.5
+        assert qnormal_pdf(q, x_plus(q)) == 0.0
+        assert qnormal_pdf(q, x_plus(q) + 1.0) == 0.0
 
     def test_against_truncated_product_oracle(self):
         q = 0.5
@@ -56,104 +56,100 @@ class TestQNormal:
             euler *= 1 - q ** k
             prod *= (1 + q ** k) ** 2  # x = 0 kills the second term
         expected = math.sqrt(1 - q) * euler / (2 * math.pi) * 2.0 * prod
-        assert qnormal_pdf(QParams(q), 0.0) == pytest.approx(expected, rel=1e-13)
+        assert qnormal_pdf(q, 0.0) == pytest.approx(expected, rel=1e-13)
 
     def test_truncation_exceeded(self):
         # the kernel product needs more than 10^4 terms above |q| = 0.995
         with pytest.raises(TruncationExceeded):
-            qnormal_pdf(QParams(0.999), 0.0)
+            qnormal_pdf(0.999, 0.0)
         with pytest.raises(TruncationExceeded):
-            qou_transition_pdf(QParams(-0.999), 0.1, 0.0, 0.0)
+            qou_transition_pdf(-0.999, 0.1, 0.0, 0.0)
 
     def test_kmax_doubling_stability(self):
         # rel_tol sets the truncation: a hundred times tighter moves the
         # values by less than ten times the default
-        p = QParams(0.9)
-        xs = np.linspace(-0.99, 0.99, 7) * p.x_plus
-        np.testing.assert_allclose(qnormal_pdf(p, xs, 1e-16), qnormal_pdf(p, xs), rtol=1e-13)
+        q = 0.9
+        xs = np.linspace(-0.99, 0.99, 7) * x_plus(q)
+        np.testing.assert_allclose(qnormal_pdf(q, xs, 1e-16), qnormal_pdf(q, xs), rtol=1e-13)
 
     def test_symmetry(self):
-        p = QParams(-0.7)
-        xs = np.linspace(0.0, p.x_plus, 25)
-        np.testing.assert_allclose(qnormal_pdf(p, xs), qnormal_pdf(p, -xs), rtol=1e-14)
+        q = -0.7
+        xs = np.linspace(0.0, x_plus(q), 25)
+        np.testing.assert_allclose(qnormal_pdf(q, xs), qnormal_pdf(q, -xs), rtol=1e-14)
 
     @pytest.mark.parametrize("q", [-0.5, 0.0, 0.9])
     def test_normalization(self, q):
-        p = QParams(q)
-        total, _ = quad(lambda x: qnormal_pdf(p, x), p.x_minus, p.x_plus, limit=200)
+        total, _ = quad(lambda x: qnormal_pdf(q, x), -x_plus(q), x_plus(q), limit=200)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_unit_variance(self):
-        p = QParams(0.5)
-        var, _ = quad(lambda x: x * x * qnormal_pdf(p, x), p.x_minus, p.x_plus, limit=200)
+        q = 0.5
+        var, _ = quad(lambda x: x * x * qnormal_pdf(q, x), -x_plus(q), x_plus(q), limit=200)
         assert var == pytest.approx(1.0, abs=1e-9)
 
 
 class TestQOUKernel:
     def test_long_lag_reaches_stationarity(self):
         for q in (-0.5, 0.5, 0.9):
-            p = QParams(q)
-            lhs = qou_transition_pdf(p, 30.0, 0.0, 0.5)
-            rhs = qnormal_pdf(p, 0.5)
+            lhs = qou_transition_pdf(q, 30.0, 0.0, 0.5)
+            rhs = qnormal_pdf(q, 0.5)
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_normalization(self):
-        p = QParams(0.5)
-        total, _ = quad(lambda y: qou_transition_pdf(p, 0.5, 0.0, y),
-                        p.x_minus, p.x_plus, limit=300)
+        q = 0.5
+        total, _ = quad(lambda y: qou_transition_pdf(q, 0.5, 0.0, y),
+                        -x_plus(q), x_plus(q), limit=300)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_detailed_balance(self):
-        p = QParams(0.5)
-        lhs = qnormal_pdf(p, 0.3) * qou_transition_pdf(p, 0.5, 0.3, 0.7)
-        rhs = qnormal_pdf(p, 0.7) * qou_transition_pdf(p, 0.5, 0.7, 0.3)
+        q = 0.5
+        lhs = qnormal_pdf(q, 0.3) * qou_transition_pdf(q, 0.5, 0.3, 0.7)
+        rhs = qnormal_pdf(q, 0.7) * qou_transition_pdf(q, 0.5, 0.7, 0.3)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_target_outside_support_is_zero(self):
-        p = QParams(0.5)
-        assert qou_transition_pdf(p, 0.5, 0.0, p.x_plus * 1.5) == 0.0
+        q = 0.5
+        assert qou_transition_pdf(q, 0.5, 0.0, x_plus(q) * 1.5) == 0.0
 
     def test_invalid_lag(self):
         with pytest.raises(InvalidTime):
-            qou_transition_pdf(QParams(0.5), 0.0, 0.0, 0.0)
+            qou_transition_pdf(0.5, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("q", [-0.99, -0.5, 0.0, 0.5, 0.99])
     def test_lag_floor(self, q):
         # at the floor 1e-307 the k = 0 term's 16/u still fits a double: finite values and
         # no warning from the edge state to the far edge; below it the lag is rejected
-        p = QParams(q)
-        ys = np.linspace(p.x_minus, 0.999 * p.x_plus, 7)
+        ys = np.linspace(-x_plus(q), 0.999 * x_plus(q), 7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for x in (p.x_minus, 0.0):
-                assert np.all(np.isfinite(qou_transition_pdf(p, 1e-307, x, ys)))
+            for x in (-x_plus(q), 0.0):
+                assert np.all(np.isfinite(qou_transition_pdf(q, 1e-307, x, ys)))
         for bad in (9e-308, 1e-310, 5e-324):
             with pytest.raises(InvalidTime):
-                qou_transition_pdf(p, bad, 0.0, ys)
+                qou_transition_pdf(q, bad, 0.0, ys)
 
     def test_conditioning_state_validated(self):
-        p = QParams(0.5)
+        q = 0.5
         with pytest.raises(InvalidState):
-            qou_transition_pdf(p, 0.5, p.x_plus * 1.01, 0.0)
+            qou_transition_pdf(q, 0.5, x_plus(q) * 1.01, 0.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(InvalidState):
-                qou_transition_pdf(p, 0.5, bad, 0.0)
+                qou_transition_pdf(q, 0.5, bad, 0.0)
             with pytest.raises(InvalidState):
-                qbm_transition_pdf(p, 1.0, 2.0, bad, 0.0)
+                qbm_transition_pdf(q, 1.0, 2.0, bad, 0.0)
         with pytest.raises(InvalidTime):
-            qou_transition_pdf(p, math.inf, 0.0, 0.0)
+            qou_transition_pdf(q, math.inf, 0.0, 0.0)
 
     def test_minphi_upper_bound(self):
         # kernel <= p(y) (e^{-2d}; q)_inf e^{2d} / ([16 sinh^4(d/2) + (1-q)(x-y)^2] (|q|)_inf^4)
         gen = np.random.default_rng(11)
         for _ in range(100):
             q = gen.uniform(-0.9, 0.9)
-            p = QParams(q)
             d = gen.uniform(0.05, 5.0)
-            x, y = gen.uniform(-0.99, 0.99, 2) * p.x_plus
-            val = qou_transition_pdf(p, d, x, y)
+            x, y = gen.uniform(-0.99, 0.99, 2) * x_plus(q)
+            val = qou_transition_pdf(q, d, x, y)
             envelope = (
-                qnormal_pdf(p, y)
+                qnormal_pdf(q, y)
                 * float(mp.qp(math.exp(-2 * d), q))
                 * math.exp(2 * d)
                 / ((16 * math.sinh(d / 2) ** 4 + (1 - q) * (x - y) ** 2)
@@ -163,73 +159,71 @@ class TestQOUKernel:
 
     def test_far_targets_are_zero_without_warnings(self, capfd):
         # the targets' squares overflow; the core evaluates placeholders there
-        p = QParams(0.5)
+        q = 0.5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert qnormal_pdf(p, 1e200) == 0.0
-            assert np.all(qnormal_pdf(p, np.array([-1.7e308, 1e308])) == 0.0)
-            got = qou_transition_pdf(p, 0.1, 0.0, np.array([-1e200, 0.0, 1e200]))
+            assert qnormal_pdf(q, 1e200) == 0.0
+            assert np.all(qnormal_pdf(q, np.array([-1.7e308, 1e308])) == 0.0)
+            got = qou_transition_pdf(q, 0.1, 0.0, np.array([-1e200, 0.0, 1e200]))
             assert got[0] == got[2] == 0.0 and got[1] > 0.0
-            assert qbm_transition_pdf(p, 1.0, 2.0, 0.3, 1e200) == 0.0
+            assert qbm_transition_pdf(q, 1.0, 2.0, 0.3, 1e200) == 0.0
             # before t2 = 1 the wrapper's y2/sqrt(t2) overflows to +-inf: outside too
             ys = np.array([-1.7e308, 0.0, 1.7e308])
             for t1, y1 in ((0.0, 0.0), (0.01, 0.1)):
-                got = qbm_transition_pdf(p, t1, 0.02, y1, ys)
+                got = qbm_transition_pdf(q, t1, 0.02, y1, ys)
                 assert got[0] == got[2] == 0.0 and got[1] > 0.0
         assert capfd.readouterr().err == ""
 
     def test_chapman_kolmogorov(self):
-        p = QParams(0.4)
+        q = 0.4
         d1, d2, x, y = 0.4, 0.7, 0.5, -0.3
         composed, _ = quad(
-            lambda z: qou_transition_pdf(p, d1, x, z) * qou_transition_pdf(p, d2, z, y),
-            p.x_minus, p.x_plus, limit=300)
-        assert composed == pytest.approx(qou_transition_pdf(p, d1 + d2, x, y), abs=1e-7)
+            lambda z: qou_transition_pdf(q, d1, x, z) * qou_transition_pdf(q, d2, z, y),
+            -x_plus(q), x_plus(q), limit=300)
+        assert composed == pytest.approx(qou_transition_pdf(q, d1 + d2, x, y), abs=1e-7)
 
 
 class TestQBMKernel:
     def test_free_case_from_origin(self):
-        assert qbm_transition_pdf(QParams(0.0), 0.0, 1.0, 0.0, 0.0) == pytest.approx(
+        assert qbm_transition_pdf(0.0, 0.0, 1.0, 0.0, 0.0) == pytest.approx(
             1 / math.pi, rel=1e-14)
 
     def test_normalization(self):
-        p = QParams(0.5)
+        q = 0.5
         b = 2 * math.sqrt(2 / (1 - 0.5))
-        total, _ = quad(lambda y: qbm_transition_pdf(p, 1.0, 2.0, 0.0, y), -b, b, limit=300)
+        total, _ = quad(lambda y: qbm_transition_pdf(q, 1.0, 2.0, 0.0, y), -b, b, limit=300)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_boundary_zero(self):
-        p = QParams(0.5)
+        q = 0.5
         b = 2 * math.sqrt(2.0 / (1 - 0.5))
-        assert qbm_transition_pdf(p, 1.0, 2.0, 0.0, b) == 0.0
+        assert qbm_transition_pdf(q, 1.0, 2.0, 0.0, b) == 0.0
 
     def test_marginal_is_dilated_qnormal(self):
         # bit for bit: a start at the origin is the q-normal core at y2/sqrt(t2)
         for q in (-0.5, 0.5, 0.9):
-            p = QParams(q)
             for t, n in ((3.0, 9), (0.7, 2000)):
                 ys = np.linspace(-0.95, 0.95, n) * 2 * math.sqrt(t / (1 - q))
-                lhs = qbm_transition_pdf(p, 0.0, t, 0.0, ys)
-                rhs = qnormal_pdf(p, ys / math.sqrt(t)) / math.sqrt(t)
+                lhs = qbm_transition_pdf(q, 0.0, t, 0.0, ys)
+                rhs = qnormal_pdf(q, ys / math.sqrt(t)) / math.sqrt(t)
                 np.testing.assert_array_equal(lhs, rhs)
 
     def test_invalid_times(self):
-        p = QParams(0.5)
+        q = 0.5
         with pytest.raises(InvalidTime):
-            qbm_transition_pdf(p, 2.0, 1.0, 0.0, 0.0)
+            qbm_transition_pdf(q, 2.0, 1.0, 0.0, 0.0)
         with pytest.raises(InvalidTime):
-            qbm_transition_pdf(p, -0.1, 1.0, 0.0, 0.0)
+            qbm_transition_pdf(q, -0.1, 1.0, 0.0, 0.0)
 
     def test_origin_start_requires_zero_state(self):
         with pytest.raises(InvalidState):
-            qbm_transition_pdf(QParams(0.5), 0.0, 1.0, 0.5, 0.0)
+            qbm_transition_pdf(0.5, 0.0, 1.0, 0.5, 0.0)
 
     def test_stable_factors_match_displayed_forms(self):
         # internal regrouped phi*/psi* against the displayed quadratic forms
         gen = np.random.default_rng(5)
         for _ in range(100):
             q = gen.uniform(-0.9, 0.9)
-            p = QParams(q)
             t1 = gen.uniform(0.2, 2.0)
             t2 = t1 + gen.uniform(0.1, 2.0)
             y1 = gen.uniform(-0.9, 0.9) * 2 * math.sqrt(t1 / (1 - q))
@@ -239,7 +233,7 @@ class TestQBMKernel:
             for k in range(1, 200):
                 direct *= psi_star(q, k, t1, t2, y2) / phi_star(q, k, t1, t2, y1, y2)
             # the displayed forms lose a few digits to cancellation at high q
-            assert qbm_transition_pdf(p, t1, t2, y1, y2) == pytest.approx(direct, rel=5e-9)
+            assert qbm_transition_pdf(q, t1, t2, y1, y2) == pytest.approx(direct, rel=5e-9)
 
 
 class TestTailProductForms:
@@ -258,13 +252,13 @@ class TestTailProductForms:
     def test_qou_forms_bitwise_equal(self, monkeypatch, rel_tol):
         gen = np.random.default_rng(21)
         for _ in range(40):
-            p = QParams(gen.uniform(-0.95, 0.95))
-            x = gen.uniform(-1.0, 1.0, (3, 1)) * p.x_plus
-            y = gen.uniform(-1.0, 1.0, (3, 40)) * p.x_plus
+            q = gen.uniform(-0.95, 0.95)
+            x = gen.uniform(-1.0, 1.0, (3, 1)) * x_plus(q)
+            y = gen.uniform(-1.0, 1.0, (3, 40)) * x_plus(q)
             # delta = inf is the q-normal law and the q-BM start at the origin
             for delta in (10.0 ** gen.uniform(-6.0, 0.5), math.inf):
                 vector, loop = self._both_forms(
-                    monkeypatch, kernels._qou_core, p, delta, x, y, x - y, rel_tol)
+                    monkeypatch, kernels._qou_core, q, delta, x, y, x - y, rel_tol)
                 assert np.all(np.isfinite(vector))
                 np.testing.assert_array_equal(vector, loop)
 
@@ -433,13 +427,12 @@ class TestSelfSimilarity:
             r = math.sqrt(lam)
             for _ in range(40):
                 q = gen.uniform(-0.95, 0.95)
-                p = QParams(q)
                 t1 = 10.0 ** gen.uniform(-2.0, 1.0) * (gen.random() > 0.1)
                 t2 = (t1 or 1.0) * (1.0 + 10.0 ** gen.uniform(-6.0, 0.5))
                 y1 = gen.uniform(-0.99, 0.99) * 2.0 * math.sqrt(t1 / (1.0 - q))
                 y2 = gen.uniform(-0.99, 0.99, 5) * 2.0 * math.sqrt(t2 / (1.0 - q))
-                want = qbm_transition_pdf(p, t1, t2, y1, y2)
-                got = qbm_transition_pdf(p, lam * t1, lam * t2, r * y1, r * y2) * r
+                want = qbm_transition_pdf(q, t1, t2, y1, y2)
+                got = qbm_transition_pdf(q, lam * t1, lam * t2, r * y1, r * y2) * r
                 assert np.all(np.isfinite(got))
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
@@ -454,18 +447,17 @@ class TestDisplayedProductOracle:
         with mp.workdps(40):
             for _ in range(16):
                 q = gen.uniform(-0.95, 0.95)
-                p = QParams(q)
-                x = gen.uniform(-0.99, 0.99) * p.x_plus
-                got = qnormal_pdf(p, x)
+                x = gen.uniform(-0.99, 0.99) * x_plus(q)
+                got = qnormal_pdf(q, x)
                 worst = max(worst, abs(got / mp_qnormal(q, x) - 1))
 
                 delta = 10.0 ** gen.uniform(-8.0, 0.5)
                 # the target near x at the tangent scale, or anywhere in the support
                 c = math.sqrt(4.0 / (1.0 - q) - x * x)
                 y = x + delta * c * gen.uniform(-5.0, 5.0) if gen.random() < 0.5 \
-                    else gen.uniform(-0.99, 0.99) * p.x_plus
-                y = float(np.clip(y, -0.99 * p.x_plus, 0.99 * p.x_plus))
-                got = qou_transition_pdf(p, delta, x, y)
+                    else gen.uniform(-0.99, 0.99) * x_plus(q)
+                y = float(np.clip(y, -0.99 * x_plus(q), 0.99 * x_plus(q)))
+                got = qou_transition_pdf(q, delta, x, y)
                 worst = max(worst, abs(got / mp_qou(q, delta, x, y) - 1))
 
                 t1 = 10.0 ** gen.uniform(-1.0, 1.0) * (gen.random() > 0.2)
@@ -476,8 +468,26 @@ class TestDisplayedProductOracle:
                 y2 = y1 + (t2 - t1) * (y1 / (2.0 * t1) + c * gen.uniform(-5.0, 5.0)) \
                     if t1 and gen.random() < 0.5 else gen.uniform(-0.99, 0.99) * b2
                 y2 = float(np.clip(y2, -0.99 * b2, 0.99 * b2))
-                got = qbm_transition_pdf(p, t1, t2, y1, y2)
+                got = qbm_transition_pdf(q, t1, t2, y1, y2)
                 worst = max(worst, abs(got / mp_qbm(q, t1, t2, y1, y2) - 1))
+        assert worst <= 1e-11, worst
+
+    @pytest.mark.parametrize("q", [-0.95, -0.5, 0.0, 0.5, 0.9, 0.95])
+    def test_states_at_the_support_edge_to_relative_1e11(self, q):
+        # conditioning states within a relative gap g of either edge, where
+        # 4 - (1-q) x^2 cancels; the targets stay interior, since a target that
+        # close to the edge is ill-conditioned (an error of about 2e-17/g).
+        # p(x, y) = p(-x, -y), so one oracle value serves both edges
+        worst = 0.0
+        with mp.workdps(60):
+            for g in (1e-9, 1e-12, 1e-14):
+                x = x_plus(q) * (1.0 - g)
+                for delta, frac in ((1e-8, 0.9), (1e-3, 0.5), (0.1, 0.0), (1.0, -0.5)):
+                    y = frac * x
+                    ref = mp_qou(q, delta, x, y)
+                    for sign in (1.0, -1.0):
+                        got = qou_transition_pdf(q, delta, sign * x, sign * y)
+                        worst = max(worst, abs(got / ref - 1))
         assert worst <= 1e-11, worst
 
     @pytest.mark.parametrize("q", [0.0, 0.5, -0.5])
@@ -485,11 +495,10 @@ class TestDisplayedProductOracle:
     def test_tiny_lags_to_relative_1e13(self, delta, q):
         # 1 - e^{-2 delta} and phi_{q,0} carry the factor u = 1 - e^{-delta}, whose
         # square underflows below delta ~ 1e-160; 700 digits resolve e^{-delta}
-        p = QParams(q)
         c = 2.0 / math.sqrt(1.0 - q)
         with mp.workdps(700):
             for y in (0.0, delta * c):
-                got = qou_transition_pdf(p, delta, 0.0, y)
+                got = qou_transition_pdf(q, delta, 0.0, y)
                 assert abs(got / mp_qou(q, delta, 0.0, y) - 1) <= 1e-13, (y, got)
 
     @pytest.mark.parametrize("s", [0.5, 2.0])
@@ -497,13 +506,13 @@ class TestDisplayedProductOracle:
         # the q = 0.9 boundary study at eps = 0.01: the conditioning state sits
         # on the support edge, where the k = 0 form loses digits to cancellation
         case = TangentCase("qbm_boundary", 0.9, s=s)
-        p, window, eps = case.params, default_window(case), 0.01
+        q, window, eps = case.q, default_window(case), 0.01
         tau2 = s + window.t2 * eps
         a = 1.0 / math.sqrt(s * (1.0 - case.q))
         y2 = window.y2_lo + (window.y2_hi - window.y2_lo) * np.geomspace(1e-4, 1.0, 14)
         w2 = case.x - a * window.t2 * eps + y2 * eps * eps
         w2 = w2[np.abs(w2) < 2.0 * math.sqrt(tau2 / (1.0 - case.q))]
-        got = qbm_transition_pdf(p, s, tau2, case.x, w2)
+        got = qbm_transition_pdf(q, s, tau2, case.x, w2)
         with mp.workdps(40):
             ref = np.array([float(mp_qbm(case.q, s, tau2, case.x, w)) for w in w2])
         assert np.max(np.abs(got - ref)) <= 2e-5 * np.max(ref)
@@ -514,13 +523,12 @@ class TestOuBmIdentity:
         gen = np.random.default_rng(17)
         for _ in range(60):
             q = gen.uniform(-0.9, 0.9)
-            p = QParams(q)
             s = gen.uniform(-1.0, 1.0)
             t = s + gen.uniform(0.05, 2.0)
-            x, y = gen.uniform(-0.9, 0.9, 2) * p.x_plus
-            lhs = qou_transition_pdf(p, t - s, x, y)
+            x, y = gen.uniform(-0.9, 0.9, 2) * x_plus(q)
+            lhs = qou_transition_pdf(q, t - s, x, y)
             rhs = math.exp(t) * qbm_transition_pdf(
-                p, math.exp(2 * s), math.exp(2 * t), math.exp(s) * x, math.exp(t) * y)
+                q, math.exp(2 * s), math.exp(2 * t), math.exp(s) * x, math.exp(t) * y)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -613,54 +621,52 @@ class TestArrayTimes:
     def test_qou_lag_array_matches_scalar_calls(self, n):
         gen = np.random.default_rng(n)
         for q in (-0.7, 0.0, 0.5, 0.9):
-            p = QParams(q)
             delta = 10.0 ** gen.uniform(-5.0, 0.5, (5, 1))
-            x = gen.uniform(-0.99, 0.99, (5, 1)) * p.x_plus
-            y = gen.uniform(-1.0, 1.0, n) * p.x_plus
-            batched = qou_transition_pdf(p, delta, x, y)
+            x = gen.uniform(-0.99, 0.99, (5, 1)) * x_plus(q)
+            y = gen.uniform(-1.0, 1.0, n) * x_plus(q)
+            batched = qou_transition_pdf(q, delta, x, y)
             assert batched.shape == (5, n)
             for r in range(5):
-                single = qou_transition_pdf(p, float(delta[r, 0]), float(x[r, 0]), y)
+                single = qou_transition_pdf(q, float(delta[r, 0]), float(x[r, 0]), y)
                 np.testing.assert_array_equal(batched[r], single)
 
     @pytest.mark.parametrize("n", [40, 800, 2000])
     def test_qbm_time_arrays_match_scalar_calls(self, n):
         gen = np.random.default_rng(100 + n)
         for q in (-0.7, 0.0, 0.5, 0.9):
-            p = QParams(q)
             t1 = gen.uniform(0.1, 2.0, (5, 1))
             t1[0, 0] = 0.0
             t2 = t1 + 10.0 ** gen.uniform(-5.0, 0.5, (5, 1))
             y1 = gen.uniform(-0.99, 0.99, (5, 1)) * 2.0 * np.sqrt(t1 / (1.0 - q))
             y2 = gen.uniform(-1.0, 1.0, n) * 2.0 * math.sqrt(float(t2.max()) / (1.0 - q))
-            batched = qbm_transition_pdf(p, t1, t2, y1, y2)
+            batched = qbm_transition_pdf(q, t1, t2, y1, y2)
             assert batched.shape == (5, n)
             for r in range(5):
-                single = qbm_transition_pdf(p, float(t1[r, 0]), float(t2[r, 0]), float(y1[r, 0]), y2)
+                single = qbm_transition_pdf(q, float(t1[r, 0]), float(t2[r, 0]), float(y1[r, 0]), y2)
                 np.testing.assert_array_equal(batched[r], single)
 
     def test_scalar_time_broadcasts_against_time_array(self):
-        p = QParams(0.5)
+        q = 0.5
         y = np.linspace(-2.0, 2.0, 9)
         t2 = np.array([[1.5], [2.5]])
-        np.testing.assert_array_equal(qbm_transition_pdf(p, 1.0, t2, 0.3, y)[1],
-                                      qbm_transition_pdf(p, 1.0, 2.5, 0.3, y))
+        np.testing.assert_array_equal(qbm_transition_pdf(q, 1.0, t2, 0.3, y)[1],
+                                      qbm_transition_pdf(q, 1.0, 2.5, 0.3, y))
 
     def test_bad_element_is_rejected(self):
-        p = QParams(0.5)
+        q = 0.5
         y = np.linspace(-2.0, 2.0, 9)
         for bad in (0.0, -0.1, math.inf, math.nan):
             with pytest.raises(InvalidTime):
-                qou_transition_pdf(p, np.array([[0.1], [bad]]), 0.0, y)
+                qou_transition_pdf(q, np.array([[0.1], [bad]]), 0.0, y)
         # t1 >= t2 in one pair, or a negative start
         with pytest.raises(InvalidTime):
-            qbm_transition_pdf(p, np.array([[0.5], [1.0]]), np.array([[1.0], [1.0]]), 0.0, y)
+            qbm_transition_pdf(q, np.array([[0.5], [1.0]]), np.array([[1.0], [1.0]]), 0.0, y)
         with pytest.raises(InvalidTime):
-            qbm_transition_pdf(p, np.array([[0.5], [-0.1]]), 2.0, 0.0, y)
+            qbm_transition_pdf(q, np.array([[0.5], [-0.1]]), 2.0, 0.0, y)
         # a state inside the support of one start time but outside its own
         t1 = np.array([[4.0], [0.25]])
         with pytest.raises(InvalidState):
-            qbm_transition_pdf(p, t1, 5.0, np.array([[5.0], [5.0]]), y)
+            qbm_transition_pdf(q, t1, 5.0, np.array([[5.0], [5.0]]), y)
         # a start at t1 = 0 away from the origin
         with pytest.raises(InvalidState):
-            qbm_transition_pdf(p, np.array([[1.0], [0.0]]), 2.0, np.array([[0.1], [0.1]]), y)
+            qbm_transition_pdf(q, np.array([[1.0], [0.0]]), 2.0, np.array([[0.1], [0.1]]), y)

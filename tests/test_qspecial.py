@@ -1,10 +1,13 @@
+"""The q-series building blocks: the support edge x_plus(q), the product
+length series_terms(q, rel_tol), and the displayed phi/psi factor oracles."""
+
 import math
 
 import numpy as np
 import pytest
 
 from qtangent.errors import NonConvergent, TruncationExceeded
-from qtangent.qspecial import QParams, series_terms
+from qtangent.kernels import series_terms, x_plus
 
 from oracles import phi_qk, phi_star, psi_qk, psi_star
 
@@ -16,22 +19,19 @@ def brute_pochhammer(a, q, terms):
     return prod
 
 
-class TestQParams:
+class TestXPlus:
     def test_endpoints(self):
-        p = QParams(0.0)
-        assert p.x_plus == 2.0
-        assert p.x_minus == -2.0
+        assert x_plus(0.0) == 2.0
+        assert x_plus(0.5) == 2.0 / math.sqrt(0.5)
 
-    def test_symmetry_and_monotonicity(self):
-        qs = [-0.9, -0.5, 0.0, 0.5, 0.9]
-        xps = [QParams(q).x_plus for q in qs]
-        assert all(QParams(q).x_plus == -QParams(q).x_minus for q in qs)
+    def test_monotonicity(self):
+        xps = [x_plus(q) for q in (-0.9, -0.5, 0.0, 0.5, 0.9)]
         assert all(b > a for a, b in zip(xps, xps[1:]))
 
-    @pytest.mark.parametrize("q", [-1.0, 1.0, 1.5])
+    @pytest.mark.parametrize("q", [-1.0, 1.0, 1.5, math.nan])
     def test_invalid_q(self, q):
-        with pytest.raises(NonConvergent):
-            QParams(q)
+        with pytest.raises(NonConvergent, match=r"q must lie in \(-1, 1\)"):
+            x_plus(q)
 
 
 class TestPochhammer:

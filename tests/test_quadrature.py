@@ -14,8 +14,8 @@ from qtangent.kernels import (
     cauchy_transition_pdf,
     qbm_transition_pdf,
     qou_transition_pdf,
+    x_plus,
 )
-from qtangent.qspecial import QParams
 from qtangent import quadrature
 from qtangent.quadrature import integrate
 
@@ -57,14 +57,14 @@ class TestKernelFamilies:
     @pytest.mark.parametrize("frac", [0.0, -0.5, 0.999])
     def test_qou_mass_and_mean(self, q, delta, frac):
         # frac = 0.999 conditions on a state at the support edge
-        p = QParams(q)
-        x = frac * p.x_plus
-        pdf = lambda y: qou_transition_pdf(p, delta, x, y)
-        mass = on_interval(pdf, p.x_plus)
-        mean = on_interval(lambda y: y * pdf(y), p.x_plus)
-        kink = [min(max(x, p.x_minus), p.x_plus)]
-        assert mass == pytest.approx(oracle(pdf, p.x_minus, p.x_plus, kink), abs=1e-9)
-        assert mean == pytest.approx(oracle(lambda y: y * pdf(y), p.x_minus, p.x_plus, kink),
+        xp = x_plus(q)
+        x = frac * xp
+        pdf = lambda y: qou_transition_pdf(q, delta, x, y)
+        mass = on_interval(pdf, xp)
+        mean = on_interval(lambda y: y * pdf(y), xp)
+        kink = [min(max(x, -xp), xp)]
+        assert mass == pytest.approx(oracle(pdf, -xp, xp, kink), abs=1e-9)
+        assert mean == pytest.approx(oracle(lambda y: y * pdf(y), -xp, xp, kink),
                                      abs=1e-9)
         assert mass == pytest.approx(1.0, abs=1e-11)
         # E[X_{s+d} | X_s = x] = e^{-d} x
@@ -74,11 +74,10 @@ class TestKernelFamilies:
     @pytest.mark.parametrize("dt", [0.05, 1.0])
     @pytest.mark.parametrize("frac", [0.0, 0.999])
     def test_qbm_mass_and_mean(self, q, dt, frac):
-        p = QParams(q)
         t1, t2 = 1.0, 1.0 + dt
         y1 = frac * 2.0 * math.sqrt(t1 / (1.0 - q))
         b2 = 2.0 * math.sqrt(t2 / (1.0 - q))
-        pdf = lambda y: qbm_transition_pdf(p, t1, t2, y1, y)
+        pdf = lambda y: qbm_transition_pdf(q, t1, t2, y1, y)
         mass = on_interval(pdf, b2)
         mean = on_interval(lambda y: y * pdf(y), b2)
         assert mass == pytest.approx(oracle(pdf, -b2, b2, [y1]), abs=1e-9)
@@ -141,9 +140,9 @@ class TestComplexAndPeaked:
         assert all(len(s) == 2 and s[1] == f.shapes[0][1] for s in f.shapes)
 
     def test_one_kernel_call_per_round(self):
-        p = QParams(0.9)
-        calls = Recorder(lambda y: qou_transition_pdf(p, 0.05, 0.0, y))
-        assert on_interval(calls, p.x_plus) == pytest.approx(1.0, abs=1e-11)
+        q = 0.9
+        calls = Recorder(lambda y: qou_transition_pdf(q, 0.05, 0.0, y))
+        assert on_interval(calls, x_plus(q)) == pytest.approx(1.0, abs=1e-11)
         assert len(calls.shapes) < 20
         assert sum(math.prod(s) for s in calls.shapes) > 10 * len(calls.shapes)
 

@@ -27,8 +27,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qtangent.kernels import qbm_transition_pdf, qnormal_pdf, qou_transition_pdf
-from qtangent.qspecial import QParams
+from qtangent.kernels import qbm_transition_pdf, qnormal_pdf, qou_transition_pdf, x_plus
 from qtangent.quadrature import integrate
 from qtangent.simulate import TimeGrid, simulate_ensemble
 
@@ -69,18 +68,17 @@ def off_lattice(frac, half_width):
     return (frac + 2.0 * OFFSET) * half_width
 
 
-def values_at(process, p, grid, x0, column):
-    return simulate_ensemble(process, p, grid, x0, SEED, N)[1][:, column]
+def values_at(process, q, grid, x0, column):
+    return simulate_ensemble(process, q, grid, x0, SEED, N)[1][:, column]
 
 
 @pytest.mark.parametrize("q", [0.0, 0.95])
 @pytest.mark.parametrize("lag", LAGS)
 @pytest.mark.parametrize("frac", FRACS)
 def test_qou_one_step(q, lag, frac):
-    p = QParams(q)
-    x = off_lattice(frac, p.x_plus)
-    drawn = values_at("qou", p, TimeGrid(0.0, lag, 1), x, 1)
-    assert_law(drawn, lambda y: qou_transition_pdf(p, lag, x, y), p.x_minus)
+    x = off_lattice(frac, x_plus(q))
+    drawn = values_at("qou", q, TimeGrid(0.0, lag, 1), x, 1)
+    assert_law(drawn, lambda y: qou_transition_pdf(q, lag, x, y), -x_plus(q))
 
 
 @pytest.mark.parametrize("q, lag, frac", [(0.997, 1e-3, 0.9), (-0.997, 1e-2, 0.5),
@@ -88,57 +86,53 @@ def test_qou_one_step(q, lag, frac):
 def test_qou_one_step_at_the_edges(q, lag, frac):
     # the ends of the supported q range, and a state near the support edge
     # where the lattice step is the largest share of the kernel's core
-    p = QParams(q)
-    x = off_lattice(frac, p.x_plus)
+    x = off_lattice(frac, x_plus(q))
     # the oracle at 1e-8, ten thousand times finer than the tables; 1e-14 would
     # need more than 10^4 product terms at |q| = 0.997
-    drawn = values_at("qou", p, TimeGrid(0.0, lag, 1), x, 1)
-    assert_law(drawn, lambda y: qou_transition_pdf(p, lag, x, y, 1e-8), p.x_minus)
+    drawn = values_at("qou", q, TimeGrid(0.0, lag, 1), x, 1)
+    assert_law(drawn, lambda y: qou_transition_pdf(q, lag, x, y, 1e-8), -x_plus(q))
 
 
 @pytest.mark.parametrize("lag", LAGS)
 @pytest.mark.parametrize("frac", FRACS)
 def test_qou_ten_steps(lag, frac):
     # ten steps of lag d follow the kernel at lag 10 d (Chapman-Kolmogorov)
-    p = QParams(0.0)
-    x = off_lattice(frac, p.x_plus)
-    drawn = values_at("qou", p, TimeGrid(0.0, 10.0 * lag, 10), x, 10)
-    assert_law(drawn, lambda y: qou_transition_pdf(p, 10.0 * lag, x, y), p.x_minus)
+    q = 0.0
+    x = off_lattice(frac, x_plus(q))
+    drawn = values_at("qou", q, TimeGrid(0.0, 10.0 * lag, 10), x, 10)
+    assert_law(drawn, lambda y: qou_transition_pdf(q, 10.0 * lag, x, y), -x_plus(q))
 
 
 @pytest.mark.parametrize("q", [0.0, 0.95])
 @pytest.mark.parametrize("frac", FRACS)
 def test_qbm_small_step(q, frac):
-    p = QParams(q)
     t1, t2 = 1.0, 1.0 + 1e-3
     y = off_lattice(frac, 2.0 * math.sqrt(t1 / (1.0 - q)))
-    drawn = values_at("qbm", p, TimeGrid(t1, t2, 1), y, 1)
+    drawn = values_at("qbm", q, TimeGrid(t1, t2, 1), y, 1)
     lo = -2.0 * math.sqrt(t2 / (1.0 - q))
-    assert_law(drawn, lambda z: qbm_transition_pdf(p, t1, t2, y, z), lo)
+    assert_law(drawn, lambda z: qbm_transition_pdf(q, t1, t2, y, z), lo)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.95])
 def test_qbm_origin_step(q):
     # from the origin the time-t law is the sqrt(t)-dilated q-normal
-    p = QParams(q)
     t = 2.5e-3
-    drawn = values_at("qbm", p, TimeGrid(0.0, t, 1), None, 1)
+    drawn = values_at("qbm", q, TimeGrid(0.0, t, 1), None, 1)
     r = math.sqrt(t)
-    assert_law(drawn, lambda z: qnormal_pdf(p, z / r) / r, p.x_minus * r)
+    assert_law(drawn, lambda z: qnormal_pdf(q, z / r) / r, -x_plus(q) * r)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5])
 def test_qou_stationary_start_and_step(q):
     # the start and one step of lag 0.1 both follow the q-normal law
-    p = QParams(q)
-    _, values = simulate_ensemble("qou", p, TimeGrid(0.0, 0.1, 1), None, SEED, N)
+    _, values = simulate_ensemble("qou", q, TimeGrid(0.0, 0.1, 1), None, SEED, N)
     for column in (0, 1):
-        assert_law(values[:, column], lambda y: qnormal_pdf(p, y), p.x_minus)
+        assert_law(values[:, column], lambda y: qnormal_pdf(q, y), -x_plus(q))
 
 
 def test_qbm_marginal_start():
-    p = QParams(0.5)
+    q = 0.5
     t0 = 2.0
-    drawn = values_at("qbm", p, TimeGrid(t0, t0 + 0.1, 1), None, 0)
+    drawn = values_at("qbm", q, TimeGrid(t0, t0 + 0.1, 1), None, 0)
     r = math.sqrt(t0)
-    assert_law(drawn, lambda z: qnormal_pdf(p, z / r) / r, p.x_minus * r)
+    assert_law(drawn, lambda z: qnormal_pdf(q, z / r) / r, -x_plus(q) * r)

@@ -12,8 +12,8 @@ from qtangent.kernels import (
     half_stable_quantile,
     qnormal_pdf,
     qou_transition_pdf,
+    x_plus,
 )
-from qtangent.qspecial import QParams
 from qtangent.sampling import (
     batch_cdf_tables,
     cheb_nodes,
@@ -50,9 +50,9 @@ class TestBuildCdf:
         assert np.max(np.abs(cdf - nodes)) < 1e-12
 
     def test_qnormal_symmetric_median(self):
-        p = QParams(0.0)
+        q = 0.0
         # odd node count puts a node exactly at 0
-        nodes, cdf = table(lambda x: qnormal_pdf(p, x), p.x_minus, p.x_plus, 129)
+        nodes, cdf = table(lambda x: qnormal_pdf(q, x), -x_plus(q), x_plus(q), 129)
         i = np.argmin(np.abs(nodes[0]))
         assert nodes[0, i] == pytest.approx(0.0, abs=1e-14)
         assert cdf[0, i] == pytest.approx(0.5, abs=1e-9)
@@ -92,8 +92,8 @@ class TestBuildCdf:
 
 @pytest.fixture(scope="module")
 def qnormal_table():
-    p = QParams(0.5)
-    return table(lambda x: qnormal_pdf(p, x), p.x_minus, p.x_plus, 256)
+    q = 0.5
+    return table(lambda x: qnormal_pdf(q, x), -x_plus(q), x_plus(q), 256)
 
 
 class TestSample:
@@ -117,15 +117,15 @@ class TestSample:
         assert abs(mean) < 4.0 / math.sqrt(n)
 
     def test_round_trip_histogram(self, qnormal_table):
-        p = QParams(0.5)
+        q = 0.5
         n = 1_000_000
         us = stream(77).random(n)
         xs = sample(*qnormal_table, us)
-        edges = np.linspace(p.x_minus, p.x_plus, 101)
+        edges = np.linspace(-x_plus(q), x_plus(q), 101)
         hist, _ = np.histogram(xs, bins=edges, density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
         width = edges[1] - edges[0]
-        l1 = float(np.sum(np.abs(hist - qnormal_pdf(p, centers))) * width)
+        l1 = float(np.sum(np.abs(hist - qnormal_pdf(q, centers))) * width)
         assert l1 < 0.01
 
 
@@ -166,16 +166,16 @@ def test_truncated_table_mass_against_quadrature():
 
 def test_table_mass_against_quadrature():
     # tabulated masses of q-OU conditional rows agree with adaptive quadrature
-    p = QParams(0.5)
+    q = 0.5
     states = np.array([-2.5, 0.0, 1.9])
-    nodes = np.broadcast_to(cheb_nodes(p.x_minus, p.x_plus, 96), (3, 96)).copy()
-    dens = qou_transition_pdf(p, 0.3, states[:, None], gauss_points(nodes))
+    nodes = np.broadcast_to(cheb_nodes(-x_plus(q), x_plus(q), 96), (3, 96)).copy()
+    dens = qou_transition_pdf(q, 0.3, states[:, None], gauss_points(nodes))
     cdf = batch_cdf_tables(dens, nodes)
     i, j = 10, 60
     for r, x in enumerate(states):
-        mass, _ = quad(lambda y: qou_transition_pdf(p, 0.3, x, y), nodes[r, i], nodes[r, j],
+        mass, _ = quad(lambda y: qou_transition_pdf(q, 0.3, x, y), nodes[r, i], nodes[r, j],
                        epsabs=1e-13, limit=200)
-        total, _ = quad(lambda y: qou_transition_pdf(p, 0.3, x, y), p.x_minus, p.x_plus,
+        total, _ = quad(lambda y: qou_transition_pdf(q, 0.3, x, y), -x_plus(q), x_plus(q),
                         epsabs=1e-13, limit=200)
         assert cdf[r, j] - cdf[r, i] == pytest.approx(mass / total, abs=1e-7)
 

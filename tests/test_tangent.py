@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qtangent.errors import InvalidCount, InvalidState, InvalidTime, OutOfSupport, UnknownProcess
-from qtangent.kernels import cauchy_transition_pdf
+from qtangent.kernels import cauchy_transition_pdf, x_plus
 from qtangent.tangent import (
     TangentCase,
     Window,
@@ -149,9 +149,8 @@ class TestRescaledPdf:
 
     def test_zero_beyond_rescaled_support_edge(self):
         case = TangentCase("qou_interior", 0.5, x=0.0)
-        p = case.params
         eps = 0.1
-        edge = (p.x_plus - case.x) / eps
+        edge = (x_plus(case.q) - case.x) / eps
         assert rescaled_pdf(case, eps, 0.0, 1.0, 0.0, edge * 1.01) == 0.0
 
     def test_out_of_support_conditioning(self):
