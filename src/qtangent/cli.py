@@ -6,8 +6,9 @@ verdict (so CI can gate on `qtangent verify` and `qtangent tangent`).
 Identical argv and seed produce byte-identical output files; floats are
 printed with shortest round-trip representation.  No subcommand loads
 scipy: every integral runs through the numpy quadrature in
-``qtangent.quadrature``.  simulate, freeprob, tangent and verify are
-imported only by the subcommands that use them.
+``qtangent.quadrature``.  numpy, the kernels, simulate, freeprob, tangent
+and verify are imported only by the subcommands that use them, so
+``--version``, ``--help`` and usage errors start without numpy.
 """
 
 import argparse
@@ -17,18 +18,8 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import QTangentError
-from .kernels import (
-    biane_half_pdf,
-    biane_shifted_pdf,
-    cauchy_transition_pdf,
-    qbm_transition_pdf,
-    qnormal_pdf,
-    qou_transition_pdf,
-)
 
 __all__ = ["main", "parse_and_dispatch"]
 
@@ -62,6 +53,8 @@ def _parse_grid(spec):
         raise _UsageError(f"grid must be lo:hi:count, got {spec!r}") from exc
     if count < 2 or not -math.inf < lo < hi < math.inf or math.isinf(hi - lo):
         raise _UsageError(f"grid needs finite lo < hi and hi - lo, count >= 2, got {spec!r}")
+    import numpy as np
+
     return np.linspace(lo, hi, count)
 
 
@@ -189,6 +182,9 @@ def _build_parser():
 
 
 def _cmd_density(args):
+    from .kernels import (biane_half_pdf, biane_shifted_pdf, cauchy_transition_pdf,
+                          qbm_transition_pdf, qnormal_pdf, qou_transition_pdf)
+
     grid = _parse_grid(args.grid)
     proc = args.process
     if proc in ("qnormal", "qou", "qbm") and args.q is None:
@@ -295,7 +291,10 @@ def _cmd_jumps(args):
 
 
 def _cmd_biane(args):
+    import numpy as np
+
     from . import freeprob
+    from .kernels import biane_shifted_pdf
 
     grid = _parse_grid(args.grid)
     if grid[0] <= 0.0:

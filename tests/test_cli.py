@@ -281,6 +281,15 @@ def test_cli_import_leaves_simulate_unloaded(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # --version, --help and usage errors pay for no numpy import
+    proc = run_fresh(["-c", "import sys, qtangent.cli as c; "
+                            "code = c.parse_and_dispatch(['density', '--bogus', '1']); "
+                            "print(code, 'numpy' in sys.modules)"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 False"
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # importing scipy would cost most of a short command's start-up
     proc = run_fresh(["-c", "import sys, qtangent.cli; "

@@ -251,8 +251,9 @@ class TestTailProductForms:
     @pytest.mark.parametrize("rel_tol", [1e-14, 1e-4])
     def test_qou_forms_bitwise_equal(self, monkeypatch, rel_tol):
         gen = np.random.default_rng(21)
-        for _ in range(40):
-            q = gen.uniform(-0.95, 0.95)
+        # 40 random q, then two where the series sums most of the product
+        for fixed_q in [None] * 40 + [0.95, 0.99]:
+            q = gen.uniform(-0.95, 0.95) if fixed_q is None else fixed_q
             x = gen.uniform(-1.0, 1.0, (3, 1)) * x_plus(q)
             y = gen.uniform(-1.0, 1.0, (3, 40)) * x_plus(q)
             # delta = inf is the q-normal law and the q-BM start at the origin
@@ -261,6 +262,20 @@ class TestTailProductForms:
                     monkeypatch, kernels._qou_core, q, delta, x, y, x - y, rel_tol)
                 assert np.all(np.isfinite(vector))
                 np.testing.assert_array_equal(vector, loop)
+
+    def test_series_tail_matches_all_factors(self, monkeypatch):
+        # the q-series in place of the factors past m, against all K factors
+        gen = np.random.default_rng(22)
+        for q in (0.73, -0.8, 0.9, -0.95, 0.99):
+            x = gen.uniform(-0.999, 0.999, (4, 1)) * x_plus(q)
+            y = gen.uniform(-0.999, 0.999, 300) * x_plus(q)
+            for delta in (1e-8, 1e-3, 0.1, 1.0, 5.0, math.inf):
+                split = kernels._qou_core(q, delta, x, y, x - y, 1e-14)
+                with monkeypatch.context() as patch:
+                    patch.setattr(kernels, "_SERIES_MIN_TERMS", 10**9)
+                    full = kernels._qou_core(q, delta, x, y, x - y, 1e-14)
+                tiny = full < 1e-250  # at q = 0.99, far targets at lags to 0.1 (or underflow)
+                np.testing.assert_allclose(split[~tiny], full[~tiny], rtol=1e-12, atol=0.0)
 
 
 class TestStableKernels:
@@ -490,6 +505,37 @@ class TestDisplayedProductOracle:
                         worst = max(worst, abs(got / ref - 1))
         assert worst <= 1e-11, worst
 
+    # the product's tail as a q-series (K > 120 factors) from q = 0.73 on,
+    # all K factors at 0.72
+    @pytest.mark.parametrize("q", [0.72, 0.73, -0.73, 0.9, 0.95, -0.95, 0.97, 0.99])
+    def test_series_tail_to_relative_1e12(self, q):
+        # states out to 0.999 of either edge; targets at the tangent scale where
+        # they lie inside the support, and in the interior.  At q = 0.99 each
+        # oracle value multiplies 10^4 factors, so two lags stand for five
+        xp = x_plus(q)
+        worst = 0.0
+        with mp.workdps(40):
+            for delta in (1e-8, 1.0) if q == 0.99 else (1e-8, 1e-3, 0.1, 1.0, 5.0):
+                for x, y in ((0.0, 0.3 * xp), (0.999 * xp, -0.6 * xp), (-0.999 * xp, 0.3 * xp)):
+                    c = math.sqrt(4.0 / (1.0 - q) - x * x)
+                    tangent = x - 0.7 * delta * math.copysign(c, x)
+                    for target in (y, tangent) if abs(tangent) < 0.99 * xp else (y,):
+                        got = qou_transition_pdf(q, delta, x, target)
+                        worst = max(worst, abs(got / mp_qou(q, delta, x, target) - 1))
+            for y in (0.0, 0.6 * xp, 0.99 * xp):
+                worst = max(worst, abs(qnormal_pdf(q, y) / mp_qnormal(q, y) - 1))
+        assert worst <= 1e-12, worst
+
+    @pytest.mark.parametrize("q", [0.73, -0.73])
+    def test_series_tail_at_lag_1e300(self, q):
+        # e^{-delta} rounds to 1, so the series runs at rho = 1; 700 digits
+        # resolve e^{-delta} in the oracle
+        delta = 1e-300
+        with mp.workdps(700):
+            for y in (0.0, delta * 2.0 / math.sqrt(1.0 - q)):
+                got = qou_transition_pdf(q, delta, 0.0, y)
+                assert abs(got / mp_qou(q, delta, 0.0, y) - 1) <= 1e-12, (y, got)
+
     @pytest.mark.parametrize("q", [0.0, 0.5, -0.5])
     @pytest.mark.parametrize("delta", [1e-160, 1e-200, 1e-300])
     def test_tiny_lags_to_relative_1e13(self, delta, q):
@@ -620,7 +666,7 @@ class TestArrayTimes:
     @pytest.mark.parametrize("n", [40, 800, 2000])
     def test_qou_lag_array_matches_scalar_calls(self, n):
         gen = np.random.default_rng(n)
-        for q in (-0.7, 0.0, 0.5, 0.9):
+        for q in (-0.7, 0.0, 0.5, 0.9, 0.95, 0.99):
             delta = 10.0 ** gen.uniform(-5.0, 0.5, (5, 1))
             x = gen.uniform(-0.99, 0.99, (5, 1)) * x_plus(q)
             y = gen.uniform(-1.0, 1.0, n) * x_plus(q)
@@ -633,7 +679,7 @@ class TestArrayTimes:
     @pytest.mark.parametrize("n", [40, 800, 2000])
     def test_qbm_time_arrays_match_scalar_calls(self, n):
         gen = np.random.default_rng(100 + n)
-        for q in (-0.7, 0.0, 0.5, 0.9):
+        for q in (-0.7, 0.0, 0.5, 0.9, 0.95, 0.99):
             t1 = gen.uniform(0.1, 2.0, (5, 1))
             t1[0, 0] = 0.0
             t2 = t1 + 10.0 ** gen.uniform(-5.0, 0.5, (5, 1))

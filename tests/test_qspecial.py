@@ -1,5 +1,6 @@
 """The q-series building blocks: the support edge x_plus(q), the product
-length series_terms(q, rel_tol), and the displayed phi/psi factor oracles."""
+length series_terms(q, rel_tol) and its split into explicit factors and a
+series tail, and the displayed phi/psi factor oracles."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from qtangent.errors import NonConvergent, TruncationExceeded
-from qtangent.kernels import series_terms, x_plus
+from qtangent.kernels import _product_split, series_terms, x_plus
 
 from oracles import phi_qk, phi_star, psi_qk, psi_star
 
@@ -129,6 +130,27 @@ def test_series_terms_table(rel_tol, table):
     for qs, k in zip(((0.0,), (0.5, -0.5), (0.9,), (0.95,), (0.99, -0.99), (0.995,)), table):
         assert [series_terms(q, rel_tol) for q in qs] == [k] * len(qs)
     assert series_terms(0.9) == series_terms(0.9, 1e-14)
+
+
+@pytest.mark.parametrize("rel_tol, table", [
+    (1e-14, ((21, 16), (44, 16), (44, 16), (229, 17))),
+    (1e-4, ((21, 7), (44, 7), (44, 7), (229, 8))),
+])
+def test_product_split_table(rel_tol, table):
+    # (explicit factors, series terms) at q = 0.9, 0.95, -0.95, 0.99: a change
+    # that lengthens the kernel product fails here, not in a timing
+    assert [_product_split(q, rel_tol) for q in (0.9, 0.95, -0.95, 0.99)] == list(table)
+
+
+@pytest.mark.parametrize("rel_tol, qs", [
+    (1e-14, (0.0, 0.5, -0.5, 0.72, -0.72)),
+    (1e-4, (0.0, 0.5, 0.87, -0.87)),
+])
+def test_product_split_below_the_crossover(rel_tol, qs):
+    # at most 120 factors: all of them, and no series
+    for q in qs:
+        assert series_terms(q, rel_tol) <= 120
+        assert _product_split(q, rel_tol) == (series_terms(q, rel_tol), 0)
 
 
 @pytest.mark.parametrize("q", [0.999, -0.999])
