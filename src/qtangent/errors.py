@@ -37,6 +37,10 @@ class NonFinite(QTangentError):
     """A density evaluated to NaN or infinity in the interior of its support."""
 
 
+class EnvelopeExceeded(QTangentError):
+    """A rejection sampler's acceptance ratio rose above its envelope bound."""
+
+
 class OutOfSupport(QTangentError):
     """A rescaled point left the state space."""
 

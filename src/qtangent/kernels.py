@@ -105,10 +105,11 @@ def series_terms(q, rel_tol=1e-14):
     rel_tol (1 - |q|); geometric decay of the factors then bounds the total
     relative error by a small multiple of rel_tol.  The two extra decades
     cover the O(1) constants that multiply q^k in the factor families.
+    At q = 0 every factor past k = 0 is exactly 1, so there are none.
     Raises TruncationExceeded if that needs more than 10,000 terms.
     """
     if q == 0.0:
-        return 1
+        return 0
     thr = rel_tol * (1.0 - abs(q)) * 1e-2
     n = int(math.ceil(math.log(thr) / math.log(abs(q))))
     n = max(n, 1)
@@ -261,6 +262,45 @@ def _log_series_tail(q, m, n_terms, e1, x, y, cyy):
     return const + sums[0] + sums[1]
 
 
+def _phi0_u(c1, e1, u, x, y, x_minus_y):
+    """phi_{q,0}/u regrouped, e1 = e^{-delta}, u = 1 - e1: exact identity with the displayed
+    quadratic form over u; (x - y)^2 alone would underflow at the tangent scale of lags
+    below 1e-154.  Its reciprocal is the Cauchy density of the interior tangent law."""
+    return e1 * e1 * c1 / u * x_minus_y * x_minus_y + u * (e1 * (4.0 - c1 * x * y) + u * u)
+
+
+def _log_moduli(a, Q, alpha):
+    """log |(a e^{i alpha}; Q)_inf|^2 = sum_{j>=0} log |1 - a Q^j e^{i alpha}|^2 at the angles alpha.
+
+    a is real with |a| < 1 and 0 <= Q < 1; alpha is a float or an array.
+    Each factor |1 - b e^{i alpha}|^2 = (1 - b)^2 + 4 b sin^2(alpha/2),
+    b = a Q^j, increases in |alpha| on [0, pi] for b > 0 and decreases for
+    b < 0, and so does the whole product.  The factors with |b| > 0.1 are
+    multiplied, 16 to a logarithm (each lies in [(1 - |b|)^2, 4]); the rest
+    sum as -2 sum_n b^n cos(n alpha)/(n (1 - Q^n)), b = a Q^m, in Chebyshev
+    polynomials of cos(alpha), cut once a term falls below 1e-17.  So a table
+    on a fine angle grid costs a few array passes per 16 factors however
+    close Q is to 1.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    s2 = 4.0 * np.sin(0.5 * alpha) ** 2
+    bs = []
+    while abs(a) > _SERIES_START:
+        bs.append(a)
+        a *= Q
+    out = np.zeros(alpha.shape)
+    for i in range(0, len(bs), 16):
+        b = np.array(bs[i:i + 16]).reshape((-1,) + (1,) * alpha.ndim)
+        out += np.log(np.prod((1.0 - b) * (1.0 - b) + b * s2, axis=0))
+    coeffs, bn, qn, n = [], a, Q, 1
+    while abs(bn) > 1e-17 * n * (1.0 - qn):
+        coeffs.append(-2.0 * bn / (n * (1.0 - qn)))
+        bn, qn, n = bn * a, qn * Q, n + 1
+    if coeffs:
+        out += _chebyshev_sums(np.array(coeffs).reshape((-1,) + (1,) * alpha.ndim), np.cos(alpha))
+    return out
+
+
 def _qou_core(q, delta, x, y, x_minus_y, rel_tol):
     """The q-OU transition density at lag delta in (0, inf] from x to y, 0 for |y| >= x_plus(q).
 
@@ -277,16 +317,16 @@ def _qou_core(q, delta, x, y, x_minus_y, rel_tol):
     y = np.where(outside, 0.0, y)
     x_minus_y = np.where(outside, 0.0, x_minus_y)
     cyy = c1 * y * y
-    # regrouped phi_{q,0}/u: exact identity with the displayed quadratic form over u;
-    # (x - y)^2 alone would underflow at the tangent scale of lags below 1e-154
-    phi0_u = e2 * c1 / u * x_minus_y * x_minus_y + u * (e1 * (4.0 - c1 * x * y) + u * u)
+    phi0_u = _phi0_u(c1, e1, u, x, y, x_minus_y)
     m, n_terms = _product_split(q, rel_tol)
-    qk = np.power(q, np.arange(1, m + 1, dtype=float)).reshape((m,) + (1,) * np.ndim(e1))
-    a = (1.0 + qk) * (1.0 + qk)
-    g = e1 * qk
-    s = 1.0 - g * g
-    sc = (1.0 - e2 * qk) * (1.0 - qk)  # 1 - q^k: the k-th factor of (q; q)_inf
-    tail = _tail_product(_qou_factor, (qk, a, g, c1 * g, s * s, sc), (x, y, cyy))
+    tail = 1.0
+    if m:
+        qk = np.power(q, np.arange(1, m + 1, dtype=float)).reshape((m,) + (1,) * np.ndim(e1))
+        a = (1.0 + qk) * (1.0 + qk)
+        g = e1 * qk
+        s = 1.0 - g * g
+        sc = (1.0 - e2 * qk) * (1.0 - qk)  # 1 - q^k: the k-th factor of (q; q)_inf
+        tail = _tail_product(_qou_factor, (qk, a, g, c1 * g, s * s, sc), (x, y, cyy))
     if n_terms:
         tail = tail * np.exp(_log_series_tail(q, m, n_terms, e1, x, y, cyy))
     sq = np.sqrt(np.clip(4.0 - cyy, 0.0, None))

@@ -1,26 +1,22 @@
 """Discretized cadlag trajectories of q-OU and q-BM by exact transition sampling,
 and the jump/moment statistics with closed-form counterparts.
 
-Both processes run as one q-OU chain.  q-BM is the time-changed q-OU
-process, W_{e^{2t}} = e^t X_t: its step t1 -> t2 is a q-OU step of lag
-log(t2/t1)/2 in the state W/sqrt(t), a step from t = 0 is an infinite lag
-(the q-normal law), and the values written are sqrt(t) X.
+Both processes run as one q-OU chain: q-BM is the time-changed q-OU process,
+W_{e^{2t}} = e^t X_t, so its step t1 -> t2 is a q-OU step of lag
+log(t2/t1)/2 in the state W/sqrt(t) (infinite from t1 = 0: the q-normal
+law), and the values written are sqrt(t) X.  A start is a state or None, the
+time-t0 marginal (for q-BM at t0 = 0 the origin).  q is checked by
+``kernels.x_plus``.
 
-Every draw goes through ``_draw``, one batch over all paths per grid step.
-An infinite lag draws from one shared q-normal row.  A finite lag rounds the
-states to a lattice whose step is 1e-3 of the kernel's core width at x = 0,
-so rounding moves a drawn law by at most 5e-4 of that width (a larger share
-of the narrower core near the support edge).  It then deduplicates the
-states, evaluates the kernel once on the (states x nodes x Gauss points)
-array, and every path draws from its state's row through a monotone-cubic
-inverse CDF.  An ensemble is one (paths, steps + 1) array of values: row i
-consumes stream i of the base seed, and every stage works row by row, so a
-path's values do not depend on which other paths share its batch.  A start
-is a state or None: None draws from the time-t0 marginal, which for q-BM at
-t0 = 0 is the point mass at the origin.  q is a float in (-1, 1), checked by
-``kernels.x_plus``, which also gives the q-OU support edge the lattice and
-node rows are clamped to.  ``sup_jump_estimate`` reports the jump statistics
-as the dict the CLI prints.
+Every draw is exact rejection sampling (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. II) from the paper's tangent law: the kernel's k = 0
+factor is a Cauchy density, the interior tangent law over one step, and
+``_Envelope`` bounds the rest of the kernel on bins of the target angle.
+Each path-step takes one block of _PROPOSALS proposals, three uniforms each,
+from the path's ``stream(seed, i)``; a path-step that rejects them all
+continues from ``stream(seed, i, step)``.  Identical states share an
+envelope and nothing else is shared, so a path's values depend neither on
+the other paths of its batch nor on how the states are chunked.
 """
 
 import math
@@ -28,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCount, InvalidState, InvalidThreshold, InvalidTime, UnknownProcess
-from .kernels import _bm_lag, qnormal_pdf, qou_transition_pdf, x_plus
-from .sampling import batch_cdf_tables, cheb_nodes, gauss_points, pchip_quantile, stream
+from .errors import (EnvelopeExceeded, InvalidCount, InvalidState, InvalidThreshold, InvalidTime,
+                     NonFinite, UnknownProcess)
+from .kernels import _bm_lag, _log_moduli, _phi0_u, qnormal_pdf, qou_transition_pdf, x_plus
+from .sampling import stream
 
 __all__ = [
     "TimeGrid",
@@ -41,13 +38,15 @@ __all__ = [
     "sup_jump_estimate",
 ]
 
-# Simulation-table settings: kernel values at ~1e-4 relative error (quantile
-# interpolation dominates beyond that), 96 sinh-placed nodes per conditional
-# with a monotone-cubic quantile, and conditioning states rounded to a lattice
-# whose step is 1e-3 of the kernel's core width at x = 0.
-_SIM_REL_TOL = 1e-4
-_SIM_NODES = 96
-_LATTICE = 1e-3
+_SIM_REL_TOL = 1e-4  # the kernel's tolerance; the envelope margin covers it
+_PROPOSALS = 8  # per path-step, three uniforms each: bin, place in the bin, acceptance
+_ONE_ROUND_ROWS = 256  # larger batches try every first proposal before the rest
+_CELLS = 1 << 18  # most (bin, state) cells of one envelope pass
+_BIN_SCALE, _MIN_BINS = 25.0, 32  # equal phi-bins: even, >= _BIN_SCALE/(1 - |q|) and _MIN_BINS
+_GRID_PER_BIN = 4  # angle-table points per bin
+_MAX_DEPTH = 40  # most halvings of the bin width toward theta
+_LOG_MARGIN = 1e-3  # log of the margin on every bound, derived in _Envelope
+_FLOOR = 1e-250  # least bound: kernel values near 1e-300 are subnormal, without digits
 
 
 @dataclass(frozen=True)
@@ -69,57 +68,249 @@ class TimeGrid:
         return np.linspace(self.t0, self.t1, self.steps + 1)
 
 
-def _lag(process, t1, t2):
-    """The q-OU lag of the step t1 -> t2: the step itself for q-OU, and for
-    q-BM the time change W_{e^{2t}} = e^t X_t (infinite from t1 = 0)."""
-    return t2 - t1 if process == "qou" else _bm_lag(t1, t2)
+def _parts(q):
+    """(a, Q) of the monotone parts of prod_{k>=1} f(q^k) = prod over parts of
+    prod_{j>=0} f(a Q^j): one for q > 0, the even and the odd k (moduli moving in
+    opposite directions) for q < 0, none at q = 0, where every factor is 1."""
+    if q == 0.0:
+        return ()
+    return ((q, q),) if q > 0.0 else ((q * q, q * q), (q, q * q))
 
 
-def _conditional_nodes(lo, hi, xs, scales, n_nodes):
-    """Per-state node rows, sinh-spaced around the conditioning state.
+def _windows(tables, n, width, extreme):
+    """Sum over the tables (of parts on the angles g pi/n, g = 0..n) of their extreme
+    (np.minimum or np.maximum) over every window of `width` grid points, the angle unfolded
+    to g = -n .. 2n + width - 1; entry k is the window from g = k - n.  A part is
+    monotone between grid points (it folds at multiples of pi), so the window that
+    brackets an interval of angles holds its extremes there."""
+    fold = np.abs((np.arange(-n, 2 * n + width) + n) % (2 * n) - n)
+    return sum((extreme.reduce([t[fold[i:i + 3 * n + 1]] for i in range(width)]) for t in tables),
+               np.zeros(3 * n + 1))
 
-    sinh placement is linear at the kernel core (width ``scales[i]``, the
-    tangent-process scale) and logarithmic out to the support edges, so both
-    the spike of a small lag and its heavy flanks are resolved with one
-    family.
+
+def _over(tables, lo, hi, n):
+    """The tabulated extreme over the angles [lo, hi] in [-pi, 2 pi]: from the (narrow, wide)
+    windows, the narrow ones of 3 points where [lo, hi] spans at most one grid step."""
+    at = np.floor(lo * (n / math.pi)).astype(np.intp) + n
+    return np.where((hi - lo) * (n / math.pi) <= 1.0, tables[0][at], tables[1][at])
+
+
+def _first_above(cum, col, t):
+    """For each entry, the first bin j with cum[j, col] > t (the last bin if none), by bisection."""
+    flat, n = cum.ravel(), cum.shape[1]
+    lo, hi = np.zeros(t.shape, dtype=np.intp), np.full(t.shape, cum.shape[0] - 1, dtype=np.intp)
+    for _ in range(cum.shape[0].bit_length()):
+        mid = (lo + hi) >> 1
+        above = flat[mid * n + col] > t
+        hi, lo = np.where(above, mid, hi), np.where(above, lo, mid + 1)
+    return hi
+
+
+class _Bins:
+    """The equal phi-bins of one q and its tables of N, shared by the envelopes of all lags."""
+
+    def __init__(self, q):
+        self.q, self.xp, self.c1, self.parts = q, x_plus(q), 1.0 - q, _parts(q)
+        self.n_bins = 2 * max(_MIN_BINS // 2, math.ceil(_BIN_SCALE / (2.0 * (1.0 - abs(q)))))
+        self.h, self.n_grid = math.pi / self.n_bins, _GRID_PER_BIN * self.n_bins
+        self.alpha = np.linspace(0.0, math.pi, self.n_grid + 1)
+        self.numer = [_log_moduli(a, Q, self.alpha) for a, Q in self.parts]
+        self.n_most = [_windows(self.numer, self.n_grid, w, np.maximum) for w in (3, 2 * _GRID_PER_BIN + 2)]
+        self.phi = np.linspace(0.0, math.pi, self.n_bins + 1)
+        self.y, self.sq, self.log_n = self.free_bounds(self.phi)
+
+    def free_bounds(self, phi):
+        """y at the angles phi (ascending on axis 0) and, per bin between them, the bound
+        on 2 sin(phi), the kernel's own sqrt(4 - (1-q) y^2) at the y edge nearest 0
+        (its rounded operations are monotone), and the bound on log N."""
+        y = self.xp * np.cos(phi)
+        ym = np.maximum(np.maximum(y[1:], -y[:-1]), 0.0)
+        return (y, np.sqrt(np.clip(4.0 - self.c1 * ym * ym, 0.0, None)),
+                _over(self.n_most, 2.0 * phi[:-1], 2.0 * phi[1:], self.n_grid))
+
+    def inside(self, x):
+        """x within the support, a state on its edge one ulp inside: the proposal's scale
+        sinh(lag) sqrt(x_plus^2 - x^2) stays positive."""
+        edge = np.nextafter(self.xp, 0.0)
+        return np.clip(x, -edge, edge)
+
+
+class _Envelope:
+    """The rejection envelope of the q-OU kernel at one lag in (0, inf], and its draws.
+
+    With x = x_plus cos(theta), y = x_plus cos(phi) and rho = e^{-lag} the
+    kernel is p(y) = c_q (1 + rho) g(y) r(y): g = 1/phi0_u is the Cauchy
+    density of location x cosh(lag) and scale sinh(lag) sqrt(x_plus^2 - x^2)
+    (uniform at an infinite lag), and
+    r = 2 sin(phi) prod_{k>=1} c_k N_k(phi)/(D_k(theta + phi) D_k(theta - phi)),
+    c_k = (1 - rho^2 q^k)(1 - q^k), N_k = |1 - q^k e^{2i phi}|^2,
+    D_k(a) = |1 - rho q^k e^{ia}|^2.  A proposal takes a bin with probability
+    proportional to its bound on r times its Cauchy mass and a place in it by
+    arctan inversion, and is accepted when U bound < r(y), r read from
+    ``qou_transition_pdf`` (``qnormal_pdf``).  r above its bound raises
+    EnvelopeExceeded: a fault of the bounds.
+
+    Bins: B equal phi-bins, B of order 1/(1 - |q|), on which the q-products
+    vary; at a finite lag the bins around theta give way to bins with edges
+    theta +- h 2^-i, i = 0..J, h = pi/B, down to the proposal's angular scale
+    h 2^-J ~ lag.  Bounds: the factors of N and D are moduli |1 - s e^{ia}|^2,
+    monotone in |a| on [0, pi], and so is each part (``_parts``) of their
+    products, which ``kernels._log_moduli`` tabulates on the angles g pi/4B;
+    so a bin's extremes lie among the grid points that bracket its angles
+    (``_windows``).  An equal bin spans 4 grid steps at theta + phi and at
+    theta - phi, from i0 + 4e and i0 - 4e - 4, i0 = floor(theta 4B/pi): its
+    bound depends on theta through i0 alone.  2 sin(phi) is bounded by the
+    kernel's own expression at the bin's y edge nearest 0.  No bound is below
+    _FLOOR.
+
+    Margin: every bound carries a factor e^{1e-3} for what separates the
+    computed r from the tabulated product: the kernel's truncation (the
+    factors past K = series_terms(q, 1e-4) have |log| <= 8t, t = |q|^k, at
+    most 8|q|^(K+1)/(1-|q|) <= 8e-6 in all, and its q-series cut 1e-6); the
+    tables' cut (1e-13); rounding over at most 10^4 factors (1e-11); and the
+    angles of rounded states, off by at most 2^-52/sin(angle) <= 1e-8 rad
+    within 1e-16 of the edge, where |d log|1 - t e^{ia}|^2/da| <= 2t/(1-t^2)
+    sums to under 10^4 over N and both D at |q| <= 0.997 (1e-4).  Together
+    below 2e-4.
     """
-    xs = np.asarray(xs, dtype=float)[:, None]
-    g = np.asarray(scales, dtype=float)[:, None]
-    a = np.arcsinh((lo - xs) / g)
-    b = np.arcsinh((hi - xs) / g)
-    frac = np.linspace(0.0, 1.0, n_nodes)
-    rows = xs + g * np.sinh(a + (b - a) * frac[None, :])
-    rows[:, 0] = lo
-    rows[:, -1] = hi
-    return np.clip(rows, lo, hi)
 
+    def __init__(self, bins, lag):
+        self.bins, self.lag, self.e1, self.u = bins, lag, math.exp(-lag), -math.expm1(-lag)
+        self.scale = math.sqrt(bins.c1) / (2.0 * math.pi) * (1.0 + self.e1)
+        # log prod_k c_k: (q; q)_inf from the N tables at angle 0, and (rho^2 q; q)_inf
+        self.log_c = _LOG_MARGIN + sum(0.5 * (t[0] + _log_moduli(self.e1 * self.e1 * a, Q, 0.0))
+                                       for (a, Q), t in zip(bins.parts, bins.numer))
+        self.n_cells = bins.n_bins
+        if self.e1 == 0.0:
+            return
+        self.depth = min(_MAX_DEPTH, max(0, math.ceil(math.log2(bins.h / lag))))
+        self.n_cells += 2 * self.depth + 4
+        self.sinh, self.cosh_1 = math.sinh(lag), 2.0 * math.sinh(0.5 * lag) ** 2
+        denom = [_log_moduli(self.e1 * a, Q, bins.alpha) for a, Q in bins.parts]
+        self.d_least = [_windows(denom, bins.n_grid, w, np.minimum) for w in (3, _GRID_PER_BIN + 2)]
 
-def _draw(q, lag, x, u, n_nodes=_SIM_NODES):
-    """q-OU states at lag in (0, inf] from the states x, one uniform of u each.
+    def _rows(self, i0):
+        """Bounds on r over the equal bins, (B, U), for theta in the grid cells i0 (U,):
+        the bin [e h, (e + 1) h] has theta + phi in the window from i0 + 4e and theta - phi
+        in the window from i0 - 4e - 4."""
+        bins, steps = self.bins, _GRID_PER_BIN * np.arange(self.bins.n_bins)[:, None]
+        log_r = (self.log_c + bins.log_n)[:, None] - self.d_least[1][(i0 + bins.n_grid) + steps]
+        log_r -= self.d_least[1][(i0 + bins.n_grid - _GRID_PER_BIN) - steps]
+        return np.maximum(bins.sq[:, None] * np.exp(log_r), _FLOOR)
 
-    An infinite lag draws every entry from the q-normal law (x is ignored)
-    through one shared row on 257 Chebyshev nodes.  A finite lag rounds the
-    states to a lattice and deduplicates them, then builds one row per state
-    on n_nodes sinh-placed nodes around it, at the kernel's core width
-    lag c_{q,x} + 4 lag^2/sqrt(1-q) (c_{q,x} = sqrt(4/(1-q) - x^2), the
-    tangent-process scale).
-    """
-    hi = x_plus(q)
-    lo = -hi
-    if lag == math.inf:
-        nodes = cheb_nodes(lo, hi, 257)[None, :]
-        cdf = batch_cdf_tables(qnormal_pdf(q, gauss_points(nodes), _SIM_REL_TOL), nodes)
-        return pchip_quantile(nodes, cdf, np.zeros(len(u), dtype=np.intp), u)
-    width = 2.0 * hi
-    second = lag * lag * 4.0 / math.sqrt(1.0 - q)  # second-order part of the core width
-    step = _LATTICE * (lag * hi + second)  # c_{q,0} = hi
-    # rounding may push a state just past the support edge; clamp back
-    states, row = np.unique(np.clip(np.round(x / step) * step, lo, hi), return_inverse=True)
-    c = np.sqrt(np.maximum(4.0 / (1.0 - q) - states * states, 0.0))
-    scales = np.clip(lag * c + second, width * 1e-9, width / 2.0)
-    nodes = _conditional_nodes(lo, hi, states, scales, n_nodes)
-    dens = qou_transition_pdf(q, lag, states[:, None], gauss_points(nodes), _SIM_REL_TOL)
-    return pchip_quantile(nodes, batch_cdf_tables(dens, nodes), row, u)
+    def _cells(self, x):
+        """Cumulative weights (bound times Cauchy mass, in a unit of each state's) and
+        bounds of the bins of the states x, (bins, S); the y edges of the bins around
+        theta; each state's Cauchy scale and location minus x, (S,)."""
+        bins, B = self.bins, self.bins.n_bins
+        if self.e1 == 0.0:
+            bound = np.maximum(bins.sq * np.exp(self.log_c + bins.log_n), _FLOOR)[:, None]
+            return np.cumsum(bound * -np.diff(bins.y)[:, None], axis=0), bound, None, None, None
+        xp, x = bins.xp, bins.inside(x)
+        theta = 2.0 * np.arctan2(np.sqrt(xp - x), np.sqrt(xp + x))
+        s, cz = self.sinh * np.sqrt((xp - x) * (xp + x)), x * self.cosh_1
+
+        def mass(y):  # differences of s times the Cauchy distribution function
+            cdf = np.arctan(((y - x) - cz) / s)
+            return cdf[:-1] - cdf[1:]
+        weight, bound = np.empty((2, self.n_cells, len(x)))
+        i0 = np.minimum(np.floor(theta * (bins.n_grid / math.pi)), bins.n_grid).astype(np.intp)
+        cells, inv = np.unique(i0, return_inverse=True)  # states sorted by x share cells
+        bound[:B] = self._rows(i0) if len(cells) == len(x) else self._rows(cells)[:, inv]
+        weight[:B] = bound[:B] * mass(bins.y[:, None])
+        # the bins around theta replace the (at most three) equal bins that hold it
+        j = np.minimum(np.floor(theta / bins.h), B - 1).astype(np.intp)
+        lo, hi = np.maximum(j - 1, 0), np.minimum(j + 2, B)
+        for step in range(3):
+            live = lo + step < hi
+            weight[lo[live] + step, np.flatnonzero(live)] = 0.0
+        offsets = (bins.h * 0.5 ** np.arange(self.depth + 1))[:, None]
+        lo, hi = bins.phi[lo], bins.phi[hi]
+        phi = np.clip(np.concatenate([[lo], theta - offsets, [theta], theta + offsets[::-1], [hi]]), lo, hi)
+        y, sq, log_n = bins.free_bounds(phi)
+        log_n += (self.log_c - _over(self.d_least, theta + phi[:-1], theta + phi[1:], bins.n_grid)
+                  - _over(self.d_least, theta - phi[1:], theta - phi[:-1], bins.n_grid))
+        bound[B:] = np.maximum(sq * np.exp(log_n), _FLOOR)
+        weight[B:] = bound[B:] * mass(y)
+        return np.cumsum(weight, axis=0, out=weight), bound, y, s, cz
+
+    def _try(self, cells, states, col, x, u):
+        """Proposals from the uniforms u (rows, k, 3), rows at states[col] and the kernel
+        at x, and whether each is accepted."""
+        bins, (cum, bound, y_near, s, cz) = self.bins, cells
+        total = cum[-1]
+        if not np.all(np.isfinite(total) & (total > 0.0)):
+            raise NonFinite(f"rejection envelope at lag {self.lag} has no finite positive mass")
+        c2 = col[:, None]
+        j = np.minimum(_first_above(cum, c2, u[..., 0] * total[c2]), np.sum(cum < total, axis=0)[c2])
+        b = np.minimum(j, bins.n_bins - 1)
+        lo, hi, m, v = bins.y[b + 1], bins.y[b], bound[j, c2], u[..., 1]
+        if y_near is None:
+            y = lo + v * (hi - lo)
+        else:
+            k, near = np.maximum(j - bins.n_bins, 0), j >= bins.n_bins
+            lo, hi = np.where(near, y_near[k + 1, c2], lo), np.where(near, y_near[k, c2], hi)
+            s, cz = s[c2], cz[c2]
+            a = (lo - bins.inside(states[c2])) - cz
+            # the mass from lo, atan2(s (y - lo), s^2 + a (y - c)), is v times the bin's
+            t = np.tan(v * np.arctan2(s * (hi - lo), s * s + a * (a + hi - lo)))
+            y = np.clip(lo + t * (s * s + a * a) / (s - a * t), lo, hi)
+        r = self.ratio(x[:, None], y)
+        if np.any(r > m):
+            raise EnvelopeExceeded(f"acceptance ratio above its bound at q={bins.q}, lag={self.lag}")
+        return y, u[..., 2] * m < r
+
+    def ratio(self, x, y):
+        """r(y) = p(y) phi0_u(y)/(c_q (1 + rho)) from x: the kernel times its own k = 0
+        factor, which so cancels to rounding wherever that factor loses digits."""
+        bins = self.bins
+        if self.e1 == 0.0:
+            return qnormal_pdf(bins.q, y, _SIM_REL_TOL) / self.scale
+        x = bins.inside(x)
+        return (qou_transition_pdf(bins.q, self.lag, x, y, _SIM_REL_TOL) / self.scale
+                * _phi0_u(bins.c1, self.e1, self.u, x, y, x - y))
+
+    def _chunk(self, states, col, x, u):
+        """First accepted proposal of each row and whether one was.  Large batches try every
+        row's first proposal before the rest of the rows still open (fewer kernel points),
+        small ones all at once (fewer kernel calls); either way a row takes its first
+        accepted proposal."""
+        cells = self._cells(states)
+        if len(u) <= _ONE_ROUND_ROWS or u.shape[1] == 1:
+            y, accept = self._try(cells, states, col, x, u)
+            return y[np.arange(len(y)), np.argmax(accept, axis=1)], accept.any(axis=1)
+        y, accept = self._try(cells, states, col, x, u[:, :1])
+        y, ok = y[:, 0], accept[:, 0]
+        rest = np.flatnonzero(~ok)
+        if len(rest):
+            y_rest, accept = self._try(cells, states, col[rest], x[rest], u[rest, 1:])
+            y[rest] = y_rest[np.arange(len(rest)), np.argmax(accept, axis=1)]
+            ok[rest] = accept.any(axis=1)
+        return y, ok
+
+    def _propose(self, x, u):
+        """_chunk over the distinct states of x, at most _CELLS (bin, state) cells at a time."""
+        states, inv = np.unique(x, return_inverse=True)
+        y, ok = np.empty(len(u)), np.empty(len(u), dtype=bool)
+        per = max(1, _CELLS // self.n_cells)
+        for lo in range(0, len(states), per):
+            rows = np.flatnonzero((inv >= lo) & (inv < lo + per))
+            y[rows], ok[rows] = self._chunk(states[lo:lo + per], inv[rows] - lo, x[rows], u[rows])
+        return y, ok
+
+    def draw(self, x, u, fallback):
+        """States at the lag from the states x (any, such as zeros, at an infinite lag),
+        one block of uniforms u[i] of shape (_PROPOSALS, 3) per row; a row that rejects
+        its block continues with blocks from the generator fallback(i)."""
+        y, ok = self._propose(x, u)
+        miss = np.flatnonzero(~ok)
+        gens = [fallback(i) for i in miss]
+        while len(miss):
+            y_more, ok_more = self._propose(x[miss], np.stack([g.random((_PROPOSALS, 3)) for g in gens]))
+            y[miss[ok_more]] = y_more[ok_more]
+            gens = [g for g, done in zip(gens, ok_more) if not done]
+            miss = miss[~ok_more]
+        return y
 
 
 def _start(process, q, t0, x0):
@@ -148,12 +339,23 @@ def simulate_ensemble(process, q, grid: TimeGrid, x0, base_seed, n_paths):
     if n_paths < 1:
         raise InvalidCount(f"need at least one path, got {n_paths}")
     times = grid.times
-    U = np.stack([stream(base_seed, i).random(len(times)) for i in range(n_paths)])
     start = _start(process, q, times[0], x0)
-    X = np.empty(U.shape)
-    X[:, 0] = _draw(q, math.inf, None, U[:, 0]) if start is None else start
-    for j in range(grid.steps):
-        X[:, j + 1] = _draw(q, _lag(process, times[j], times[j + 1]), X[:, j], U[:, j + 1])
+    bins = _Bins(q)
+    # q-OU is time-homogeneous: every step of the grid has one lag and one envelope
+    step = _Envelope(bins, (grid.t1 - grid.t0) / grid.steps) if process == "qou" else None
+    gens = [stream(base_seed, i) for i in range(n_paths)]
+    X = np.empty((n_paths, len(times)))
+    for j in range(len(times)):
+        u = np.stack([g.random((_PROPOSALS, 3)) for g in gens])
+
+        def fallback(i):
+            return stream(base_seed, i, j)
+        if j == 0:
+            X[:, 0] = (start if start is not None
+                       else _Envelope(bins, math.inf).draw(np.zeros(n_paths), u, fallback))
+        else:
+            env = step or _Envelope(bins, _bm_lag(times[j - 1], times[j]))
+            X[:, j] = env.draw(X[:, j - 1], u, fallback)
     values = X if process == "qou" else np.sqrt(times) * X
     if x0 is not None:
         values[:, 0] = x0
@@ -180,10 +382,12 @@ def moment4_estimate(q, s, t, n_samples, seed: int):
     if n_samples < 1:
         raise InvalidCount(f"need at least one sample, got {n_samples}")
     gen = stream(seed)
-    x_s = np.zeros(n_samples) if s == 0.0 else _draw(q, math.inf, None, gen.random(n_samples))
-    # moment estimation weights the tails; finer tables keep the quantile
-    # interpolation bias well below the Monte Carlo error
-    x_t = _draw(q, _lag("qbm", s, t), x_s, gen.random(n_samples), n_nodes=257)
+    bins = _Bins(q)
+    block = (n_samples, _PROPOSALS, 3)
+    x_s = np.zeros(n_samples)
+    if s > 0.0:
+        x_s = _Envelope(bins, math.inf).draw(x_s, gen.random(block), lambda i: stream(seed, i, 0))
+    x_t = _Envelope(bins, _bm_lag(s, t)).draw(x_s, gen.random(block), lambda i: stream(seed, i, 1))
     d = math.sqrt(t) * x_t - math.sqrt(s) * x_s
     d4 = d ** 4
     est = float(np.mean(d4))

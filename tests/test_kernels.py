@@ -88,6 +88,50 @@ class TestQNormal:
         assert var == pytest.approx(1.0, abs=1e-9)
 
 
+def _free_angle(v):
+    """theta with v = 2 cos(theta), accurate at both edges."""
+    return 2.0 * np.arctan2(np.sqrt(2.0 - v), np.sqrt(2.0 + v))
+
+
+# the q = 0 grid: the interior of [-2, 2] and points 1e-15 to 1e-1 of either edge
+FREE_GRID = np.concatenate([np.linspace(-2.0, 2.0, 4001)[1:-1],
+                            2.0 * (1.0 - np.geomspace(1e-15, 1e-1, 100)),
+                            -2.0 * (1.0 - np.geomspace(1e-15, 1e-1, 100))])
+
+
+def _free_tolerance(y):
+    # the kernels form 2 sin(phi) as sqrt(4 - y^2), whose relative rounding
+    # error grows like 2^-52 4/(4 - y^2) toward the edges
+    return 1e-13 + 2.0 ** -50 / (4.0 - y * y)
+
+
+class TestFreeCase:
+    """q = 0, where every product factor past k = 0 is 1 and none is formed:
+    the semicircle law and the free Mehler kernel in closed form."""
+
+    def test_semicircle(self):
+        ref = np.sqrt((2.0 - FREE_GRID) * (2.0 + FREE_GRID)) / (2.0 * math.pi)
+        got = qnormal_pdf(0.0, FREE_GRID)
+        assert np.all(np.abs(got - ref) <= ref * _free_tolerance(FREE_GRID))
+        assert np.all(qnormal_pdf(0.0, np.array([-2.0, 2.0, -2.5, 3.0])) == 0.0)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("x", [0.0, 1.3, -1.9, 2.0 * (1.0 - 1e-12), -2.0])
+    def test_free_mehler(self, delta, x):
+        # (1 - r^2) sqrt(4 - y^2) / (2 pi |1 - r e^{i(theta+phi)}|^2 |1 - r e^{i(theta-phi)}|^2),
+        # r = e^{-delta}, x = 2 cos(theta), y = 2 cos(phi): the free Mehler kernel
+        # |1 - r e^{i a}|^2 = u^2 + 4 r sin^2(a/2), u = 1 - r; sin((theta - phi)/2)
+        # from y - x = 4 sin((theta + phi)/2) sin((theta - phi)/2), exact where y ~ x
+        r, u = math.exp(-delta), -math.expm1(-delta)
+        half_sum = 0.5 * (_free_angle(x) + _free_angle(FREE_GRID))
+        sin_sum, sin_diff = np.sin(half_sum), (FREE_GRID - x) / (4.0 * np.sin(half_sum))
+        ref = (-math.expm1(-2.0 * delta) * np.sqrt((2.0 - FREE_GRID) * (2.0 + FREE_GRID))
+               / (2.0 * math.pi * (u * u + 4.0 * r * sin_sum ** 2) * (u * u + 4.0 * r * sin_diff ** 2)))
+        got = qou_transition_pdf(0.0, delta, x, FREE_GRID)
+        assert np.all(np.abs(got - ref) <= ref * _free_tolerance(FREE_GRID))
+        assert np.all(qou_transition_pdf(0.0, delta, x, np.array([-2.0, 2.0, 2.5])) == 0.0)
+
+
 class TestQOUKernel:
     def test_long_lag_reaches_stationarity(self):
         for q in (-0.5, 0.5, 0.9):

@@ -2,10 +2,12 @@
 
 Each case draws N values through ``simulate_ensemble`` with a fixed seed and
 compares them with the law they should follow: the q-OU kernel over one step
-(also at |q| = 0.997 and near the support edge) and over ten steps (the
-kernel at ten times the lag), the q-BM kernel over a
-small step, the sqrt(t)-dilated q-normal after the origin step, and the
-q-normal at a stationary start.  The exact distribution function comes from
+(also at |q| = 0.997, near the support edge and 1e-12 of it) and over ten
+steps (the kernel at ten times the lag, at q = 0 and 0.95), the q-BM kernel
+over a small step, the sqrt(t)-dilated q-normal after the origin step, and
+the q-normal at a stationary start; and a one-step law drawn with a single
+proposal per path-step, so that rejected rows continue from their fallback
+streams.  The exact distribution function comes from
 adaptive quadrature of the kernel (``qtangent.quadrature.integrate``) between
 consecutive order statistics.
 
@@ -27,6 +29,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qtangent import simulate
 from qtangent.kernels import qbm_transition_pdf, qnormal_pdf, qou_transition_pdf, x_plus
 from qtangent.quadrature import integrate
 from qtangent.simulate import TimeGrid, simulate_ensemble
@@ -91,6 +94,48 @@ def test_qou_one_step_at_the_edges(q, lag, frac):
     # need more than 10^4 product terms at |q| = 0.997
     drawn = values_at("qou", q, TimeGrid(0.0, lag, 1), x, 1)
     assert_law(drawn, lambda y: qou_transition_pdf(q, lag, x, y, 1e-8), -x_plus(q))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.9, -0.9])
+@pytest.mark.parametrize("lag", [5e-4, 0.1])
+def test_qou_one_step_from_1e12_of_the_edge(q, lag):
+    # theta ~ 1.4e-6: the proposal's poles sit within the lag of the edge
+    x = (1.0 - 1e-12) * x_plus(q)
+    drawn = values_at("qou", q, TimeGrid(0.0, lag, 1), x, 1)
+    assert_law(drawn, lambda y: qou_transition_pdf(q, lag, x, y), -x_plus(q))
+
+
+@pytest.mark.parametrize("lag", [5e-4, 0.1])
+@pytest.mark.parametrize("frac", [0.0, 0.99])
+def test_qou_ten_steps_at_q_095(lag, frac):
+    q = 0.95
+    x = off_lattice(frac, x_plus(q))
+    drawn = values_at("qou", q, TimeGrid(0.0, 10.0 * lag, 10), x, 10)
+    assert_law(drawn, lambda y: qou_transition_pdf(q, 10.0 * lag, x, y), -x_plus(q))
+
+
+def test_fallback_streams(monkeypatch):
+    # one proposal per path-step: about 40% of the rows are rejected and
+    # continue from stream(seed, row, step); the law must not notice, and a
+    # row that fell back is the same alone as inside the ensemble
+    q, lag, frac = 0.9, 0.01, 0.9
+    x = off_lattice(frac, x_plus(q))
+    monkeypatch.setattr(simulate, "_PROPOSALS", 1)
+    fell_back = []
+
+    def counting(seed, index=0, step=None):
+        if step is not None:
+            fell_back.append(index)
+        return simulate_stream(seed, index, step)
+    simulate_stream = simulate.stream
+    monkeypatch.setattr(simulate, "stream", counting)
+    grid = TimeGrid(0.0, lag, 1)
+    values = simulate_ensemble("qou", q, grid, x, SEED, N)[1]
+    assert len(fell_back) > N // 10
+    assert_law(values[:, 1], lambda y: qou_transition_pdf(q, lag, x, y), -x_plus(q))
+    for i in sorted(set(fell_back))[:3]:
+        alone = simulate_ensemble("qou", q, grid, x, SEED, i + 1)[1][i]
+        assert alone.tobytes() == values[i].tobytes()
 
 
 @pytest.mark.parametrize("lag", LAGS)

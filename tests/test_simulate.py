@@ -109,9 +109,9 @@ class TestEnsemble:
         np.testing.assert_array_equal(three, seven[:3])
 
     def test_matches_individual_paths(self):
-        # 300 paths put (states x 380) kernel points past the loop crossover of
-        # the tail product, a single path stays below it: row i must equal the
-        # last row of an ensemble of i + 1 paths
+        # 300 paths try every first proposal before the other seven of the rows
+        # still open, a single path tries all eight at once: row i must equal
+        # the last row of an ensemble of i + 1 paths
         q = 0.5
         for grid, n_paths, picks in ((TimeGrid(0.0, 1.0, 20), 6, (0, 2, 5)),
                                      (TimeGrid(0.0, 1.0, 5), 300, (0, 7, 150, 299))):
@@ -121,13 +121,26 @@ class TestEnsemble:
                 np.testing.assert_array_equal(ens[i], head[i])
 
     def test_batch_size_invariance(self):
-        # two paths evaluate the tail product as one (K, points) array, 200 as
-        # a loop over k; the paths they share must agree bit for bit
+        # two paths evaluate the kernel's tail product as one (K, points)
+        # array, 200 (1,600 proposals) as a loop over k; the paths they share
+        # must agree bit for bit
         q = 0.3
         g = TimeGrid(0.0, 1.0, 15)
         _, a = simulate_ensemble("qou", q, g, None, 5, 2)
         _, b = simulate_ensemble("qou", q, g, None, 5, 200)
         np.testing.assert_array_equal(a, b[:2])
+
+    @pytest.mark.parametrize("process, q", [("qou", 0.9), ("qbm", -0.5), ("qbm", 0.0)])
+    def test_rows_do_not_depend_on_chunking_or_rounds(self, monkeypatch, process, q):
+        # the envelope of one or two states at a time, and every proposal of
+        # every row tried at once or the first ones first: the same values
+        grid = TimeGrid(0.0, 1.0, 6)
+        _, base = simulate_ensemble(process, q, grid, None, 17, 300)
+        monkeypatch.setattr(qtangent.simulate, "_CELLS", 1)
+        _, chunked = simulate_ensemble(process, q, grid, None, 17, 300)
+        monkeypatch.setattr(qtangent.simulate, "_ONE_ROUND_ROWS", 10**9)
+        _, one_round = simulate_ensemble(process, q, grid, None, 17, 300)
+        assert base.tobytes() == chunked.tobytes() == one_round.tobytes()
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(InvalidCount):
