@@ -1,4 +1,5 @@
-"""The uniform streams every random draw comes from."""
+"""The uniform streams every random draw comes from, and q-normal draws made
+from them by the simulator's rejection sampler."""
 
 import math
 
@@ -6,7 +7,41 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qtangent import simulate
+from qtangent.kernels import qnormal_pdf, x_plus
 from qtangent.sampling import stream
+
+
+def qnormal_draws(q, n, seed, chunk=100_000):
+    """n q-normal draws from the stationary (infinite-lag) envelope; chunk k
+    takes its proposal blocks from stream(seed, k) and its fallbacks from
+    stream(seed, k, row)."""
+    env = simulate._Envelope(simulate._Bins(q), math.inf)
+    out = []
+    for k, start in enumerate(range(0, n, chunk)):
+        m = min(chunk, n - start)
+        u = stream(seed, k).random((m, simulate._PROPOSALS, 3))
+        out.append(env.draw(np.zeros(m), u, lambda i, k=k: stream(seed, k, i)))
+    return np.concatenate(out)
+
+
+class TestSample:
+    def test_empirical_mean(self):
+        # q-normal has unit variance (checked by quadrature in test_kernels)
+        n = 100_000
+        mean = float(np.mean(qnormal_draws(0.5, n, 123)))
+        assert abs(mean) < 4.0 / math.sqrt(n)
+
+    def test_round_trip_histogram(self):
+        q = 0.5
+        n = 1_000_000
+        xs = qnormal_draws(q, n, 77)
+        edges = np.linspace(-x_plus(q), x_plus(q), 101)
+        hist, _ = np.histogram(xs, bins=edges, density=True)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        width = edges[1] - edges[0]
+        l1 = float(np.sum(np.abs(hist - qnormal_pdf(q, centers))) * width)
+        assert l1 < 0.01
 
 
 class TestUniformStream:
