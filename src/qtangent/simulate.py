@@ -40,7 +40,7 @@ __all__ = [
 
 _SIM_REL_TOL = 1e-4  # the kernel's tolerance; the envelope margin covers it
 _PROPOSALS = 8  # per path-step, three uniforms each: bin, place in the bin, acceptance
-_ONE_ROUND_ROWS = 256  # larger batches try every first proposal before the rest
+_FLAT_LAG = 50.0  # from this lag on the q-OU kernel is the q-normal density to the last bit
 _CELLS = 1 << 18  # most (bin, state) cells of one envelope pass
 _BIN_SCALE, _MIN_BINS = 25.0, 32  # equal phi-bins: even, >= _BIN_SCALE/(1 - |q|) and _MIN_BINS
 _GRID_PER_BIN = 4  # angle-table points per bin
@@ -88,11 +88,9 @@ def _windows(tables, n, width, extreme):
                np.zeros(3 * n + 1))
 
 
-def _over(tables, lo, hi, n):
-    """The tabulated extreme over the angles [lo, hi] in [-pi, 2 pi]: from the (narrow, wide)
-    windows, the narrow ones of 3 points where [lo, hi] spans at most one grid step."""
-    at = np.floor(lo * (n / math.pi)).astype(np.intp) + n
-    return np.where((hi - lo) * (n / math.pi) <= 1.0, tables[0][at], tables[1][at])
+def _from(table, lo, n):
+    """The entries of a ``_windows`` table for the windows from the angles lo in [-pi, 2 pi]."""
+    return table[np.floor(lo * (n / math.pi)).astype(np.intp) + n]
 
 
 def _first_above(cum, col, t):
@@ -115,7 +113,7 @@ class _Bins:
         self.h, self.n_grid = math.pi / self.n_bins, _GRID_PER_BIN * self.n_bins
         self.alpha = np.linspace(0.0, math.pi, self.n_grid + 1)
         self.numer = [_log_moduli(a, Q, self.alpha) for a, Q in self.parts]
-        self.n_most = [_windows(self.numer, self.n_grid, w, np.maximum) for w in (3, 2 * _GRID_PER_BIN + 2)]
+        self.n_most = _windows(self.numer, self.n_grid, 2 * _GRID_PER_BIN + 2, np.maximum)
         self.phi = np.linspace(0.0, math.pi, self.n_bins + 1)
         self.y, self.sq, self.log_n = self.free_bounds(self.phi)
 
@@ -126,7 +124,7 @@ class _Bins:
         y = self.xp * np.cos(phi)
         ym = np.maximum(np.maximum(y[1:], -y[:-1]), 0.0)
         return (y, np.sqrt(np.clip(4.0 - self.c1 * ym * ym, 0.0, None)),
-                _over(self.n_most, 2.0 * phi[:-1], 2.0 * phi[1:], self.n_grid))
+                _from(self.n_most, 2.0 * phi[:-1], self.n_grid))
 
     def inside(self, x):
         """x within the support, a state on its edge one ulp inside: the proposal's scale
@@ -148,7 +146,10 @@ class _Envelope:
     proportional to its bound on r times its Cauchy mass and a place in it by
     arctan inversion, and is accepted when U bound < r(y), r read from
     ``qou_transition_pdf`` (``qnormal_pdf``).  r above its bound raises
-    EnvelopeExceeded: a fault of the bounds.
+    EnvelopeExceeded: a fault of the bounds.  A lag of _FLAT_LAG or more is
+    drawn as an infinite one: there e^{-lag} < 2e-22 moves the kernel by less
+    than 4 e^{-lag}/(1 - |q|) < 3e-19 relative, below its rounding, while the
+    proposal's sinh(lag)^2 would overflow from lag 355.
 
     Bins: B equal phi-bins, B of order 1/(1 - |q|), on which the q-products
     vary; at a finite lag the bins around theta give way to bins with edges
@@ -175,6 +176,7 @@ class _Envelope:
     """
 
     def __init__(self, bins, lag):
+        lag = math.inf if lag >= _FLAT_LAG else lag
         self.bins, self.lag, self.e1, self.u = bins, lag, math.exp(-lag), -math.expm1(-lag)
         self.scale = math.sqrt(bins.c1) / (2.0 * math.pi) * (1.0 + self.e1)
         # log prod_k c_k: (q; q)_inf from the N tables at angle 0, and (rho^2 q; q)_inf
@@ -187,15 +189,15 @@ class _Envelope:
         self.n_cells += 2 * self.depth + 4
         self.sinh, self.cosh_1 = math.sinh(lag), 2.0 * math.sinh(0.5 * lag) ** 2
         denom = [_log_moduli(self.e1 * a, Q, bins.alpha) for a, Q in bins.parts]
-        self.d_least = [_windows(denom, bins.n_grid, w, np.minimum) for w in (3, _GRID_PER_BIN + 2)]
+        self.d_least = _windows(denom, bins.n_grid, _GRID_PER_BIN + 2, np.minimum)
 
     def _rows(self, i0):
         """Bounds on r over the equal bins, (B, U), for theta in the grid cells i0 (U,):
         the bin [e h, (e + 1) h] has theta + phi in the window from i0 + 4e and theta - phi
         in the window from i0 - 4e - 4."""
         bins, steps = self.bins, _GRID_PER_BIN * np.arange(self.bins.n_bins)[:, None]
-        log_r = (self.log_c + bins.log_n)[:, None] - self.d_least[1][(i0 + bins.n_grid) + steps]
-        log_r -= self.d_least[1][(i0 + bins.n_grid - _GRID_PER_BIN) - steps]
+        log_r = (self.log_c + bins.log_n)[:, None] - self.d_least[(i0 + bins.n_grid) + steps]
+        log_r -= self.d_least[(i0 + bins.n_grid - _GRID_PER_BIN) - steps]
         return np.maximum(bins.sq[:, None] * np.exp(log_r), _FLOOR)
 
     def _cells(self, x):
@@ -210,13 +212,13 @@ class _Envelope:
         theta = 2.0 * np.arctan2(np.sqrt(xp - x), np.sqrt(xp + x))
         s, cz = self.sinh * np.sqrt((xp - x) * (xp + x)), x * self.cosh_1
 
-        def mass(y):  # differences of s times the Cauchy distribution function
-            cdf = np.arctan(((y - x) - cz) / s)
-            return cdf[:-1] - cdf[1:]
+        def mass(y):  # pi times the Cauchy mass between neighbouring y (descending), by one atan2
+            a = (y - x) - cz
+            return np.arctan2(s * (y[:-1] - y[1:]), s * s + a[:-1] * a[1:])
         weight, bound = np.empty((2, self.n_cells, len(x)))
         i0 = np.minimum(np.floor(theta * (bins.n_grid / math.pi)), bins.n_grid).astype(np.intp)
         cells, inv = np.unique(i0, return_inverse=True)  # states sorted by x share cells
-        bound[:B] = self._rows(i0) if len(cells) == len(x) else self._rows(cells)[:, inv]
+        bound[:B] = self._rows(cells)[:, inv]
         weight[:B] = bound[:B] * mass(bins.y[:, None])
         # the bins around theta replace the (at most three) equal bins that hold it
         j = np.minimum(np.floor(theta / bins.h), B - 1).astype(np.intp)
@@ -228,15 +230,15 @@ class _Envelope:
         lo, hi = bins.phi[lo], bins.phi[hi]
         phi = np.clip(np.concatenate([[lo], theta - offsets, [theta], theta + offsets[::-1], [hi]]), lo, hi)
         y, sq, log_n = bins.free_bounds(phi)
-        log_n += (self.log_c - _over(self.d_least, theta + phi[:-1], theta + phi[1:], bins.n_grid)
-                  - _over(self.d_least, theta - phi[1:], theta - phi[:-1], bins.n_grid))
+        log_n += (self.log_c - _from(self.d_least, theta + phi[:-1], bins.n_grid)
+                  - _from(self.d_least, theta - phi[1:], bins.n_grid))
         bound[B:] = np.maximum(sq * np.exp(log_n), _FLOOR)
         weight[B:] = bound[B:] * mass(y)
         return np.cumsum(weight, axis=0, out=weight), bound, y, s, cz
 
-    def _try(self, cells, states, col, x, u):
-        """Proposals from the uniforms u (rows, k, 3), rows at states[col] and the kernel
-        at x, and whether each is accepted."""
+    def _try(self, cells, states, col, u):
+        """The first accepted of the proposals from the uniforms u (rows, k, 3) for rows at
+        the states[col] with their ``_cells``, and whether one was."""
         bins, (cum, bound, y_near, s, cz) = self.bins, cells
         total = cum[-1]
         if not np.all(np.isfinite(total) & (total > 0.0)):
@@ -255,10 +257,13 @@ class _Envelope:
             # the mass from lo, atan2(s (y - lo), s^2 + a (y - c)), is v times the bin's
             t = np.tan(v * np.arctan2(s * (hi - lo), s * s + a * (a + hi - lo)))
             y = np.clip(lo + t * (s * s + a * a) / (s - a * t), lo, hi)
-        r = self.ratio(x[:, None], y)
+        r = self.ratio(states[c2], y)
+        if not np.all(np.isfinite(r)):
+            raise NonFinite(f"acceptance ratio not finite at q={bins.q}, lag={self.lag}")
         if np.any(r > m):
             raise EnvelopeExceeded(f"acceptance ratio above its bound at q={bins.q}, lag={self.lag}")
-        return y, u[..., 2] * m < r
+        accept = u[..., 2] * m < r
+        return y[np.arange(len(y)), np.argmax(accept, axis=1)], accept.any(axis=1)
 
     def ratio(self, x, y):
         """r(y) = p(y) phi0_u(y)/(c_q (1 + rho)) from x: the kernel times its own k = 0
@@ -270,38 +275,27 @@ class _Envelope:
         return (qou_transition_pdf(bins.q, self.lag, x, y, _SIM_REL_TOL) / self.scale
                 * _phi0_u(bins.c1, self.e1, self.u, x, y, x - y))
 
-    def _chunk(self, states, col, x, u):
-        """First accepted proposal of each row and whether one was.  Large batches try every
-        row's first proposal before the rest of the rows still open (fewer kernel points),
-        small ones all at once (fewer kernel calls); either way a row takes its first
-        accepted proposal."""
-        cells = self._cells(states)
-        if len(u) <= _ONE_ROUND_ROWS or u.shape[1] == 1:
-            y, accept = self._try(cells, states, col, x, u)
-            return y[np.arange(len(y)), np.argmax(accept, axis=1)], accept.any(axis=1)
-        y, accept = self._try(cells, states, col, x, u[:, :1])
-        y, ok = y[:, 0], accept[:, 0]
-        rest = np.flatnonzero(~ok)
-        if len(rest):
-            y_rest, accept = self._try(cells, states, col[rest], x[rest], u[rest, 1:])
-            y[rest] = y_rest[np.arange(len(rest)), np.argmax(accept, axis=1)]
-            ok[rest] = accept.any(axis=1)
-        return y, ok
-
     def _propose(self, x, u):
-        """_chunk over the distinct states of x, at most _CELLS (bin, state) cells at a time."""
+        """The first accepted proposal of each row and whether one was, over the distinct
+        states of x, at most _CELLS (bin, state) cells at a time: every row's first
+        proposal, then the rest of the rows still open (most rows take their first)."""
         states, inv = np.unique(x, return_inverse=True)
         y, ok = np.empty(len(u)), np.empty(len(u), dtype=bool)
         per = max(1, _CELLS // self.n_cells)
         for lo in range(0, len(states), per):
-            rows = np.flatnonzero((inv >= lo) & (inv < lo + per))
-            y[rows], ok[rows] = self._chunk(states[lo:lo + per], inv[rows] - lo, x[rows], u[rows])
+            chunk, rows = states[lo:lo + per], np.flatnonzero((inv >= lo) & (inv < lo + per))
+            cells = self._cells(chunk)
+            y[rows], ok[rows] = self._try(cells, chunk, inv[rows] - lo, u[rows, :1])
+            rest = rows[~ok[rows]]
+            if len(rest) and u.shape[1] > 1:
+                y[rest], ok[rest] = self._try(cells, chunk, inv[rest] - lo, u[rest, 1:])
         return y, ok
 
     def draw(self, x, u, fallback):
         """States at the lag from the states x (any, such as zeros, at an infinite lag),
         one block of uniforms u[i] of shape (_PROPOSALS, 3) per row; a row that rejects
         its block continues with blocks from the generator fallback(i)."""
+        x = x if self.e1 else np.zeros(len(u))
         y, ok = self._propose(x, u)
         miss = np.flatnonzero(~ok)
         gens = [fallback(i) for i in miss]

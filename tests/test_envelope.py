@@ -45,6 +45,7 @@ def ratio_over_bound(q, lag, x):
 @example(q=0.0, lag=1e-6, gap=1e-12, side=-1.0)
 @example(q=-0.9, lag=0.01, gap=0.7, side=1.0)
 @example(q=0.95, lag=5.0, gap=1e-5, side=-1.0)
+@example(q=0.9, lag=1e-5, gap=0.25, side=1.0)
 def test_ratio_at_or_below_its_bound(q, lag, gap, side):
     x = side * x_plus(q) * (1.0 - gap)
     assert ratio_over_bound(q, lag, x) <= 1.0

@@ -109,9 +109,8 @@ class TestEnsemble:
         np.testing.assert_array_equal(three, seven[:3])
 
     def test_matches_individual_paths(self):
-        # 300 paths try every first proposal before the other seven of the rows
-        # still open, a single path tries all eight at once: row i must equal
-        # the last row of an ensemble of i + 1 paths
+        # a row takes nothing from the other rows of its batch, 6 or 300 of
+        # them: row i must equal the last row of an ensemble of i + 1 paths
         q = 0.5
         for grid, n_paths, picks in ((TimeGrid(0.0, 1.0, 20), 6, (0, 2, 5)),
                                      (TimeGrid(0.0, 1.0, 5), 300, (0, 7, 150, 299))):
@@ -131,16 +130,26 @@ class TestEnsemble:
         np.testing.assert_array_equal(a, b[:2])
 
     @pytest.mark.parametrize("process, q", [("qou", 0.9), ("qbm", -0.5), ("qbm", 0.0)])
-    def test_rows_do_not_depend_on_chunking_or_rounds(self, monkeypatch, process, q):
-        # the envelope of one or two states at a time, and every proposal of
-        # every row tried at once or the first ones first: the same values
+    def test_rows_do_not_depend_on_chunking(self, monkeypatch, process, q):
+        # the envelope of all states at once or of one at a time: the same values
         grid = TimeGrid(0.0, 1.0, 6)
         _, base = simulate_ensemble(process, q, grid, None, 17, 300)
         monkeypatch.setattr(qtangent.simulate, "_CELLS", 1)
         _, chunked = simulate_ensemble(process, q, grid, None, 17, 300)
-        monkeypatch.setattr(qtangent.simulate, "_ONE_ROUND_ROWS", 10**9)
-        _, one_round = simulate_ensemble(process, q, grid, None, 17, 300)
-        assert base.tobytes() == chunked.tobytes() == one_round.tobytes()
+        assert base.tobytes() == chunked.tobytes()
+
+    @pytest.mark.parametrize("q", [0.0, 0.9, -0.9])
+    def test_long_lags_draw_the_stationary_law(self, q):
+        # from lag 50 the kernel is the q-normal density to the last bit, and a
+        # step is drawn as from an infinite lag: lags 400 and 720 (where the
+        # Cauchy proposal's scale would overflow) and a q-BM step from t0 = 1e-300
+        # (lag 345) give the same values from the same uniforms
+        _, a = simulate_ensemble("qou", q, TimeGrid(0.0, 400.0, 1), None, 5, 40)
+        _, b = simulate_ensemble("qou", q, TimeGrid(0.0, 720.0, 1), None, 5, 40)
+        _, c = simulate_ensemble("qbm", q, TimeGrid(1e-300, 1.0, 1), None, 5, 40)
+        assert np.all(np.abs(a[:, 1]) < x_plus(q))
+        assert a.tobytes() == b.tobytes()
+        assert a[:, 1].tobytes() == c[:, 1].tobytes()
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(InvalidCount):
