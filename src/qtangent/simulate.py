@@ -146,10 +146,11 @@ class _Envelope:
     proportional to its bound on r times its Cauchy mass and a place in it by
     arctan inversion, and is accepted when U bound < r(y), r read from
     ``qou_transition_pdf`` (``qnormal_pdf``).  r above its bound raises
-    EnvelopeExceeded: a fault of the bounds.  A lag of _FLAT_LAG or more is
-    drawn as an infinite one: there e^{-lag} < 2e-22 moves the kernel by less
-    than 4 e^{-lag}/(1 - |q|) < 3e-19 relative, below its rounding, while the
-    proposal's sinh(lag)^2 would overflow from lag 355.
+    EnvelopeExceeded, a fault of the bounds, and a non-finite r raises
+    NonFinite.  A lag of _FLAT_LAG or more is drawn as an infinite one: there
+    e^{-lag} < 2e-22 moves the kernel by less than 4 e^{-lag}/(1 - |q|) <
+    3e-19 relative, below its rounding, while the proposal's sinh(lag)^2
+    would overflow from lag 355.
 
     Bins: B equal phi-bins, B of order 1/(1 - |q|), on which the q-products
     vary; at a finite lag the bins around theta give way to bins with edges
