@@ -12,7 +12,6 @@ and verify are imported only by the subcommands that use them, so
 """
 
 import argparse
-import json
 import math
 import os
 import re
@@ -97,6 +96,7 @@ def _csv(rows, header):
 
 
 def _envelope(command, result):
+    import json  # simulate writes no JSON
     return json.dumps(
         {"tool": "qtangent", "version": __version__, "command": command, "result": result},
         indent=2,
@@ -243,9 +243,10 @@ def _cmd_simulate(args):
     x0 = _parse_init(args)
     times, values = sim.simulate_ensemble(args.process, args.q, grid, x0, args.seed, args.paths)
     os.makedirs(args.output_dir, exist_ok=True)
-    for i, row in enumerate(values):
+    t_col = [f"{t!r}," for t in times.tolist()]
+    for i, row in enumerate(values.tolist()):
         name = os.path.join(args.output_dir, f"path_{i:03d}.csv")
-        _write_text(name, _csv(zip(times, row), ["t", "value"]))
+        _write_text(name, "t,value\n" + "".join(f"{t}{v!r}\n" for t, v in zip(t_col, row)))
     sys.stderr.write(f"wrote {len(values)} path files to {args.output_dir}\n")
     return 0
 
@@ -356,6 +357,9 @@ def parse_and_dispatch(argv):
 
 
 def main():
+    # OpenBLAS starts a thread per core at numpy's import, nearly doubling its time, for
+    # the package's one BLAS call, an (n, 10) @ (10,) product; a user's value wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(parse_and_dispatch(sys.argv[1:]))
 
 

@@ -29,6 +29,10 @@ class InvalidCount(QTangentError):
     """A count argument (paths, samples) is below its minimum."""
 
 
+class InvalidSeed(QTangentError):
+    """A seed lies outside the range its random draws are keyed on."""
+
+
 class UnknownProcess(QTangentError):
     """Process tag not recognised."""
 

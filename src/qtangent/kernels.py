@@ -367,7 +367,8 @@ def qou_transition_pdf(q, delta, x, y, rel_tol=1e-14):
 
 
 def _bm_lag(t1, t2):
-    # q-OU lag of the q-BM step t1 -> t2; a start at t1 = 0 is an infinite lag
+    # q-OU lag of the q-BM step t1 -> t2, inf from t1 = 0; in floats, where numpy's overflow warns
+    t1, t2 = float(t1), float(t2)
     return 0.5 * math.log1p((t2 - t1) / t1) if t1 > 0.0 else math.inf
 
 

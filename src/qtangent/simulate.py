@@ -12,11 +12,12 @@ Every draw is exact rejection sampling (Devroye, Non-Uniform Random Variate
 Generation, 1986, ch. II) from the paper's tangent law: the kernel's k = 0
 factor is a Cauchy density, the interior tangent law over one step, and
 ``_Envelope`` bounds the rest of the kernel on bins of the target angle.
-Each path-step takes one block of _PROPOSALS proposals, three uniforms each,
-from the path's ``stream(seed, i)``; a path-step that rejects them all
-continues from ``stream(seed, i, step)``.  Identical states share an
-envelope and nothing else is shared, so a path's values depend neither on
-the other paths of its batch nor on how the states are chunked.
+Proposal j of path i at step s takes three uniforms (bin, place in the bin,
+acceptance) keyed by (seed, i, s, j) (``sampling.uniforms``); a path-step's
+value is its first accepted proposal.  Identical states share an envelope
+and nothing else is shared, so a path's values depend neither on the other
+paths of its batch, nor on how the states are chunked, nor on how many
+proposals are tried at once.
 """
 
 import math
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import (EnvelopeExceeded, InvalidCount, InvalidState, InvalidThreshold, InvalidTime,
                      NonFinite, UnknownProcess)
 from .kernels import _bm_lag, _log_moduli, _phi0_u, qnormal_pdf, qou_transition_pdf, x_plus
-from .sampling import stream
+from .sampling import uniforms
 
 __all__ = [
     "TimeGrid",
@@ -39,9 +40,16 @@ __all__ = [
 ]
 
 _SIM_REL_TOL = 1e-4  # the kernel's tolerance; the envelope margin covers it
-_PROPOSALS = 8  # per path-step, three uniforms each: bin, place in the bin, acceptance
+# Proposals each open row tries at once (_tries): a row's value is its first accepted one, so
+# this moves cost, never a value.  At acceptance 0.9-0.97 one each leaves some row open at most
+# steps, costing a second kernel and uniforms call.  Measured per path-step, 3 at once over 1:
+# 0.6x at 256 rows, 0.85-0.95x at 1,024, 1.0x at 2,048, 1.05-1.16x at 4,096 (q = 0 to 0.9).
+_FIRST_TRY, _FEW_ROWS = 3, 1024
+_BLOCK = 1 << 14  # most first-try proposals whose uniforms are made in one call
 _FLAT_LAG = 50.0  # from this lag on the q-OU kernel is the q-normal density to the last bit
-_CELLS = 1 << 18  # most (bin, state) cells of one envelope pass
+# Most (bin, state) cells of one envelope pass.  At 2^18 glibc's malloc gave back and re-faulted
+# a pass's 2 MB temporaries every pass: about 0.5 s of page faults in a 2.7 s criterion 1.
+_CELLS = 1 << 17
 _BIN_SCALE, _MIN_BINS = 25.0, 32  # equal phi-bins: even, >= _BIN_SCALE/(1 - |q|) and _MIN_BINS
 _GRID_PER_BIN = 4  # angle-table points per bin
 _MAX_DEPTH = 40  # most halvings of the bin width toward theta
@@ -95,6 +103,8 @@ def _from(table, lo, n):
 
 def _first_above(cum, col, t):
     """For each entry, the first bin j with cum[j, col] > t (the last bin if none), by bisection."""
+    if cum.shape[1] == 1:  # one state, such as at an infinite lag: numpy's bisection
+        return np.minimum(np.searchsorted(cum[:, 0], t, side="right"), cum.shape[0] - 1)
     flat, n = cum.ravel(), cum.shape[1]
     lo, hi = np.zeros(t.shape, dtype=np.intp), np.full(t.shape, cum.shape[0] - 1, dtype=np.intp)
     for _ in range(cum.shape[0].bit_length()):
@@ -277,35 +287,33 @@ class _Envelope:
                 * _phi0_u(bins.c1, self.e1, self.u, x, y, x - y))
 
     def _propose(self, x, u):
-        """The first accepted proposal of each row and whether one was, over the distinct
-        states of x, at most _CELLS (bin, state) cells at a time: every row's first
-        proposal, then the rest of the rows still open (most rows take their first)."""
+        """The first accepted of each row's proposals from the uniforms u (rows, k, 3) at the states
+        x, and whether one was, _CELLS (bin, state) cells at a time over the distinct states."""
         states, inv = np.unique(x, return_inverse=True)
-        y, ok = np.empty(len(u)), np.empty(len(u), dtype=bool)
+        y, ok = np.empty(len(x)), np.empty(len(x), dtype=bool)
         per = max(1, _CELLS // self.n_cells)
         for lo in range(0, len(states), per):
             chunk, rows = states[lo:lo + per], np.flatnonzero((inv >= lo) & (inv < lo + per))
-            cells = self._cells(chunk)
-            y[rows], ok[rows] = self._try(cells, chunk, inv[rows] - lo, u[rows, :1])
-            rest = rows[~ok[rows]]
-            if len(rest) and u.shape[1] > 1:
-                y[rest], ok[rest] = self._try(cells, chunk, inv[rest] - lo, u[rest, 1:])
+            y[rows], ok[rows] = self._try(self._cells(chunk), chunk, inv[rows] - lo, u[rows])
         return y, ok
 
-    def draw(self, x, u, fallback):
-        """States at the lag from the states x (any, such as zeros, at an infinite lag),
-        one block of uniforms u[i] of shape (_PROPOSALS, 3) per row; a row that rejects
-        its block continues with blocks from the generator fallback(i)."""
-        x = x if self.e1 else np.zeros(len(u))
-        y, ok = self._propose(x, u)
-        miss = np.flatnonzero(~ok)
-        gens = [fallback(i) for i in miss]
-        while len(miss):
-            y_more, ok_more = self._propose(x[miss], np.stack([g.random((_PROPOSALS, 3)) for g in gens]))
-            y[miss[ok_more]] = y_more[ok_more]
-            gens = [g for g, done in zip(gens, ok_more) if not done]
-            miss = miss[~ok_more]
+    def draw(self, x, seed, step, u=None):
+        """States at the lag from the states x (any, such as zeros, at an infinite lag): row i takes
+        its first accepted proposal j = 0, 1, ..., of uniforms ``uniforms(seed, i, step, j)``, open
+        rows trying _tries(rows) at a time; u, if given, holds every row's first (rows, k, 3)."""
+        x = x if self.e1 else np.zeros(len(x))
+        y, rows, j = np.empty(len(x)), np.arange(len(x)), 0
+        while len(rows):
+            if j or u is None:
+                u = uniforms(seed, rows[:, None], step, j + np.arange(_tries(len(rows))))
+            y_try, ok = self._propose(x[rows], u)
+            y[rows[ok]] = y_try[ok]
+            rows, j = rows[~ok], j + u.shape[1]
         return y
+
+
+def _tries(rows):
+    return _FIRST_TRY if rows <= _FEW_ROWS else 1
 
 
 def _start(process, q, t0, x0):
@@ -326,10 +334,10 @@ def simulate_ensemble(process, q, grid: TimeGrid, x0, base_seed, n_paths):
     """(times, values) of n_paths trajectories, sampling each step from the exact kernel.
 
     x0 is a state in the time-t0 support or None (the time-t0 marginal).
-    values has shape (n_paths, steps + 1); row i consumes stream i of
-    base_seed and does not depend on n_paths: every stage of a step works
-    row by row.  Every process runs as one q-OU chain; q-BM values are
-    sqrt(t) times its states.
+    values has shape (n_paths, steps + 1); row i takes the uniforms keyed by
+    (base_seed, i) and does not depend on n_paths: every stage of a step works
+    row by row.  base_seed must lie in [0, 2^64).  Every process runs as one
+    q-OU chain; q-BM values are sqrt(t) times its states.
     """
     if n_paths < 1:
         raise InvalidCount(f"need at least one path, got {n_paths}")
@@ -338,19 +346,19 @@ def simulate_ensemble(process, q, grid: TimeGrid, x0, base_seed, n_paths):
     bins = _Bins(q)
     # q-OU is time-homogeneous: every step of the grid has one lag and one envelope
     step = _Envelope(bins, (grid.t1 - grid.t0) / grid.steps) if process == "qou" else None
-    gens = [stream(base_seed, i) for i in range(n_paths)]
-    X = np.empty((n_paths, len(times)))
+    X, k = np.empty((n_paths, len(times))), _tries(n_paths)
+    # every row's first k proposals, for as many steps as _BLOCK proposals hold
+    per, paths = max(1, _BLOCK // (n_paths * k)), np.arange(n_paths)[:, None]
     for j in range(len(times)):
-        u = np.stack([g.random((_PROPOSALS, 3)) for g in gens])
-
-        def fallback(i):
-            return stream(base_seed, i, j)
+        if j % per == 0:
+            block = np.arange(j, min(j + per, len(times)))[:, None, None]
+            u = uniforms(base_seed, paths, block, np.arange(k))
         if j == 0:
             X[:, 0] = (start if start is not None
-                       else _Envelope(bins, math.inf).draw(np.zeros(n_paths), u, fallback))
+                       else _Envelope(bins, math.inf).draw(np.zeros(n_paths), base_seed, 0, u[0]))
         else:
             env = step or _Envelope(bins, _bm_lag(times[j - 1], times[j]))
-            X[:, j] = env.draw(X[:, j - 1], u, fallback)
+            X[:, j] = env.draw(X[:, j - 1], base_seed, j, u[j % per])
     values = X if process == "qou" else np.sqrt(times) * X
     if x0 is not None:
         values[:, 0] = x0
@@ -369,20 +377,19 @@ def moment4_estimate(q, s, t, n_samples, seed: int):
     """Monte Carlo fourth moment of the increment W_t - W_s with its standard error.
 
     W_s is drawn from its sqrt(s)-dilated q-normal marginal, then W_t from the
-    exact conditional kernel.  Returns (estimate, std_error); std_error is
+    exact conditional kernel; sample i takes the uniforms keyed by (seed, i), at
+    step 0 for W_s and 1 for W_t.  Returns (estimate, std_error); std_error is
     inf for a single sample.
     """
     if s < 0.0 or not t > s:
         raise InvalidTime(f"need 0 <= s < t, got s={s}, t={t}")
     if n_samples < 1:
         raise InvalidCount(f"need at least one sample, got {n_samples}")
-    gen = stream(seed)
     bins = _Bins(q)
-    block = (n_samples, _PROPOSALS, 3)
     x_s = np.zeros(n_samples)
     if s > 0.0:
-        x_s = _Envelope(bins, math.inf).draw(x_s, gen.random(block), lambda i: stream(seed, i, 0))
-    x_t = _Envelope(bins, _bm_lag(s, t)).draw(x_s, gen.random(block), lambda i: stream(seed, i, 1))
+        x_s = _Envelope(bins, math.inf).draw(x_s, seed, 0)
+    x_t = _Envelope(bins, _bm_lag(s, t)).draw(x_s, seed, 1)
     d = math.sqrt(t) * x_t - math.sqrt(s) * x_s
     d4 = d ** 4
     est = float(np.mean(d4))
@@ -408,10 +415,10 @@ def sup_jump_estimate(q, S, T, a, n_paths, steps, base_seed: int):
 
     ``jump_bound`` checks q, the times and a > 0 before any path is drawn.
     Paths start from the time-S marginal (the origin for S = 0); path i
-    uses stream i of base_seed.  The grid maximum converges to the supremum
-    of the jump sizes as the mesh refines, so the fraction estimates the
-    left side of the bound; ``within_bound`` allows three binomial standard
-    errors.
+    takes the uniforms keyed by (base_seed, i).  The grid maximum converges
+    to the supremum of the jump sizes as the mesh refines, so the fraction
+    estimates the left side of the bound; ``within_bound`` allows three
+    binomial standard errors.
     """
     bound = jump_bound(q, S, T, a)
     _, values = simulate_ensemble("qbm", q, TimeGrid(S, T, steps), None, base_seed, n_paths)

@@ -19,9 +19,10 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-def run_fresh(args, cwd):
-    """Run python ARGS in a new interpreter that imports qtangent from this tree."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtangent.__file__)))
+def run_fresh(args, cwd, **env):
+    """Run python ARGS in a new interpreter that imports qtangent from this tree,
+    with the environment variables env on top of this one's."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtangent.__file__)), **env)
     return subprocess.run([sys.executable] + args, cwd=cwd, env=env, capture_output=True,
                           text=True, timeout=300)
 
@@ -270,6 +271,79 @@ def test_edge_of_supported_q_writes_no_warnings(argv, err, tmp_path):
     proc = run_fresh(["-m", "qtangent.cli"] + argv, tmp_path)
     assert proc.returncode == 0
     assert proc.stderr == err
+
+
+def test_qbm_step_from_a_subnormal_time_writes_no_warning(tmp_path):
+    # the q-BM lag from t0 = 5e-324 overflows to inf in Python floats, silently
+    proc = run_fresh(["-m", "qtangent.cli", "simulate", "--process", "qbm", "--q", "0.5",
+                      "--t0", "5e-324", "--t1", "1", "--steps", "1", "--output-dir", "paths"],
+                     tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == "wrote 1 path files to paths\n"
+
+
+@pytest.mark.parametrize("seed", ["0", "18446744073709551615"])
+@pytest.mark.parametrize("command", ["simulate", "jumps", "verify"])
+def test_seeds_below_2_to_64_work(command, seed, tmp_path, capsys):
+    argv = {"simulate": ["simulate", "--process", "qou", "--q", "0.5", "--t1", "1", "--steps", "2",
+                         "--paths", "2", "--output-dir", str(tmp_path)],
+            "jumps": ["jumps", "--q", "0.5", "--T", "1", "--a", "1", "--paths", "2", "--steps", "2"],
+            "verify": ["verify", "--suite", "freeprob", "--samples", "2"]}[command]
+    code, _, err = run(argv + ["--seed", seed], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("seed", [str(2**64), str(10**30)])
+def test_seeds_from_2_to_64_exit_one_or_keep_working(seed, tmp_path, capsys):
+    # the simulator's uniforms are keyed on a 64-bit seed; verify's streams
+    # take any seed >= 0, as before
+    for argv in (["simulate", "--process", "qou", "--q", "0.5", "--t1", "1", "--steps", "2",
+                  "--output-dir", str(tmp_path)],
+                 ["jumps", "--q", "0.5", "--T", "1", "--a", "1", "--paths", "2", "--steps", "2"]):
+        code, out, err = run(argv + ["--seed", seed], capsys)
+        assert_usage_error(code, err)
+        assert "seed" in err and out == ""
+    code, _, err = run(["verify", "--suite", "freeprob", "--samples", "2", "--seed", seed], capsys)
+    assert code == 0, err
+
+
+def test_simulate_leaves_numpy_random_unloaded(tmp_path):
+    # the simulator's uniforms are keyed Philox words made in numpy arithmetic,
+    # with no generator object
+    code = ("import sys\n"
+            "from qtangent.cli import parse_and_dispatch\n"
+            "rc = parse_and_dispatch(sys.argv[1:])\n"
+            "print('numpy.random' in sys.modules)\n"
+            "sys.exit(rc)\n")
+    proc = run_fresh(["-c", code, "simulate", "--process", "qbm", "--q", "0.5", "--t1", "1",
+                      "--steps", "3", "--paths", "4", "--output-dir", "paths"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_main_sets_one_blas_thread_only_when_unset(monkeypatch, capsys):
+    from qtangent.cli import main
+
+    monkeypatch.setattr(sys, "argv", ["qtangent", "--version"])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # a user's value wins
+    with pytest.raises(SystemExit):
+        main()
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    with pytest.raises(SystemExit):
+        main()
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    capsys.readouterr()
+
+
+def test_verify_does_not_depend_on_blas_threads(tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        proc = run_fresh(["-m", "qtangent.cli", "verify", "--suite", "kernels", "--samples", "2",
+                          "-o", f"out{threads}"], tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((tmp_path / f"out{threads}").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_import_leaves_simulate_unloaded(tmp_path):

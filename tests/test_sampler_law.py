@@ -6,8 +6,7 @@ compares them with the law they should follow: the q-OU kernel over one step
 steps (the kernel at ten times the lag, at q = 0 and 0.95), the q-BM kernel
 over a small step, the sqrt(t)-dilated q-normal after the origin step, and
 the q-normal at a stationary start; and a one-step law drawn with a single
-proposal per path-step, so that rejected rows continue from their fallback
-streams.  The exact distribution function comes from
+proposal per try, so that rejected rows draw later proposals on demand.  The exact distribution function comes from
 adaptive quadrature of the kernel (``qtangent.quadrature.integrate``) between
 consecutive order statistics.
 
@@ -114,26 +113,28 @@ def test_qou_ten_steps_at_q_095(lag, frac):
     assert_law(drawn, lambda y: qou_transition_pdf(q, 10.0 * lag, x, y), -x_plus(q))
 
 
-def test_fallback_streams(monkeypatch):
-    # one proposal per path-step: about 40% of the rows are rejected and
-    # continue from stream(seed, row, step); the law must not notice, and a
-    # row that fell back is the same alone as inside the ensemble
+def test_proposals_past_the_first_try(monkeypatch):
+    # one proposal per try: about 40% of the rows are rejected and draw
+    # proposals 1, 2, ... on demand; the law must not notice, and a row that
+    # went past its first proposal is the same alone, with the default tries,
+    # as inside the ensemble
     q, lag, frac = 0.9, 0.01, 0.9
     x = off_lattice(frac, x_plus(q))
-    monkeypatch.setattr(simulate, "_PROPOSALS", 1)
-    fell_back = []
+    monkeypatch.setattr(simulate, "_FIRST_TRY", 1)
+    past_first = []
 
-    def counting(seed, index=0, step=None):
-        if step is not None:
-            fell_back.append(index)
-        return simulate_stream(seed, index, step)
-    simulate_stream = simulate.stream
-    monkeypatch.setattr(simulate, "stream", counting)
+    def recording(seed, path, step, proposal):
+        if np.min(proposal) > 0:
+            past_first.extend(np.ravel(path).tolist())
+        return keyed(seed, path, step, proposal)
+    keyed = simulate.uniforms
+    monkeypatch.setattr(simulate, "uniforms", recording)
     grid = TimeGrid(0.0, lag, 1)
     values = simulate_ensemble("qou", q, grid, x, SEED, N)[1]
-    assert len(fell_back) > N // 10
+    assert len(set(past_first)) > N // 10
     assert_law(values[:, 1], lambda y: qou_transition_pdf(q, lag, x, y), -x_plus(q))
-    for i in sorted(set(fell_back))[:3]:
+    monkeypatch.undo()
+    for i in sorted(set(past_first))[:3]:
         alone = simulate_ensemble("qou", q, grid, x, SEED, i + 1)[1][i]
         assert alone.tobytes() == values[i].tobytes()
 

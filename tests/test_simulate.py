@@ -131,12 +131,16 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("process, q", [("qou", 0.9), ("qbm", -0.5), ("qbm", 0.0)])
     def test_rows_do_not_depend_on_chunking(self, monkeypatch, process, q):
-        # the envelope of all states at once or of one at a time: the same values
+        # the envelope of all states at once or of one at a time, and one or
+        # eight proposals tried at once by any number of rows: the same values
         grid = TimeGrid(0.0, 1.0, 6)
         _, base = simulate_ensemble(process, q, grid, None, 17, 300)
-        monkeypatch.setattr(qtangent.simulate, "_CELLS", 1)
-        _, chunked = simulate_ensemble(process, q, grid, None, 17, 300)
-        assert base.tobytes() == chunked.tobytes()
+        for patch in ({"_CELLS": 1}, {"_FEW_ROWS": 0}, {"_FIRST_TRY": 8, "_FEW_ROWS": 10**9}):
+            with monkeypatch.context() as m:
+                for name, value in patch.items():
+                    m.setattr(qtangent.simulate, name, value)
+                _, other = simulate_ensemble(process, q, grid, None, 17, 300)
+            assert base.tobytes() == other.tobytes(), patch
 
     @pytest.mark.parametrize("q", [0.0, 0.9, -0.9])
     def test_long_lags_draw_the_stationary_law(self, q):
@@ -150,6 +154,13 @@ class TestEnsemble:
         assert np.all(np.abs(a[:, 1]) < x_plus(q))
         assert a.tobytes() == b.tobytes()
         assert a[:, 1].tobytes() == c[:, 1].tobytes()
+
+    def test_qbm_step_from_a_subnormal_time(self):
+        # the lag from t0 = 5e-324 overflows to inf without a warning (an error
+        # here), and the step is drawn as from an infinite lag
+        _, a = simulate_ensemble("qbm", 0.5, TimeGrid(5e-324, 1.0, 1), None, 5, 40)
+        _, b = simulate_ensemble("qbm", 0.5, TimeGrid(1e-300, 1.0, 1), None, 5, 40)
+        assert a[:, 1].tobytes() == b[:, 1].tobytes()
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(InvalidCount):
