@@ -23,9 +23,9 @@ below d ~ 1e-160, phi_{q,0}/u stays in range down to d = 1e-300.  The k >= 1
 factors use the analogous factorisation of their cross terms, and each also
 carries the factor 1 - q^k of the constant (q; q)_inf, so one product over k
 serves the whole kernel, cut after K = ``series_terms(q, rel_tol)`` factors
-(rel_tol 1e-14 by default).  Where K exceeds 120 (|q| above 0.728 at the
-default) only the m factors with |q|^k > 0.1 are multiplied, 21 of the 372 at
-q = 0.9; the logarithm of the rest is a q-series,
+(rel_tol 1e-14 by default).  Where K exceeds 40 (|q| above 0.393 at the
+default) only the m factors with |q|^k > 0.1 are multiplied, 3 of the 55 at
+q = 0.5 and 21 of the 372 at q = 0.9; the logarithm of the rest is a q-series,
 log(b; q)_inf = -sum_n b^n/(n (1 - q^n)) with b = q^(m+1), of at most 17
 terms (Gasper and Rahman, Basic Hypergeometric Series), in Chebyshev
 polynomials of the states' angles.  q is a float in (-1, 1); ``x_plus(q)``
@@ -81,13 +81,18 @@ _LOOP_POINTS = 1024
 _K_MAX = 10_000
 # Above this many product terms K the kernel multiplies only the first m
 # factors, |q|^(m+1) <= _SERIES_START, and sums the logarithm of the rest as a
-# q-series; at or below it, all K factors.  The series costs about 50 numpy
+# q-series; at or below it, all K factors.  The series costs about 60 numpy
 # calls whatever the batch, so it loses on small batches and wins on large
-# ones.  Measured crossover: K = 370 at 30 points, 170 at 100 points, under
-# 55 at 400 points; at 10^4 points and K = 372 the split is 7x faster.  120
-# leaves the quadrature's 30-100 point calls at |q| <= 0.727 as they were.
-# A constant: the split must not depend on the batch.
-_SERIES_MIN_TERMS = 120
+# ones.  Measured us per call, all K factors / split (2-core VM; 8-400 points
+# against one lag, 10^4 a tangent study's 5 lags x 2,000 points):
+#   points          8        30       100       400        10^4
+#   K = 41  q=0.4  63/124   68/127   91/132  178/151   3,440/1,520
+#   K = 55  q=0.5  65/128   79/135  129/143  305/159   4,632/1,830
+#   K = 74  q=0.6  93/175  112/191  120/137  395/158   5,475/1,670
+#   K = 372 q=0.9 104/133  153/133  502/150 2,123/219 27,813/2,420
+# 40 is the crossover at 400 points; up to 100 points the split costs up to
+# 2x below K ~ 300.  A constant: the split must not depend on the batch.
+_SERIES_MIN_TERMS = 40
 _SERIES_START = 0.1
 
 
@@ -129,10 +134,13 @@ def _product_split(q, rel_tol):
     K = series_terms(q, rel_tol)
     if K <= _SERIES_MIN_TERMS:
         return K, 0
-    m = math.ceil(math.log(_SERIES_START) / math.log(abs(q))) - 1
-    b, n = abs(q) ** (m + 1), 1
-    while 8.0 * b ** n / (n * (1.0 - abs(q) ** n)) > rel_tol * 1e-2:
-        n += 1
+    a = abs(q)
+    m = math.ceil(math.log(_SERIES_START) / math.log(a)) - 1
+    b, tol = a ** (m + 1), rel_tol * 1e-2
+    # 8 b^n/(1 - |q|) <= tol passes the cut a term or two late; step back to its first n
+    n = math.ceil(math.log(tol * (1.0 - a) / 8.0) / math.log(b))
+    while n > 1 and 8.0 * b ** (n - 1) / ((n - 1) * (1.0 - a ** (n - 1))) <= tol:
+        n -= 1
     return m, n
 
 
@@ -165,6 +173,11 @@ def _each(fn, *ts):
 def _all(mask):
     """Whether every entry of a boolean scalar or array holds."""
     return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _failing(ok, t):
+    """t, or its first entry where the mask ok fails: one number for a one-line message."""
+    return float(np.broadcast_to(t, ok.shape)[~ok][0]) if isinstance(ok, np.ndarray) else t
 
 
 def _tail_product(factor, coeffs, args):
@@ -210,9 +223,10 @@ def _qou_factor(c, x, y, cyy, out, phi, tmp):
 def _chebyshev_sums(coeffs, c):
     """sum_{n>=1} coeffs[n-1] T_n(c) by Clenshaw's recurrence; each coeffs[n-1] broadcasts to c."""
     c2 = 2.0 * c
-    shape = np.broadcast_shapes(c.shape, coeffs.shape[1:])
+    shape = np.broadcast(c, coeffs[-1]).shape
     b1, b2, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
-    for a in coeffs[::-1]:
+    b1 += coeffs[-1]
+    for a in coeffs[-2::-1]:
         np.multiply(c2, b1, out=tmp)
         tmp -= b2
         tmp += a
@@ -233,32 +247,29 @@ def _log_series_tail(q, m, n_terms, e1, x, y, cyy):
     leading axis.  rho^n are products, so time arrays match scalar times bit
     for bit.
     """
-    nd = len(np.broadcast_shapes(np.shape(e1), np.shape(x), np.shape(y)))
+    nd = max(np.ndim(e1), np.ndim(x), np.ndim(y))
 
     def lead(v):  # a stack of arrays, its trailing axes aligned with the broadcast shape
-        v = np.asarray(v)
         return v.reshape(v.shape[:1] + (1,) * (nd + 1 - v.ndim) + v.shape[1:])
 
     b, half = q ** (m + 1), 0.5 * math.sqrt(1.0 - q)
-    cx = half * x if np.ndim(x) else half * float(x)  # a float runs the loop below faster
-    w2, cross, tx = [], [], []
-    bn = qn = rho_n = t_prev = 1.0
-    t_n, const = cx, 0.0
+    w, rho, bn, qn, const = [], [1.0], 1.0, 1.0, 0.0
     for n in range(1, n_terms + 1):
         bn *= b
         qn *= q
-        wn = -bn / (n * (1.0 - qn))
-        rho_n = rho_n * e1
-        const = const + wn * (1.0 + rho_n * rho_n)
-        w2.append(2.0 * wn)
-        cross.append(-4.0 * wn * rho_n)
-        tx.append(t_n)  # T_n(cos theta)
-        t_prev, t_n = t_n, 2.0 * cx * t_n - t_prev
-    cross = lead(cross) * lead(tx)
+        w.append(-bn / (n * (1.0 - qn)))
+        rho.append(rho[-1] * e1)
+        const = const + w[-1] * (1.0 + rho[-1] * rho[-1])
+    w, rho = lead(np.array(w)), lead(np.array(rho[1:]))
+    cx = half * x if np.ndim(x) else half * float(x)  # floats run the loop below faster
+    c2x, tx = 2.0 * cx, [1.0, cx]  # T_n(cos theta)
+    for _ in range(n_terms - 1):
+        tx.append(c2x * tx[-1] - tx[-2])
+    cross = -4.0 * w * rho * lead(np.array(tx[1:]))
     coeffs = np.empty((n_terms, 2) + cross.shape[1:])
-    coeffs[:, 0] = lead(w2)
+    coeffs[:, 0] = 2.0 * w
     coeffs[:, 1] = cross
-    sums = _chebyshev_sums(coeffs, lead(np.stack((0.5 * cyy - 1.0, half * y))))
+    sums = _chebyshev_sums(coeffs, lead(np.array((0.5 * cyy - 1.0, half * y))))
     return const + sums[0] + sums[1]
 
 
@@ -357,8 +368,10 @@ def qou_transition_pdf(q, delta, x, y, rel_tol=1e-14):
     """
     xp = x_plus(q)
     d = _time(delta)
-    if not _all((1e-307 <= d) & (d < math.inf)):
-        raise InvalidTime(f"q-OU kernel requires a finite lag delta >= 1e-307, got {delta}")
+    ok = (1e-307 <= d) & (d < math.inf)
+    if not _all(ok):
+        raise InvalidTime("q-OU kernel requires a finite lag delta >= 1e-307, "
+                          f"got {_failing(ok, d)}")
     if not np.max(np.abs(x)) <= xp * (1.0 + 1e-12):
         raise InvalidState(f"conditioning state x={x} outside [{-xp}, {xp}]")
     xarr, yarr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -391,8 +404,10 @@ def qbm_transition_pdf(q, t1, t2, y1, y2):
     """
     x_plus(q)  # rejects q outside (-1, 1) before any time or state is read
     t1a, t2a = _time(t1), _time(t2)
-    if not _all((0.0 <= t1a) & (t1a < t2a) & (t2a < math.inf)):
-        raise InvalidTime(f"q-BM kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
+    ok = (0.0 <= t1a) & (t1a < t2a) & (t2a < math.inf)
+    if not _all(ok):
+        raise InvalidTime("q-BM kernel requires 0 <= t1 < t2 < inf, "
+                          f"got t1={_failing(ok, t1a)}, t2={_failing(ok, t2a)}")
     y1a = np.asarray(y1, dtype=float)
     b1 = 2.0 * _each(math.sqrt, t1a / (1.0 - q))  # 0 at t1 = 0, where only y1 = 0 passes
     if not _all(np.abs(y1a) <= b1 * (1.0 + 1e-12)):
@@ -503,13 +518,15 @@ def half_stable_quantile(t, p):
     parr = np.asarray(p, dtype=float)
     if not np.all((0.0 <= parr) & (parr < 1.0)):
         raise InvalidState(f"probability must lie in [0, 1), got {p}")
-    lower = parr <= 0.5
-    m = math.pi * np.where(lower, parr, 1.0 - parr)
-    ang = np.where(lower, np.cbrt(6.0 * m), 0.5 * m)
-    for _ in range(_KEPLER_ROUNDS):
-        s = np.sin(ang)
-        f = np.where(lower, _phi_minus_sin(ang, s), ang + s) - m
-        slope = np.where(lower, 2.0 * np.sin(0.5 * ang) ** 2, 1.0 + np.cos(ang))
-        ang = ang - np.divide(f, slope, out=np.zeros_like(f), where=slope > 0.0)
-    c = np.where(lower, np.cos(0.5 * ang), np.sin(0.5 * ang))
+    c = np.empty(parr.shape)
+    for lower in (True, False):  # each iteration on its own entries
+        sel = (parr <= 0.5) == lower
+        m = math.pi * (parr[sel] if lower else 1.0 - parr[sel])
+        ang = np.cbrt(6.0 * m) if lower else 0.5 * m
+        for _ in range(_KEPLER_ROUNDS):
+            s = np.sin(ang)
+            f = (_phi_minus_sin(ang, s) if lower else ang + s) - m
+            slope = 2.0 * np.sin(0.5 * ang) ** 2 if lower else 1.0 + np.cos(ang)
+            ang = ang - np.divide(f, slope, out=np.zeros_like(f), where=slope > 0.0)
+        c[sel] = np.cos(0.5 * ang) if lower else np.sin(0.5 * ang)
     return _as_float_or_array(t * t / (4.0 * c * c))

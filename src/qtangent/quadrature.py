@@ -25,7 +25,8 @@ _LIMIT = 400  # most intervals held at once
 
 
 def _rule(f, lo, hi):
-    """n-point Gauss-Legendre value on each interval [lo[i], hi[i]], in one call of f."""
+    """n-point Gauss-Legendre values on the intervals of the joined parts lo, hi; one call of f."""
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
     half = 0.5 * (hi - lo)
     x = (lo + half)[:, None] + half[:, None] * _X
     return half * (f(x) @ _W)
@@ -62,7 +63,7 @@ def integrate(f, a, b, epsabs, epsrel):
     lo, hi = np.array([lo]), np.array([hi])
     mid = 0.5 * (lo + hi)
     # per interval: the rule on it (coarse) and on its left and right halves
-    coarse, left, right = _rule(g, np.r_[lo, lo, mid], np.r_[hi, mid, hi]).reshape(3, 1)
+    coarse, left, right = _rule(g, (lo, lo, mid), (hi, mid, hi)).reshape(3, 1)
     while True:
         fine = left + right
         err = np.abs(coarse - fine)
@@ -80,14 +81,14 @@ def integrate(f, a, b, epsabs, epsrel):
         split, keep = worst[:n_split], worst[n_split:]
         mid = 0.5 * (lo[split] + hi[split])
         # the halves become intervals whose own rule is already known
-        new_lo = np.r_[lo[split], mid]
-        new_hi = np.r_[mid, hi[split]]
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
         new_mid = 0.5 * (new_lo + new_hi)
-        quarters = _rule(g, np.r_[new_lo, new_mid], np.r_[new_mid, new_hi]).reshape(2, -1)
-        lo, hi = np.r_[lo[keep], new_lo], np.r_[hi[keep], new_hi]
-        coarse = np.r_[coarse[keep], left[split], right[split]]
-        left = np.r_[left[keep], quarters[0]]
-        right = np.r_[right[keep], quarters[1]]
+        quarters = _rule(g, (new_lo, new_mid), (new_mid, new_hi)).reshape(2, -1)
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        coarse = np.concatenate((coarse[keep], left[split], right[split]))
+        left = np.concatenate((left[keep], quarters[0]))
+        right = np.concatenate((right[keep], quarters[1]))
 
 
 def integrate_from_edge(f, edge, epsabs, epsrel):

@@ -147,20 +147,24 @@ def rescaled_pdf(case: TangentCase, eps, t1, t2, y1, y2):
     if t1 < 0.0 or not t2 > t1:
         raise InvalidTime(f"need 0 <= t1 < t2, got t1={t1}, t2={t2}")
     q, x = case.q, case.x
-    if case.qbm:
-        tau1, tau2 = case.s + t1 * e, case.s + t2 * e
-        kernel = partial(qbm_transition_pdf, q, tau1, tau2)
-        half = 2.0 * np.sqrt(tau1 / (1.0 - q))
-    else:
-        kernel, half = partial(qou_transition_pdf, q, e * (t2 - t1)), x_plus(q)
     # the frame x - a t eps + eps^beta y; g = eps^(beta - 1), and a = 0 and
     # g = 1 add and multiply exactly, so the interior frame is x + eps y bit for bit
     a, g = (0.0, 1.0) if case.interior else (case.boundary_frame()[0], e)
-    w1 = x - a * t1 * e + y1 * e * g
+    # past double range a time is inf (rejected) and a target leaves the state space
+    with np.errstate(over="ignore", invalid="ignore"):
+        if case.qbm:
+            tau1, tau2 = case.s + t1 * e, case.s + t2 * e
+            kernel = partial(qbm_transition_pdf, q, tau1, tau2)
+            half = 2.0 * np.sqrt(tau1 / (1.0 - q))
+        else:
+            kernel, half = partial(qou_transition_pdf, q, e * (t2 - t1)), x_plus(q)
+        w1 = x - a * t1 * e + y1 * e * g
+        w2 = x - a * t2 * e + np.asarray(y2) * e * g
     if np.any(np.abs(w1) > half):
         w = float(np.asarray(w1)[np.abs(w1) > half].flat[0])
         raise OutOfSupport(f"conditioning point {w} outside the time-t1 support")
-    w2 = x - a * t2 * e + np.asarray(y2) * e * g
+    if np.isnan(w2).any():
+        raise InvalidTime(f"eps up to {np.max(e)} takes the frame's terms beyond double range")
     return kernel(w1, w2) * e * g
 
 
@@ -231,13 +235,12 @@ def _window_grid(case, window, resolution):
     n_u = resolution // 2
     uniform = np.linspace(window.y2_lo, window.y2_hi, n_u)
     tail = 1.0 - window.coverage
-    if case.interior:
-        probs = np.linspace(tail / 2.0, 1.0 - tail / 2.0, n_u)
-    else:
-        probs = np.linspace(1e-6, 1.0 - tail, n_u)
-    quant = _limit_quantile(case, window.t2, probs)
+    lo, hi = (tail / 2.0, 1.0 - tail / 2.0) if case.interior else (1e-6, 1.0 - tail)
+    quant = _limit_quantile(case, window.t2, np.linspace(lo, hi, n_u))
     quant = quant[(quant >= window.y2_lo) & (quant <= window.y2_hi)]
-    return np.unique(np.concatenate([uniform, quant]))
+    # np.unique without its inverse would import numpy.ma: sort, then drop repeats
+    nodes = np.sort(np.concatenate([uniform, quant]))
+    return nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
 
 
 def distance(case: TangentCase, ladder, window: Window, resolution=2001, scale_override=None):

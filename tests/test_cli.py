@@ -60,6 +60,11 @@ class TestInputValidation:
         ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0", "--ladder", "0.2,nan"],
         ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0", "--ladder", "0.2,-0.1"],
         ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0", "--ladder", "inf,0.1"],
+        ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0.1", "--ladder", "0.2,1e-320"],
+        ["tangent", "--case", "qbm_interior", "--q", "0.5", "--x", "0.1", "--s", "1",
+         "--ladder", "0.2,1e-320"],
+        ["tangent", "--case", "qbm_boundary", "--q", "0.5", "--s", "1e-10", "--horizon", "1e-4",
+         "--ladder", "1e308,1e307"],
         ["simulate", "--process", "qou", "--q", "0.5", "--t1", "1", "--steps", "5",
          "--seed", "-1"],
         ["jumps", "--q", "0.5", "--T", "1", "--a", "1", "--paths", "2", "--steps", "2",
@@ -78,6 +83,7 @@ class TestInputValidation:
             "density-grid-minus-inf", "density-grid-span-overflow", "density-qou-subnormal-lag",
             "density-t-0", "verify-samples-minus-1", "verify-samples-0",
             "verify-freeprob-samples-0", "ladder-nan", "ladder-negative", "ladder-inf",
+            "ladder-subnormal-qou", "ladder-subnormal-qbm", "ladder-frame-overflow",
             "simulate-seed-minus-1", "jumps-seed-minus-1", "verify-seed-minus-1",
             "init-origin-qou", "init-origin-qbm-t0-1", "argparse-bad-int",
             "argparse-unknown-flag", "argparse-missing-flag", "argparse-bad-choice"])
@@ -119,6 +125,16 @@ class TestExtremeInputs:
             values = [row["l1"] for row in json.loads(out)["result"]["ladder"]]
         assert len(values) > 0 and all(math.isfinite(v) for v in values)
         assert "nan" not in out and "inf" not in out
+
+    @pytest.mark.parametrize("case", [["--case", "qou_interior", "--x", "0.1"],
+                                      ["--case", "qbm_boundary", "--s", "1"]])
+    def test_tangent_ladder_beyond_double_range(self, case, capsys):
+        # the rescaled targets overflow: the exact density is 0 there, so every
+        # rung reads the window's limit mass and the study fails, quietly
+        code, out, err = run(["tangent", "--q", "0.5", "--ladder", "1e308,1e307"] + case, capsys)
+        assert code == 2 and err == ""
+        l1s = [row["l1"] for row in json.loads(out)["result"]["ladder"]]
+        assert l1s[0] == l1s[1] and 0.98 < l1s[0] < 1.0
 
     def test_density_overflow_exits_one(self, capsys):
         # the Cauchy peak 1/(pi dt) is not a double below dt ~ 5.6e-309
@@ -317,6 +333,23 @@ def test_simulate_leaves_numpy_random_unloaded(tmp_path):
             "sys.exit(rc)\n")
     proc = run_fresh(["-c", code, "simulate", "--process", "qbm", "--q", "0.5", "--t1", "1",
                       "--steps", "3", "--paths", "4", "--output-dir", "paths"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tangent", "--case", "qou_boundary", "--q", "0.5", "--ladder", "0.2,0.1,0.05,0.02,0.01",
+     "-o", "t.json"],
+    ["verify", "--suite", "tangent", "-o", "t.json"],
+])
+def test_tangent_leaves_numpy_ma_unloaded(argv, tmp_path):
+    # np.unique without its inverse imports numpy.ma, about 14 ms of a study's start
+    code = ("import sys\n"
+            "from qtangent.cli import parse_and_dispatch\n"
+            "rc = parse_and_dispatch(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "sys.exit(rc)\n")
+    proc = run_fresh(["-c", code] + argv, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -310,7 +310,7 @@ class TestTailProductForms:
     def test_series_tail_matches_all_factors(self, monkeypatch):
         # the q-series in place of the factors past m, against all K factors
         gen = np.random.default_rng(22)
-        for q in (0.73, -0.8, 0.9, -0.95, 0.99):
+        for q in (0.4, -0.4, 0.5, -0.5, 0.6, -0.6, 0.73, -0.8, 0.9, -0.95, 0.99):
             x = gen.uniform(-0.999, 0.999, (4, 1)) * x_plus(q)
             y = gen.uniform(-0.999, 0.999, 300) * x_plus(q)
             for delta in (1e-8, 1e-3, 0.1, 1.0, 5.0, math.inf):
@@ -320,6 +320,20 @@ class TestTailProductForms:
                     full = kernels._qou_core(q, delta, x, y, x - y, 1e-14)
                 tiny = full < 1e-250  # at q = 0.99, far targets at lags to 0.1 (or underflow)
                 np.testing.assert_allclose(split[~tiny], full[~tiny], rtol=1e-12, atol=0.0)
+
+
+    @pytest.mark.parametrize("q", [0.5, -0.5])
+    def test_large_call_equals_its_slices(self, q):
+        # 10^4 points run the per-k loop of the factors and one series over the whole
+        # batch; its 40-point slices run the (K, points) form: the same bits
+        gen = np.random.default_rng(23)
+        x, y = gen.uniform(-0.999, 0.999, (2, 10_000)) * x_plus(q)
+        for delta in (1e-4, 0.3, math.inf):
+            whole = kernels._qou_core(q, delta, x, y, x - y, 1e-14)
+            for i in range(0, 10_000, 40):
+                s = slice(i, i + 40)
+                part = kernels._qou_core(q, delta, x[s], y[s], x[s] - y[s], 1e-14)
+                np.testing.assert_array_equal(part, whole[s])
 
 
 class TestStableKernels:
@@ -689,6 +703,28 @@ class TestHalfStableQuantile:
         # self-similarity: Q_t(p) = t^2 Q_1(p)
         assert half_stable_quantile(3.0, 0.7) == pytest.approx(9.0 * half_stable_quantile(1.0, 0.7),
                                                                rel=1e-15)
+
+    def test_branches_equal_the_masked_form(self):
+        # each Newton iteration runs on its own entries only; evaluated everywhere
+        # and selected with np.where, both give the same bits
+        from qtangent.kernels import _KEPLER_ROUNDS, _phi_minus_sin
+
+        def masked(t, p):
+            lower = p <= 0.5
+            m = math.pi * np.where(lower, p, 1.0 - p)
+            ang = np.where(lower, np.cbrt(6.0 * m), 0.5 * m)
+            for _ in range(_KEPLER_ROUNDS):
+                s = np.sin(ang)
+                f = np.where(lower, _phi_minus_sin(ang, s), ang + s) - m
+                slope = np.where(lower, 2.0 * np.sin(0.5 * ang) ** 2, 1.0 + np.cos(ang))
+                ang = ang - np.divide(f, slope, out=np.zeros_like(f), where=slope > 0.0)
+            c = np.where(lower, np.cos(0.5 * ang), np.sin(0.5 * ang))
+            return t * t / (4.0 * c * c)
+
+        ps = np.concatenate([np.linspace(0.0, 1.0, 20_001, endpoint=False),
+                             np.geomspace(1e-300, 0.5, 2001), 1.0 - np.geomspace(1e-16, 0.5, 2001)])
+        for t in (1e-3, 1.0, 50.0):
+            np.testing.assert_array_equal(half_stable_quantile(t, ps), masked(t, ps))
 
     def test_validation(self):
         for bad_t in (0.0, -1.0, math.inf, math.nan):

@@ -144,14 +144,26 @@ def test_product_split_table(rel_tol, table):
 
 
 @pytest.mark.parametrize("rel_tol, qs", [
-    (1e-14, (0.0, 0.5, -0.5, 0.72, -0.72)),
-    (1e-4, (0.0, 0.5, 0.87, -0.87)),
+    (1e-14, (0.0, 0.3, -0.3, 0.39, -0.39)),
+    (1e-4, (0.0, 0.5, -0.5, 0.68, -0.68)),
 ])
 def test_product_split_below_the_crossover(rel_tol, qs):
-    # at most 120 factors: all of them, and no series
+    # at most 40 factors: all of them, and no series
     for q in qs:
-        assert series_terms(q, rel_tol) <= 120
+        assert series_terms(q, rel_tol) <= 40
         assert _product_split(q, rel_tol) == (series_terms(q, rel_tol), 0)
+
+
+@pytest.mark.parametrize("rel_tol, table", [
+    (1e-14, {0.4: (41, (2, 14)), 0.5: (55, (3, 14)), 0.6: (74, (4, 15))}),
+    (1e-4, {0.7: (43, (6, 6)), 0.87: (114, (16, 7))}),
+])
+def test_product_split_above_the_crossover(rel_tol, table):
+    # from 41 factors on the series sums the tail: q = +-0.5 at the kernels' tolerance
+    # splits, and the simulator's q = 0.5 (21 factors) does not
+    for q, (K, split) in table.items():
+        assert [series_terms(v, rel_tol) for v in (q, -q)] == [K, K]
+        assert [_product_split(v, rel_tol) for v in (q, -q)] == [split, split]
 
 
 @pytest.mark.parametrize("q", [0.999, -0.999])

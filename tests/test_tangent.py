@@ -191,6 +191,30 @@ class TestDistance:
         mass = np.trapezoid(limit_pdf(case, w.t1, w.t2, w.y1, grid), grid)
         assert 0.98 <= mass <= 1.0
 
+    def test_window_grid_equals_unique_nodes(self):
+        # sort and drop repeats in place of np.unique, over the verify suite's cases
+        from qtangent.tangent import _limit_quantile, _window_grid
+        from qtangent.verify import _QS, _S_VALUES
+
+        cases = []
+        for q in _QS:
+            cases += [TangentCase("qou_interior", q, x=f * x_plus(q)) for f in (0.0, 0.5, -0.5)]
+            cases.append(TangentCase("qou_boundary", q))
+            for s in _S_VALUES:
+                half = 2.0 * math.sqrt(s / (1.0 - q))
+                cases += [TangentCase("qbm_interior", q, x=f * half, s=s) for f in (0.0, 0.5, -0.5)]
+                cases.append(TangentCase("qbm_boundary", q, s=s))
+        assert len(cases) == 64
+        for case in cases:
+            w = default_window(case)
+            tail = 1.0 - w.coverage
+            probs = (np.linspace(tail / 2.0, 1.0 - tail / 2.0, 1000) if case.interior
+                     else np.linspace(1e-6, 1.0 - tail, 1000))
+            quant = _limit_quantile(case, w.t2, probs)
+            quant = quant[(quant >= w.y2_lo) & (quant <= w.y2_hi)]
+            nodes = np.concatenate([np.linspace(w.y2_lo, w.y2_hi, 1000), quant])
+            np.testing.assert_array_equal(_window_grid(case, w, 2001), np.unique(nodes))
+
     def test_identical_densities_give_zero(self):
         case = TangentCase("qou_interior", 0.0, x=0.0)
         w = default_window(case)
