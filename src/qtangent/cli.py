@@ -54,7 +54,10 @@ def _parse_grid(spec):
         raise _UsageError(f"grid needs finite lo < hi and hi - lo, count >= 2, got {spec!r}")
     import numpy as np
 
-    return np.linspace(lo, hi, count)
+    try:
+        return np.linspace(lo, hi, count)
+    except ValueError:  # numpy cannot size it: "Maximum allowed size exceeded"
+        raise _UsageError(f"grid count {count} is too large to hold") from None
 
 
 def _parse_ladder(spec):

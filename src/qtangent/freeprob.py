@@ -105,8 +105,8 @@ def biane_H(s, t, x, z):
     if not x > 0.0:
         raise InvalidTime(f"need state x > 0, got {x}")
     z = _reject_slit(z, 0.0)
-    root = cmath.sqrt(-z)
-    return 1.0 / (-x - (t - s + root) ** 2)
+    w = t - s + cmath.sqrt(-z)
+    return 1.0 / (-x - w * w)  # w ** 2 raises OverflowError past |w| ~ 1e154, w * w gives inf
 
 
 def stieltjes_invert(transform, y, return_ladder=False):

@@ -3,10 +3,10 @@ and the jump/moment statistics with closed-form counterparts.
 
 Both processes run as one q-OU chain: q-BM is the time-changed q-OU process,
 W_{e^{2t}} = e^t X_t, so its step t1 -> t2 is a q-OU step of lag
-log(t2/t1)/2 in the state W/sqrt(t) (infinite from t1 = 0: the q-normal
-law), and the values written are sqrt(t) X.  A start is a state or None, the
-time-t0 marginal (for q-BM at t0 = 0 the origin).  q is checked by
-``kernels.x_plus``.
+log(t2/t1)/2 in the state W/sqrt(t), and the values written are sqrt(t) X.
+A start is a state or None, the time-t0 marginal (for q-BM at t0 = 0 the
+origin).  That marginal, a step from t1 = 0 and every lag from 50 on are drawn
+at the flat lag 50, the q-normal law to the last bit; ``kernels.x_plus`` checks q.
 
 Every draw is exact rejection sampling (Devroye, Non-Uniform Random Variate
 Generation, 1986, ch. II) from the paper's tangent law: the kernel's k = 0
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (EnvelopeExceeded, InvalidCount, InvalidState, InvalidThreshold, InvalidTime,
                      NonFinite, UnknownProcess)
-from .kernels import _bm_lag, _log_moduli, _phi0_u, qnormal_pdf, qou_transition_pdf, x_plus
+from .kernels import _bm_lag, _log_moduli, _phi0_u, qou_transition_pdf, x_plus
 from .sampling import uniforms
 
 __all__ = [
@@ -103,7 +103,7 @@ def _from(table, lo, n):
 
 def _first_above(cum, col, t):
     """For each entry, the first bin j with cum[j, col] > t (the last bin if none), by bisection."""
-    if cum.shape[1] == 1:  # one state, such as at an infinite lag: numpy's bisection
+    if cum.shape[1] == 1:  # one state, such as every row at the flat lag: numpy's bisection
         return np.minimum(np.searchsorted(cum[:, 0], t, side="right"), cum.shape[0] - 1)
     flat, n = cum.ravel(), cum.shape[1]
     lo, hi = np.zeros(t.shape, dtype=np.intp), np.full(t.shape, cum.shape[0] - 1, dtype=np.intp)
@@ -148,22 +148,21 @@ class _Envelope:
 
     With x = x_plus cos(theta), y = x_plus cos(phi) and rho = e^{-lag} the
     kernel is p(y) = c_q (1 + rho) g(y) r(y): g = 1/phi0_u is the Cauchy
-    density of location x cosh(lag) and scale sinh(lag) sqrt(x_plus^2 - x^2)
-    (uniform at an infinite lag), and
+    density of location x cosh(lag) and scale sinh(lag) sqrt(x_plus^2 - x^2), and
     r = 2 sin(phi) prod_{k>=1} c_k N_k(phi)/(D_k(theta + phi) D_k(theta - phi)),
     c_k = (1 - rho^2 q^k)(1 - q^k), N_k = |1 - q^k e^{2i phi}|^2,
     D_k(a) = |1 - rho q^k e^{ia}|^2.  A proposal takes a bin with probability
     proportional to its bound on r times its Cauchy mass and a place in it by
     arctan inversion, and is accepted when U bound < r(y), r read from
-    ``qou_transition_pdf`` (``qnormal_pdf``).  r above its bound raises
-    EnvelopeExceeded, a fault of the bounds, and a non-finite r raises
-    NonFinite.  A lag of _FLAT_LAG or more is drawn as an infinite one: there
-    e^{-lag} < 2e-22 moves the kernel by less than 4 e^{-lag}/(1 - |q|) <
-    3e-19 relative, below its rounding, while the proposal's sinh(lag)^2
-    would overflow from lag 355.
+    ``qou_transition_pdf``.  r above its bound raises EnvelopeExceeded, a fault
+    of the bounds, and a non-finite r raises NonFinite.  Long and infinite
+    lags are drawn at the flat lag _FLAT_LAG: from there e^{-lag} < 2e-22
+    moves the kernel by less than 4 e^{-lag}/(1 - |q|) < 3e-19 relative,
+    below its rounding, while the proposal's sinh(lag)^2 would overflow from
+    lag 355.
 
     Bins: B equal phi-bins, B of order 1/(1 - |q|), on which the q-products
-    vary; at a finite lag the bins around theta give way to bins with edges
+    vary; the bins around theta give way to bins with edges
     theta +- h 2^-i, i = 0..J, h = pi/B, down to the proposal's angular scale
     h 2^-J ~ lag.  Bounds: the factors of N and D are moduli |1 - s e^{ia}|^2,
     monotone in |a| on [0, pi], and so is each part (``_parts``) of their
@@ -187,17 +186,15 @@ class _Envelope:
     """
 
     def __init__(self, bins, lag):
-        lag = math.inf if lag >= _FLAT_LAG else lag
+        lag = min(lag, _FLAT_LAG)
         self.bins, self.lag, self.e1, self.u = bins, lag, math.exp(-lag), -math.expm1(-lag)
         self.scale = math.sqrt(bins.c1) / (2.0 * math.pi) * (1.0 + self.e1)
         # log prod_k c_k: (q; q)_inf from the N tables at angle 0, and (rho^2 q; q)_inf
         self.log_c = _LOG_MARGIN + sum(0.5 * (t[0] + _log_moduli(self.e1 * self.e1 * a, Q, 0.0))
                                        for (a, Q), t in zip(bins.parts, bins.numer))
-        self.n_cells = bins.n_bins
-        if self.e1 == 0.0:
-            return
-        self.depth = min(_MAX_DEPTH, max(0, math.ceil(math.log2(bins.h / lag))))
-        self.n_cells += 2 * self.depth + 4
+        # log2(h) - log2(lag), not log2(h / lag): a subnormal lag reaches the kernel's own check
+        self.depth = min(_MAX_DEPTH, max(0, math.ceil(math.log2(bins.h) - math.log2(lag))))
+        self.n_cells = bins.n_bins + 2 * self.depth + 4
         self.sinh, self.cosh_1 = math.sinh(lag), 2.0 * math.sinh(0.5 * lag) ** 2
         denom = [_log_moduli(self.e1 * a, Q, bins.alpha) for a, Q in bins.parts]
         self.d_least = _windows(denom, bins.n_grid, _GRID_PER_BIN + 2, np.minimum)
@@ -216,9 +213,6 @@ class _Envelope:
         bounds of the bins of the states x, (bins, S); the y edges of the bins around
         theta; each state's Cauchy scale and location minus x, (S,)."""
         bins, B = self.bins, self.bins.n_bins
-        if self.e1 == 0.0:
-            bound = np.maximum(bins.sq * np.exp(self.log_c + bins.log_n), _FLOOR)[:, None]
-            return np.cumsum(bound * -np.diff(bins.y)[:, None], axis=0), bound, None, None, None
         xp, x = bins.xp, bins.inside(x)
         theta = 2.0 * np.arctan2(np.sqrt(xp - x), np.sqrt(xp + x))
         s, cz = self.sinh * np.sqrt((xp - x) * (xp + x)), x * self.cosh_1
@@ -258,16 +252,13 @@ class _Envelope:
         j = np.minimum(_first_above(cum, c2, u[..., 0] * total[c2]), np.sum(cum < total, axis=0)[c2])
         b = np.minimum(j, bins.n_bins - 1)
         lo, hi, m, v = bins.y[b + 1], bins.y[b], bound[j, c2], u[..., 1]
-        if y_near is None:
-            y = lo + v * (hi - lo)
-        else:
-            k, near = np.maximum(j - bins.n_bins, 0), j >= bins.n_bins
-            lo, hi = np.where(near, y_near[k + 1, c2], lo), np.where(near, y_near[k, c2], hi)
-            s, cz = s[c2], cz[c2]
-            a = (lo - bins.inside(states[c2])) - cz
-            # the mass from lo, atan2(s (y - lo), s^2 + a (y - c)), is v times the bin's
-            t = np.tan(v * np.arctan2(s * (hi - lo), s * s + a * (a + hi - lo)))
-            y = np.clip(lo + t * (s * s + a * a) / (s - a * t), lo, hi)
+        k, near = np.maximum(j - bins.n_bins, 0), j >= bins.n_bins
+        lo, hi = np.where(near, y_near[k + 1, c2], lo), np.where(near, y_near[k, c2], hi)
+        s, cz = s[c2], cz[c2]
+        a = (lo - bins.inside(states[c2])) - cz
+        # the mass from lo, atan2(s (y - lo), s^2 + a (y - c)), is v times the bin's
+        t = np.tan(v * np.arctan2(s * (hi - lo), s * s + a * (a + hi - lo)))
+        y = np.clip(lo + t * (s * s + a * a) / (s - a * t), lo, hi)
         r = self.ratio(states[c2], y)
         if not np.all(np.isfinite(r)):
             raise NonFinite(f"acceptance ratio not finite at q={bins.q}, lag={self.lag}")
@@ -280,8 +271,6 @@ class _Envelope:
         """r(y) = p(y) phi0_u(y)/(c_q (1 + rho)) from x: the kernel times its own k = 0
         factor, which so cancels to rounding wherever that factor loses digits."""
         bins = self.bins
-        if self.e1 == 0.0:
-            return qnormal_pdf(bins.q, y, _SIM_REL_TOL) / self.scale
         x = bins.inside(x)
         return (qou_transition_pdf(bins.q, self.lag, x, y, _SIM_REL_TOL) / self.scale
                 * _phi0_u(bins.c1, self.e1, self.u, x, y, x - y))
@@ -298,10 +287,10 @@ class _Envelope:
         return y, ok
 
     def draw(self, x, seed, step, u=None):
-        """States at the lag from the states x (any, such as zeros, at an infinite lag): row i takes
-        its first accepted proposal j = 0, 1, ..., of uniforms ``uniforms(seed, i, step, j)``, open
-        rows trying _tries(rows) at a time; u, if given, holds every row's first (rows, k, 3)."""
-        x = x if self.e1 else np.zeros(len(x))
+        """States at the lag from the states x (from 0 at the flat lag: one envelope row): row i
+        takes its first accepted proposal j = 0, 1, ..., of uniforms ``uniforms(seed, i, step, j)``,
+        open rows trying _tries(rows) at a time; u, if given, holds every row's first (rows, k, 3)."""
+        x = x if self.lag < _FLAT_LAG else np.zeros(len(x))
         y, rows, j = np.empty(len(x)), np.arange(len(x)), 0
         while len(rows):
             if j or u is None:
@@ -341,12 +330,14 @@ def simulate_ensemble(process, q, grid: TimeGrid, x0, base_seed, n_paths):
     """
     if n_paths < 1:
         raise InvalidCount(f"need at least one path, got {n_paths}")
-    times = grid.times
+    try:
+        times, X = grid.times, np.empty((n_paths, grid.steps + 1))
+    except ValueError:  # numpy cannot size them: "Maximum allowed size exceeded"
+        raise InvalidCount(f"{n_paths} paths of {grid.steps} steps: too many to hold") from None
     start = _start(process, q, times[0], x0)
-    bins = _Bins(q)
+    bins, k = _Bins(q), _tries(n_paths)
     # q-OU is time-homogeneous: every step of the grid has one lag and one envelope
     step = _Envelope(bins, (grid.t1 - grid.t0) / grid.steps) if process == "qou" else None
-    X, k = np.empty((n_paths, len(times))), _tries(n_paths)
     # every row's first k proposals, for as many steps as _BLOCK proposals hold
     per, paths = max(1, _BLOCK // (n_paths * k)), np.arange(n_paths)[:, None]
     for j in range(len(times)):
@@ -376,22 +367,17 @@ def moment4_closed(q, s, t):
 def moment4_estimate(q, s, t, n_samples, seed: int):
     """Monte Carlo fourth moment of the increment W_t - W_s with its standard error.
 
-    W_s is drawn from its sqrt(s)-dilated q-normal marginal, then W_t from the
-    exact conditional kernel; sample i takes the uniforms keyed by (seed, i), at
-    step 0 for W_s and 1 for W_t.  Returns (estimate, std_error); std_error is
-    inf for a single sample.
+    The increments are those of the one-step q-BM ensemble on [s, t] from the
+    time-s marginal (``simulate_ensemble``): sample i is its path i, keyed by
+    (seed, i).  Returns (estimate, std_error); std_error is inf for a single
+    sample.
     """
     if s < 0.0 or not t > s:
         raise InvalidTime(f"need 0 <= s < t, got s={s}, t={t}")
     if n_samples < 1:
         raise InvalidCount(f"need at least one sample, got {n_samples}")
-    bins = _Bins(q)
-    x_s = np.zeros(n_samples)
-    if s > 0.0:
-        x_s = _Envelope(bins, math.inf).draw(x_s, seed, 0)
-    x_t = _Envelope(bins, _bm_lag(s, t)).draw(x_s, seed, 1)
-    d = math.sqrt(t) * x_t - math.sqrt(s) * x_s
-    d4 = d ** 4
+    _, w = simulate_ensemble("qbm", q, TimeGrid(s, t, 1), None, seed, n_samples)
+    d4 = (w[:, 1] - w[:, 0]) ** 4
     est = float(np.mean(d4))
     if n_samples < 2:
         return est, math.inf

@@ -233,7 +233,10 @@ def _window_grid(case, window, resolution):
     if resolution < 32:
         raise InvalidCount(f"resolution must be at least 32, got {resolution}")
     n_u = resolution // 2
-    uniform = np.linspace(window.y2_lo, window.y2_hi, n_u)
+    try:
+        uniform = np.linspace(window.y2_lo, window.y2_hi, n_u)
+    except ValueError:  # numpy cannot size it: "Maximum allowed size exceeded"
+        raise InvalidCount(f"resolution {resolution} is too large to hold") from None
     tail = 1.0 - window.coverage
     lo, hi = (tail / 2.0, 1.0 - tail / 2.0) if case.interior else (1e-6, 1.0 - tail)
     quant = _limit_quantile(case, window.t2, np.linspace(lo, hi, n_u))

@@ -24,6 +24,7 @@ from functools import partial
 
 import numpy as np
 
+from .errors import InvalidCount
 from .freeprob import (
     biane_H,
     cauchy_stieltjes,
@@ -209,8 +210,10 @@ def kernels_verification_report(n_sets=50, n_points=100, seed=5):
 
 
 def _sample_region(gen, n):
-    re = gen.uniform(-10.0, 2.0, n)
-    im = gen.uniform(0.1, 10.0, n)
+    try:
+        re, im = gen.uniform(-10.0, 2.0, n), gen.uniform(0.1, 10.0, n)
+    except ValueError:  # numpy cannot size them: "Maximum allowed dimension exceeded"
+        raise InvalidCount(f"{n} sample points are too many to hold") from None
     return re + 1j * im
 
 

@@ -78,6 +78,19 @@ class TestInputValidation:
         ["density", "--process", "qnormal", "--q", "0", "--grid", "0:1:5", "--bogus", "1"],
         ["jumps", "--q", "0.5", "--T", "1"],
         ["density", "--process", "nope", "--grid", "0:1:3"],
+        ["simulate", "--process", "qou", "--q", "0.5", "--t1", "1e-310", "--steps", "1",
+         "--paths", "3"],
+        # counts numpy cannot size, which it rejects before allocating anything
+        ["density", "--process", "qnormal", "--q", "0.5", "--grid", f"-1:1:{10**20}"],
+        ["biane", "--s", "0.5", "--t", "1", "--x", "1", "--grid", f"0.5:1:{10**20}"],
+        ["simulate", "--process", "qou", "--q", "0.5", "--t1", "1", "--steps", str(10**20)],
+        ["simulate", "--process", "qou", "--q", "0.5", "--t1", "1", "--steps", "1",
+         "--paths", str(10**20)],
+        ["jumps", "--q", "0.5", "--T", "1", "--a", "1", "--paths", str(10**20)],
+        ["jumps", "--q", "0.5", "--T", "1", "--a", "1", "--steps", str(10**20)],
+        ["verify", "--suite", "freeprob", "--samples", str(10**20)],
+        ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0.1",
+         "--resolution", str(10**20)],
     ], ids=["simulate-paths-0", "jumps-paths-0", "init-fixed-abc", "init-fixed-nan",
             "simulate-t1-inf", "density-x-nan", "density-t-inf", "density-grid-inf",
             "density-grid-minus-inf", "density-grid-span-overflow", "density-qou-subnormal-lag",
@@ -86,7 +99,10 @@ class TestInputValidation:
             "ladder-subnormal-qou", "ladder-subnormal-qbm", "ladder-frame-overflow",
             "simulate-seed-minus-1", "jumps-seed-minus-1", "verify-seed-minus-1",
             "init-origin-qou", "init-origin-qbm-t0-1", "argparse-bad-int",
-            "argparse-unknown-flag", "argparse-missing-flag", "argparse-bad-choice"])
+            "argparse-unknown-flag", "argparse-missing-flag", "argparse-bad-choice",
+            "simulate-qou-subnormal-lag", "density-grid-count-1e20", "biane-grid-count-1e20",
+            "simulate-steps-1e20", "simulate-paths-1e20", "jumps-paths-1e20", "jumps-steps-1e20",
+            "verify-freeprob-samples-1e20", "tangent-resolution-1e20"])
     def test_exits_one_with_one_line(self, argv, tmp_path, capsys):
         code, out, err = run(argv + (["--output-dir", str(tmp_path)] if argv[0] == "simulate"
                                      else []), capsys)
@@ -113,13 +129,15 @@ class TestExtremeInputs:
          "--ladder", "0.1,0.05"],
         ["tangent", "--case", "qbm_boundary", "--q", "0.5", "--s", "1e300",
          "--ladder", "0.1,0.05"],
+        # the transform's square passes the double range; both sides are 0 there
+        ["biane", "--s", "0.5", "--t", "1e300", "--x", "1", "--grid", "0.5:1:3"],
     ], ids=["biane-shifted-span-1e80", "cauchy-marginal-t-1e200", "cauchy-span-1e-300",
             "biane-half-span-1e100", "qbm-t-1e-300", "qbm-t-1e300",
-            "tangent-qbm-boundary-s-1e-300", "tangent-qbm-boundary-s-1e300"])
+            "tangent-qbm-boundary-s-1e-300", "tangent-qbm-boundary-s-1e300", "biane-t-1e300"])
     def test_exits_zero_with_finite_values(self, argv, capsys):
         code, out, err = run(argv, capsys)
         assert code == 0 and err == ""
-        if argv[0] == "density":
+        if argv[0] in ("density", "biane"):
             values = [float(v) for line in out.strip().split("\n")[1:] for v in line.split(",")]
         else:
             values = [row["l1"] for row in json.loads(out)["result"]["ladder"]]
