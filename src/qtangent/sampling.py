@@ -1,29 +1,22 @@
 """The reproducible uniforms every random draw of the package comes from.
 
-The simulator's are keyed, not streamed: those of proposal j of path i at
-step s are the first three words w of Philox4x64-10 (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011) at key (seed, i) and counter
-(s, j, 0, 0), read as numpy reads them, (w >> 11) 2^-53: a function of those
-integers alone, with no generator object.  The verify sweeps draw from ``stream``.
+They are keyed, not streamed: ``uniforms(seed, a, b, c)`` are the first three words w
+of Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011)
+at key (seed, a) and counter (b, c, 0, 0), read as numpy reads them, (w >> 11) 2^-53, with
+no generator object.  The simulator keys proposal j of path i at step s (seed, i, s, j),
+the verify sweeps word j of case i of a family f (seed, f, i, j).
 """
 
 import numpy as np
 
 from .errors import InvalidSeed
 
-__all__ = ["stream", "philox", "uniforms"]
+__all__ = ["philox", "uniforms"]
 
 _M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)  # of counter words 0, 2
 _W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)  # the key increments
 _LOW = 0xFFFFFFFF
 _LANES = 1 << 13  # proposals per Philox pass: its temporaries stay in cache, 2x faster at 10^5
-
-
-def stream(seed, index=0):
-    """The uniform generator of (seed, index), PCG64 seeded through a SeedSequence spawn
-    key; distinct keys give independent streams.  A negative seed or index raises ValueError."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 def philox(key, counter):

@@ -335,6 +335,9 @@ def simulate_ensemble(process, q, grid: TimeGrid, x0, base_seed, n_paths):
     except ValueError:  # numpy cannot size them: "Maximum allowed size exceeded"
         raise InvalidCount(f"{n_paths} paths of {grid.steps} steps: too many to hold") from None
     start = _start(process, q, times[0], x0)
+    repeat = np.flatnonzero(times[1:] <= times[:-1]) if process == "qbm" else ()
+    if len(repeat):  # a q-BM step of lag 0; every q-OU step has the lag (t1 - t0)/steps > 0
+        raise InvalidTime(f"q-BM grid repeats the time {float(times[repeat[0]])!r}: too many steps")
     bins, k = _Bins(q), _tries(n_paths)
     # q-OU is time-homogeneous: every step of the grid has one lag and one envelope
     step = _Envelope(bins, (grid.t1 - grid.t0) / grid.steps) if process == "qou" else None
@@ -392,7 +395,10 @@ def jump_bound(q, S, T, a):
     if not a > 0.0:
         raise InvalidThreshold(f"threshold a must be positive, got {a}")
     x_plus(q)  # rejects q outside (-1, 1)
-    return min(1.0, (1.0 - q) * (T * T - S * S) / a ** 4)
+    try:
+        return min(1.0, (1.0 - q) * (T * T - S * S) / a ** 4)
+    except (OverflowError, ZeroDivisionError):  # a^4 overflows or is 0: divide a factor at a time
+        return min(1.0, (1.0 - q) * ((T - S) / a / a) * ((T + S) / a / a))
 
 
 def sup_jump_estimate(q, S, T, a, n_paths, steps, base_seed: int):

@@ -1,7 +1,8 @@
 """Every verification suite of the CLI `verify` subcommand and the acceptance
 suite: the kernel sweeps, the free-probability identities of ``freeprob``
 and the tangent studies, reported as rows of one shape (``_row``).  The
-randomized suites draw from ``sampling.stream`` of an integer seed.
+randomized suites draw their cases from the keyed uniforms ``sampling.uniforms``
+of an integer seed in [0, 2^64), one key per family (``_cases``).
 
 The kernel sweeps cover normalization (each transition kernel integrates to
 1 over its target support), the Chapman-Kolmogorov composition, and the
@@ -41,7 +42,7 @@ from .kernels import (
     x_plus,
 )
 from .quadrature import integrate, integrate_from_edge
-from .sampling import stream
+from .sampling import uniforms
 from .tangent import TangentCase, convergence_study
 
 __all__ = [
@@ -67,6 +68,19 @@ _FREEPROB = {
     "csk_quadrature": 1e-8,
     "f_unique": 1e-3,
 }
+# each kernel family's (lo, hi) ranges of a case, as _norm_integral and _ck_residual unpack them
+_NORM = {
+    "qou": ((-0.9, 0.9), (0.05, 5.0), (-0.95, 0.95)),
+    "qbm": ((-0.9, 0.9), (0.1, 2.0), (0.05, 3.0), (-0.95, 0.95)),
+    "cauchy": ((0.0, 2.0), (0.05, 3.0), (-3.0, 3.0)),
+    "biane_half": ((0.05, 2.0), (0.05, 3.0), (0.05, 3.0)),
+}
+_CK = {
+    "qou": ((-0.9, 0.9), (0.1, 1.5), (0.1, 1.5), (-0.8, 0.8), (-0.8, 0.8)),
+    "qbm": ((-0.9, 0.9), (0.1, 1.5), (0.1, 1.5), (0.1, 1.5), (-0.8, 0.8), (-0.8, 0.8)),
+    "cauchy": ((0.0, 1.5), (0.1, 1.5), (0.1, 1.5), (-2.0, 2.0), (-2.0, 2.0)),
+    "biane_half": ((0.05, 1.0), (0.1, 1.0), (0.1, 1.0), (0.05, 2.0), (0.05, 2.0)),
+}
 
 
 def _over_interval(f, r):
@@ -75,30 +89,15 @@ def _over_interval(f, r):
                      -0.5 * math.pi, 0.5 * math.pi, **_TOL)
 
 
-def _norm_case(gen, which):
-    if which == "qou":
-        q = gen.uniform(-0.9, 0.9)
-        xp = x_plus(q)
-        d = gen.uniform(0.05, 5.0)
-        x = gen.uniform(-0.95, 0.95) * xp
-        return _over_interval(lambda y: qou_transition_pdf(q, d, x, y), xp)
-    if which == "qbm":
-        q = gen.uniform(-0.9, 0.9)
-        t1 = gen.uniform(0.1, 2.0)
-        t2 = t1 + gen.uniform(0.05, 3.0)
-        y1 = gen.uniform(-0.95, 0.95) * 2.0 * math.sqrt(t1 / (1.0 - q))
-        b2 = 2.0 * math.sqrt(t2 / (1.0 - q))
-        return _over_interval(lambda y: qbm_transition_pdf(q, t1, t2, y1, y), b2)
-    if which == "cauchy":
-        t1 = gen.uniform(0.0, 2.0)
-        t2 = t1 + gen.uniform(0.05, 3.0)
-        y1 = gen.uniform(-3.0, 3.0)
-        return integrate(lambda y: cauchy_transition_pdf(t1, t2, y1, y),
-                         -math.inf, math.inf, **_TOL)
-    t1 = gen.uniform(0.05, 2.0)
-    t2 = t1 + gen.uniform(0.05, 3.0)
-    y1 = t1 * t1 / 4.0 + gen.uniform(0.05, 3.0)
-    return integrate_from_edge(lambda y: biane_half_pdf(t1, t2, y1, y), t2 * t2 / 4.0, **_TOL)
+def _cases(seed, family, n, *ranges):
+    """n rows of one value lo + (hi - lo) u per (lo, hi) range, as Python floats: row i
+    takes its u from ``uniforms(seed, family, i, j)``, three to each counter word j."""
+    lo, hi = np.array(ranges).T
+    try:
+        u = uniforms(seed, family, np.arange(n)[:, None], np.arange(-(-len(ranges) // 3)))
+    except ValueError:  # numpy cannot size them: "Maximum allowed size exceeded"
+        raise InvalidCount(f"{n} sample points are too many to hold") from None
+    return (lo + (hi - lo) * u.reshape(n, 3 * u.shape[1])[:, :len(ranges)]).tolist()
 
 
 def _row(kind, samples, worst, threshold):
@@ -106,57 +105,65 @@ def _row(kind, samples, worst, threshold):
             "pass": bool(worst < threshold)}
 
 
-def _sweep(kind, residual, n_sets, seed, first, threshold):
-    """Report rows of the max residual(gen, family) over n_sets draws, per kernel
-    family; family i draws from stream first + i of the seed."""
+def _sweep(kind, residual, ranges, n_sets, seed, first, threshold):
+    """Report rows of the max residual(family, *case) over n_sets cases, per kernel family
+    of the table of ranges; family i draws its cases from key first + i of the seed."""
     out = []
-    for idx, which in enumerate(("qou", "qbm", "cauchy", "biane_half")):
-        gen = stream(seed, first + idx)
-        worst = max(residual(gen, which) for _ in range(n_sets))
+    for idx, (which, bounds) in enumerate(ranges.items()):
+        worst = max(residual(which, *case) for case in _cases(seed, first + idx, n_sets, *bounds))
         out.append(_row(f"{kind}:{which}", n_sets, worst, threshold))
     return out
 
 
+def _norm_integral(which, *case):
+    if which == "qou":
+        q, d, f = case
+        xp = x_plus(q)
+        return _over_interval(lambda y: qou_transition_pdf(q, d, f * xp, y), xp)
+    if which == "qbm":
+        q, t1, dt, f = case
+        t2, xp = t1 + dt, x_plus(q)  # the q-BM support at time t is sqrt(t) times q-OU's
+        y1, b2 = f * xp * math.sqrt(t1), xp * math.sqrt(t2)
+        return _over_interval(lambda y: qbm_transition_pdf(q, t1, t2, y1, y), b2)
+    if which == "cauchy":
+        t1, dt, y1 = case
+        return integrate(lambda y: cauchy_transition_pdf(t1, t1 + dt, y1, y),
+                         -math.inf, math.inf, **_TOL)
+    t1, dt, e = case
+    t2, y1 = t1 + dt, t1 * t1 / 4.0 + e
+    return integrate_from_edge(lambda y: biane_half_pdf(t1, t2, y1, y), t2 * t2 / 4.0, **_TOL)
+
+
 def kernel_normalization_report(n_sets=50, seed=1):
     """Max |integral - 1| per kernel family over randomized parameters, gated at 1e-7."""
-    return _sweep("normalization", lambda gen, which: abs(_norm_case(gen, which) - 1.0),
-                  n_sets, seed, 11, 1e-7)
+    return _sweep("normalization", lambda which, *case: abs(_norm_integral(which, *case) - 1.0),
+                  _NORM, n_sets, seed, 11, 1e-7)
 
 
-def _ck_residual(gen, which):
+def _ck_residual(which, *case):
     if which == "qou":
-        q = gen.uniform(-0.9, 0.9)
+        q, d1, d2, fx, fy = case
         xp = x_plus(q)
-        d1, d2 = gen.uniform(0.1, 1.5, 2)
-        x = gen.uniform(-0.8, 0.8) * xp
-        y = gen.uniform(-0.8, 0.8) * xp
+        x, y = fx * xp, fy * xp
         val = _over_interval(lambda z: qou_transition_pdf(q, d1, x, z)
                              * qou_transition_pdf(q, d2, z, y), xp)
         return abs(val - qou_transition_pdf(q, d1 + d2, x, y))
     if which == "qbm":
-        q = gen.uniform(-0.9, 0.9)
-        t1 = gen.uniform(0.1, 1.5)
-        u = t1 + gen.uniform(0.1, 1.5)
-        t2 = u + gen.uniform(0.1, 1.5)
-        y1 = gen.uniform(-0.8, 0.8) * 2.0 * math.sqrt(t1 / (1.0 - q))
-        y2 = gen.uniform(-0.8, 0.8) * 2.0 * math.sqrt(t2 / (1.0 - q))
-        bu = 2.0 * math.sqrt(u / (1.0 - q))
+        q, t1, du, dt, f1, f2 = case
+        u = t1 + du
+        t2, xp = u + dt, x_plus(q)
+        y1, y2, bu = f1 * xp * math.sqrt(t1), f2 * xp * math.sqrt(t2), xp * math.sqrt(u)
         val = _over_interval(lambda z: qbm_transition_pdf(q, t1, u, y1, z)
                              * qbm_transition_pdf(q, u, t2, z, y2), bu)
         return abs(val - qbm_transition_pdf(q, t1, t2, y1, y2))
+    t1, du, dt, a, b = case
+    u = t1 + du
+    t2 = u + dt
     if which == "cauchy":
-        t1 = gen.uniform(0.0, 1.5)
-        u = t1 + gen.uniform(0.1, 1.5)
-        t2 = u + gen.uniform(0.1, 1.5)
-        y1, y2 = gen.uniform(-2.0, 2.0, 2)
-        val = integrate(lambda z: cauchy_transition_pdf(t1, u, y1, z)
-                        * cauchy_transition_pdf(u, t2, z, y2), -math.inf, math.inf, **_TOL)
-        return abs(val - cauchy_transition_pdf(t1, t2, y1, y2))
-    t1 = gen.uniform(0.05, 1.0)
-    u = t1 + gen.uniform(0.1, 1.0)
-    t2 = u + gen.uniform(0.1, 1.0)
-    y1 = t1 * t1 / 4.0 + gen.uniform(0.05, 2.0)
-    y2 = t2 * t2 / 4.0 + gen.uniform(0.05, 2.0)
+        val = integrate(lambda z: cauchy_transition_pdf(t1, u, a, z)
+                        * cauchy_transition_pdf(u, t2, z, b), -math.inf, math.inf, **_TOL)
+        return abs(val - cauchy_transition_pdf(t1, t2, a, b))
+    y1, y2 = t1 * t1 / 4.0 + a, t2 * t2 / 4.0 + b
     val = integrate_from_edge(lambda z: biane_half_pdf(t1, u, y1, z)
                               * biane_half_pdf(u, t2, z, y2), u * u / 4.0, **_TOL)
     return abs(val - biane_half_pdf(t1, t2, y1, y2))
@@ -164,7 +171,7 @@ def _ck_residual(gen, which):
 
 def chapman_kolmogorov_report(n_sets=50, seed=2):
     """Max |int p_1 p_2 - p_12| per kernel family over randomized parameters, gated at 1e-6."""
-    return _sweep("chapman_kolmogorov", _ck_residual, n_sets, seed, 21, 1e-6)
+    return _sweep("chapman_kolmogorov", _ck_residual, _CK, n_sets, seed, 21, 1e-6)
 
 
 def _displayed_qbm(q, t1, t2, y1, y2):
@@ -185,16 +192,12 @@ def _displayed_qbm(q, t1, t2, y1, y2):
 def ou_bm_identity_report(n_points=100, seed=3):
     """Relative residual of the OU <-> BM kernel identity at random points, gated
     at 1e-10: q-OU from ``qou_transition_pdf``, q-BM from its displayed product.
-    The points come from stream 3 of the seed."""
-    gen = stream(seed, 3)
+    The points are the cases of key 3 of the seed."""
     worst = 0.0
-    for _ in range(n_points):
-        q = gen.uniform(-0.9, 0.9)
+    for q, s, dt, fx, fy in _cases(seed, 3, n_points, (-0.9, 0.9), (-1.0, 1.0), (0.05, 2.0),
+                                   (-0.9, 0.9), (-0.9, 0.9)):
         xp = x_plus(q)
-        s = gen.uniform(-1.0, 1.0)
-        t = s + gen.uniform(0.05, 2.0)
-        x = gen.uniform(-0.9, 0.9) * xp
-        y = gen.uniform(-0.9, 0.9) * xp
+        t, x, y = s + dt, fx * xp, fy * xp
         lhs = qou_transition_pdf(q, t - s, x, y)
         rhs = math.exp(t) * _displayed_qbm(
             q, math.exp(2.0 * s), math.exp(2.0 * t), math.exp(s) * x, math.exp(t) * y
@@ -209,14 +212,6 @@ def kernels_verification_report(n_sets=50, n_points=100, seed=5):
             + ou_bm_identity_report(n_points, seed))
 
 
-def _sample_region(gen, n):
-    try:
-        re, im = gen.uniform(-10.0, 2.0, n), gen.uniform(0.1, 10.0, n)
-    except ValueError:  # numpy cannot size them: "Maximum allowed dimension exceeded"
-        raise InvalidCount(f"{n} sample points are too many to hold") from None
-    return re + 1j * im
-
-
 def _biane3_quadrature(s, t, x, z):
     """int_0^inf p^(1/2)_{s,t}(x, y)/(z - y) dy with the y = u^2 substitution."""
     return integrate_from_edge(lambda y: biane_shifted_pdf(s, t, x, y) / (z - y), 0.0,
@@ -225,7 +220,8 @@ def _biane3_quadrature(s, t, x, z):
 
 def verify_identities(kind, sample_points=200, seed=20260808):
     """Maximum absolute residual of one free-probability identity family over
-    random samples drawn from stream 0 of the seed.
+    random samples, the cases of the kind's own key (31 on, in ``_FREEPROB``
+    order) of the seed.
 
     Kinds: subordination (G_t = G_s o F, closed forms), biane3 (quadrature of
     the shifted kernel against H), inversion (Stieltjes inversion recovers
@@ -234,24 +230,21 @@ def verify_identities(kind, sample_points=200, seed=20260808):
     asymptote, probed at y = 1e4 with gap t - s = 0.05, where the O((t-s)/
     sqrt(y)) approach is inside the tolerance).
     """
-    gen = stream(seed)
+    if kind not in _FREEPROB:
+        raise ValueError(f"unknown verification kind {kind!r}; choose from {tuple(_FREEPROB)}")
+    draw = partial(_cases, seed, 31 + list(_FREEPROB).index(kind), sample_points)
+    def region():  # z with re in (-10, 2) and im in (0.1, 10), s in (0.05, 3.9)
+        return [(complex(re, im), s, s + 0.05 + (3.95 - s) * u)  # t - s in (0.05, 4 - s)
+                for re, im, s, u in draw((-10.0, 2.0), (0.1, 10.0), (0.05, 3.9), (0.0, 1.0))]
     worst = 0.0
     if kind == "subordination":
-        zs = np.append(_sample_region(gen, sample_points), [complex(-1.0, 0.0)])
-        for z in zs:
-            s = gen.uniform(0.05, 3.9)
-            t = s + gen.uniform(0.05, 4.0 - s) if s < 3.95 else s + 0.05
-            if z.imag == 0.0:
-                s, t = 1.0, 2.0
+        for z, s, t in region() + [(complex(-1.0, 0.0), 1.0, 2.0)]:  # the closed real-z example
             worst = max(worst, abs(g_half_closed(t, z) - g_half_closed(s, subordinator_F(s, t, z))))
         return worst
     if kind == "biane3":
-        for _ in range(sample_points):
-            s = gen.uniform(0.1, 2.0)
-            t = s + gen.uniform(0.1, 2.0)
-            x = gen.uniform(0.1, 4.0)
-            z = complex(gen.uniform(-10.0, 2.0), gen.uniform(0.5, 10.0))
-            worst = max(worst, abs(_biane3_quadrature(s, t, x, z) - biane_H(s, t, x, z)))
+        for s, dt, x, re, im in draw((0.1, 2.0), (0.1, 2.0), (0.1, 4.0), (-10.0, 2.0), (0.5, 10.0)):
+            z = complex(re, im)
+            worst = max(worst, abs(_biane3_quadrature(s, s + dt, x, z) - biane_H(s, s + dt, x, z)))
         # the closed real-z example from the construction
         worst = max(worst, abs(_biane3_quadrature(1.0, 2.0, 1.0, complex(-1.0, 1e-9)) - (-0.2)))
         return worst
@@ -270,25 +263,16 @@ def verify_identities(kind, sample_points=200, seed=20260808):
             worst = max(worst, abs(stieltjes_invert(transform, y) - target))
         return worst
     if kind == "csk_quadrature":
-        for _ in range(sample_points):
-            t = gen.uniform(0.2, 4.0)
-            z = complex(gen.uniform(-10.0, 2.0), gen.uniform(0.5, 10.0))
+        for t, re, im in draw((0.2, 4.0), (-10.0, 2.0), (0.5, 10.0)):
+            z = complex(re, im)
             g = cauchy_stieltjes(partial(biane_half_pdf, 0.0, t, 0.0), t * t / 4.0, z)
             worst = max(worst, abs(g_half_closed(t, z) - g))
         return worst
-    if kind == "f_unique":
-        for z in _sample_region(gen, sample_points):
-            s = gen.uniform(0.05, 3.9)
-            t = s + gen.uniform(0.05, 4.0 - s)
-            F = subordinator_F(s, t, z)
-            worst = max(worst, max(0.0, z.imag - F.imag))
-            Fc = subordinator_F(s, t, z.conjugate())
-            worst = max(worst, abs(Fc - F.conjugate()))
-        y = 1e4
-        F = subordinator_F(1.0, 1.05, complex(0.0, y))
-        worst = max(worst, abs(F / complex(0.0, y) - 1.0))
-        return worst
-    raise ValueError(f"unknown verification kind {kind!r}; choose from {tuple(_FREEPROB)}")
+    for z, s, t in region():  # f_unique
+        F = subordinator_F(s, t, z)
+        worst = max(worst, z.imag - F.imag, abs(subordinator_F(s, t, z.conjugate()) - F.conjugate()))
+    iy = complex(0.0, 1e4)
+    return max(worst, abs(subordinator_F(1.0, 1.05, iy) / iy - 1.0))
 
 
 def freeprob_verification_report(sample_points, seed):

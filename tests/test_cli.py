@@ -91,6 +91,11 @@ class TestInputValidation:
         ["verify", "--suite", "freeprob", "--samples", str(10**20)],
         ["tangent", "--case", "qou_interior", "--q", "0.5", "--x", "0.1",
          "--resolution", str(10**20)],
+        # linspace repeats t = 1.0: a q-BM step of lag 0
+        ["simulate", "--process", "qbm", "--q", "0.5", "--t0", "1", "--t1", "1.0000000000000002",
+         "--steps", "2"],
+        ["jumps", "--q", "0.5", "--S", "1", "--T", "1.0000000000000002", "--a", "1",
+         "--paths", "2", "--steps", "2"],
     ], ids=["simulate-paths-0", "jumps-paths-0", "init-fixed-abc", "init-fixed-nan",
             "simulate-t1-inf", "density-x-nan", "density-t-inf", "density-grid-inf",
             "density-grid-minus-inf", "density-grid-span-overflow", "density-qou-subnormal-lag",
@@ -102,7 +107,8 @@ class TestInputValidation:
             "argparse-unknown-flag", "argparse-missing-flag", "argparse-bad-choice",
             "simulate-qou-subnormal-lag", "density-grid-count-1e20", "biane-grid-count-1e20",
             "simulate-steps-1e20", "simulate-paths-1e20", "jumps-paths-1e20", "jumps-steps-1e20",
-            "verify-freeprob-samples-1e20", "tangent-resolution-1e20"])
+            "verify-freeprob-samples-1e20", "tangent-resolution-1e20", "simulate-qbm-repeated-time",
+            "jumps-repeated-time"])
     def test_exits_one_with_one_line(self, argv, tmp_path, capsys):
         code, out, err = run(argv + (["--output-dir", str(tmp_path)] if argv[0] == "simulate"
                                      else []), capsys)
@@ -153,6 +159,25 @@ class TestExtremeInputs:
         assert code == 2 and err == ""
         l1s = [row["l1"] for row in json.loads(out)["result"]["ladder"]]
         assert l1s[0] == l1s[1] and 0.98 < l1s[0] < 1.0
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["--T", "1", "--a", "1e100", "--steps", "2"], 0.0),
+        (["--S", "1", "--T", "1.0000000000000002", "--a", "1e-300", "--steps", "1"], 1.0),
+        (["--T", "1e200", "--a", "1e100", "--steps", "2"], 0.5),
+    ], ids=["a-1e100", "a-1e-300", "T-1e200-a-1e100"])
+    def test_jumps_bound_where_a_to_the_4_leaves_double_range(self, argv, bound, capsys):
+        # (1 - q)(T^2 - S^2)/a^4 at q = 0.5, capped at 1
+        code, out, err = run(["jumps", "--q", "0.5", "--paths", "2"] + argv, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["bound"] == bound
+
+    def test_qou_on_a_grid_that_repeats_a_time(self, tmp_path, capsys):
+        # a q-OU step's lag is (t1 - t0)/steps > 0 however the grid rounds
+        code, _, err = run(["simulate", "--process", "qou", "--q", "0.5", "--t0", "1",
+                            "--t1", "1.0000000000000002", "--steps", "2",
+                            "--output-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+        assert len((tmp_path / "path_000.csv").read_text().split("\n")) == 5
 
     def test_density_overflow_exits_one(self, capsys):
         # the Cauchy peak 1/(pi dt) is not a double below dt ~ 5.6e-309
@@ -329,28 +354,30 @@ def test_seeds_below_2_to_64_work(command, seed, tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [str(2**64), str(10**30)])
 def test_seeds_from_2_to_64_exit_one_or_keep_working(seed, tmp_path, capsys):
-    # the simulator's uniforms are keyed on a 64-bit seed; verify's streams
-    # take any seed >= 0, as before
+    # every random draw is a Philox word keyed on a 64-bit seed
     for argv in (["simulate", "--process", "qou", "--q", "0.5", "--t1", "1", "--steps", "2",
                   "--output-dir", str(tmp_path)],
-                 ["jumps", "--q", "0.5", "--T", "1", "--a", "1", "--paths", "2", "--steps", "2"]):
+                 ["jumps", "--q", "0.5", "--T", "1", "--a", "1", "--paths", "2", "--steps", "2"],
+                 ["verify", "--suite", "freeprob", "--samples", "2"]):
         code, out, err = run(argv + ["--seed", seed], capsys)
         assert_usage_error(code, err)
         assert "seed" in err and out == ""
-    code, _, err = run(["verify", "--suite", "freeprob", "--samples", "2", "--seed", seed], capsys)
-    assert code == 0, err
 
 
-def test_simulate_leaves_numpy_random_unloaded(tmp_path):
-    # the simulator's uniforms are keyed Philox words made in numpy arithmetic,
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--process", "qbm", "--q", "0.5", "--t1", "1", "--steps", "3", "--paths", "4",
+     "--output-dir", "paths"],
+    ["verify", "--suite", "all", "--samples", "2", "-o", "report.json"],
+], ids=["simulate", "verify"])
+def test_random_draws_leave_numpy_random_unloaded(argv, tmp_path):
+    # every random draw is a keyed Philox word made in numpy arithmetic,
     # with no generator object
     code = ("import sys\n"
             "from qtangent.cli import parse_and_dispatch\n"
             "rc = parse_and_dispatch(sys.argv[1:])\n"
             "print('numpy.random' in sys.modules)\n"
             "sys.exit(rc)\n")
-    proc = run_fresh(["-c", code, "simulate", "--process", "qbm", "--q", "0.5", "--t1", "1",
-                      "--steps", "3", "--paths", "4", "--output-dir", "paths"], tmp_path)
+    proc = run_fresh(["-c", code] + argv, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qtangent import verify
 from qtangent.errors import BranchCut, InvalidTime, NonConvergentLadder
 from qtangent.freeprob import (
     biane_H,
@@ -195,6 +196,28 @@ class TestVerifySweeps:
     def test_all_kinds_under_threshold(self, kind):
         residual = verify_identities(kind, 60, 17)
         assert residual < _FREEPROB[kind], residual
+
+    def test_cases_are_prefixes_and_each_kind_draws_its_own(self, monkeypatch):
+        # --samples n takes the first n cases, whatever n is
+        ranges = ((-1.0, 1.0), (0.0, 2.0), (5.0, 6.0), (0.0, 1.0))  # two counter words
+        rows = verify._cases(7, 31, 5, *ranges)
+        assert rows == verify._cases(7, 31, 10, *ranges)[:5]
+        assert verify._cases(7, 31, 0, *ranges) == []
+        assert all(lo <= v < hi for row in rows for v, (lo, hi) in zip(row, ranges))
+        assert all(type(v) is float and len(row) == 4 for row in rows for v in row)
+        # every kind that draws keys its own family; inversion draws nothing
+        drawn, cases = [], verify._cases
+
+        def recorded(seed, family, n, *ranges):
+            drawn.append((kind, family, cases(seed, family, n, *ranges)))
+            return drawn[-1][2]
+        monkeypatch.setattr(verify, "_cases", recorded)
+        for kind in _FREEPROB:
+            verify_identities(kind, 3, 20260808)
+        assert [k for k, _, _ in drawn] == [k for k in _FREEPROB if k != "inversion"]
+        assert len({family for _, family, _ in drawn}) == 4
+        # subordination and f_unique share one law of (z, s, t), not its cases
+        assert drawn[0][2] != drawn[-1][2]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -638,7 +638,7 @@ class TestOuBmIdentity:
 
 def test_kernels_report_is_its_three_sweeps_at_one_seed():
     # the combined report passes its seed to every sweep, and every sweep
-    # draws from streams of that seed, so another seed gives other residuals
+    # draws its cases from uniforms keyed by that seed, so another seed gives other residuals
     five = kernels_verification_report(2, 3, seed=5)
     assert five == (kernel_normalization_report(2, 5) + chapman_kolmogorov_report(2, 5)
                     + ou_bm_identity_report(3, 5))

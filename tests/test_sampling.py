@@ -1,6 +1,5 @@
-"""The uniforms every random draw comes from (the verify suites' streams and
-the simulator's keyed Philox words), and q-normal draws made from them by the
-simulator's rejection sampler."""
+"""The keyed Philox uniforms every random draw comes from, and q-normal draws
+made from them by the simulator's rejection sampler."""
 
 import math
 
@@ -11,7 +10,7 @@ from scipy import stats
 from qtangent import simulate
 from qtangent.errors import InvalidSeed
 from qtangent.kernels import qnormal_pdf, x_plus
-from qtangent.sampling import philox, stream, uniforms
+from qtangent.sampling import philox, uniforms
 
 
 def qnormal_draws(q, n, seed, chunk=100_000):
@@ -39,33 +38,6 @@ class TestSample:
         width = edges[1] - edges[0]
         l1 = float(np.sum(np.abs(hist - qnormal_pdf(q, centers))) * width)
         assert l1 < 0.01
-
-
-class TestUniformStream:
-    def test_deterministic(self):
-        np.testing.assert_array_equal(stream(5, 3).random(1000), stream(5, 3).random(1000))
-
-    def test_streams_differ(self):
-        a = stream(5, 0).random(1000)
-        b = stream(5, 1).random(1000)
-        assert not np.array_equal(a, b)
-
-    def test_matches_generator(self):
-        # the documented stream identity: PCG64 seeded through a SeedSequence spawn key
-        ss = np.random.SeedSequence(entropy=42, spawn_key=(7,))
-        expected = np.random.Generator(np.random.PCG64(ss)).random(100)
-        np.testing.assert_array_equal(stream(42, 7).random(100), expected)
-
-    def test_kolmogorov_smirnov(self):
-        us = stream(99).random(10_000)
-        stat = stats.kstest(us, "uniform").statistic
-        assert stat < 1.63 / math.sqrt(10_000)
-
-    def test_seed_validation(self):
-        with pytest.raises(ValueError):
-            stream(-1)
-        with pytest.raises(ValueError):
-            stream(1, -1)
 
 
 class TestKeyedUniforms:
