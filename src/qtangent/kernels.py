@@ -32,13 +32,8 @@ polynomials of the states' angles.  q is a float in (-1, 1); ``x_plus(q)``
 checks it and gives the support edge 2/sqrt(1-q) of the q-OU state space
 (the time-t q-BM edge is 2 sqrt(t/(1-q))).
 
-The q-OU lag and the q-BM times may be arrays that broadcast against the
-states, so one call evaluates a whole ladder of times (the tangent studies
-pass an (R, 1) column of rungs against an (N,) grid).  The per-time
-coefficients are computed element by element with the math module
-(numpy's vectorized exp can round differently from ``math.exp``), and
-every expression keeps the association order of a scalar-time call, so each
-entry of an array-time call equals the scalar-time call bit for bit.
+The q-OU lag and the q-BM times are floats, and their coefficients come
+from the math module; the states are arrays that broadcast.
 
 The Cauchy and Biane kernels are the two base laws of the tangent limits:
 ``tangent`` reads the interior limit as a scaled, drifted Cauchy kernel and
@@ -149,51 +144,18 @@ def _as_float_or_array(out):
     return out.item() if out.ndim == 0 else out
 
 
-def _time(t):
-    """A time argument as a float, or as a float array when it has axes."""
-    if isinstance(t, float):
-        return t
-    a = np.asarray(t, dtype=float)
-    return a if a.ndim else float(a)
-
-
-def _each(fn, *ts):
-    """fn at every element of the times ts (floats or float arrays), in their broadcast shape.
-
-    Time coefficients go through the math module one element at a time:
-    numpy's vectorized exp can round differently, and an array-time call
-    must reproduce the scalar-time calls bit for bit.
-    """
-    if all(isinstance(t, float) for t in ts):
-        return fn(*ts)
-    b = np.broadcast(*ts)
-    return np.array([fn(*v) for v in b]).reshape(b.shape)
-
-
-def _all(mask):
-    """Whether every entry of a boolean scalar or array holds."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _failing(ok, t):
-    """t, or its first entry where the mask ok fails: one number for a one-line message."""
-    return float(np.broadcast_to(t, ok.shape)[~ok][0]) if isinstance(ok, np.ndarray) else t
-
-
 def _tail_product(factor, coeffs, args):
-    """prod_k factor(coeffs[k], *args) over the broadcast shape of args and coeffs.
+    """prod_k factor(coeffs[k], *args) over the broadcast shape of args.
 
-    ``coeffs`` is a tuple of (K, ...) arrays of one ndim whose trailing axes
-    (per-time coefficients) broadcast against args.  Small batches evaluate every
+    ``coeffs`` is a tuple of (K,) arrays.  Small batches evaluate every
     factor at once into (K, points) buffers; large ones loop over k with
     points-sized buffers.  Both run the same in-place factor code and
     multiply in k order, so they agree bit for bit.
     """
-    bshape = np.broadcast_shapes(*(np.shape(v) for v in args), *{c.shape[1:] for c in coeffs})
+    bshape = np.broadcast_shapes(*(np.shape(v) for v in args))
     if math.prod(bshape) <= _LOOP_POINTS:
-        # new axes between k and the per-time axes
-        idx = (slice(None),) + (None,) * (len(bshape) + 1 - coeffs[0].ndim)
-        bufs = [np.empty(coeffs[0].shape[:1] + bshape) for _ in range(3)]
+        idx = (slice(None),) + (None,) * len(bshape)
+        bufs = [np.empty(coeffs[0].shape + bshape) for _ in range(3)]
         return np.prod(factor([c[idx] for c in coeffs], *args, *bufs), axis=0)
     bufs = [np.empty(bshape) for _ in range(3)]
     acc = np.ones(bshape)
@@ -244,10 +206,9 @@ def _log_series_tail(q, m, n_terms, e1, x, y, cyy):
     w_n = -b^n/(n (1 - q^n)).  The cosines are Chebyshev polynomials of
     cos(theta), of cos(phi) and of cos(2 phi) = (1-q) y^2/2 - 1; the sums in
     cos(2 phi) and in cos(phi) run as one Clenshaw recurrence, stacked on a
-    leading axis.  rho^n are products, so time arrays match scalar times bit
-    for bit.
+    leading axis.
     """
-    nd = max(np.ndim(e1), np.ndim(x), np.ndim(y))
+    nd = max(np.ndim(x), np.ndim(y))
 
     def lead(v):  # a stack of arrays, its trailing axes aligned with the broadcast shape
         return v.reshape(v.shape[:1] + (1,) * (nd + 1 - v.ndim) + v.shape[1:])
@@ -313,15 +274,16 @@ def _log_moduli(a, Q, alpha):
 
 
 def _qou_core(q, delta, x, y, x_minus_y, rel_tol):
-    """The q-OU transition density at lag delta in (0, inf] from x to y, 0 for |y| >= x_plus(q).
+    """The q-OU transition density at the float lag delta in (0, inf] from x to y, 0 for
+    |y| >= x_plus(q).
 
-    delta is a float or an array broadcasting against the float arrays x and y;
-    delta = inf is the q-normal law of y.  The caller passes x - y, to full accuracy.
+    x and y are float arrays that broadcast; delta = inf is the q-normal law of y.
+    The caller passes x - y, to full accuracy.
     """
     c1 = 1.0 - q
-    e1 = _each(math.exp, -delta)
+    e1 = math.exp(-delta)
     e2 = e1 * e1
-    u = -_each(math.expm1, -delta)
+    u = -math.expm1(-delta)
     # targets outside the support evaluate at the placeholder y = x - y = 0, so
     # that far targets cannot overflow; the final mask sets them to 0
     outside = np.abs(y) >= x_plus(q)
@@ -332,7 +294,7 @@ def _qou_core(q, delta, x, y, x_minus_y, rel_tol):
     m, n_terms = _product_split(q, rel_tol)
     tail = 1.0
     if m:
-        qk = np.power(q, np.arange(1, m + 1, dtype=float)).reshape((m,) + (1,) * np.ndim(e1))
+        qk = np.power(q, np.arange(1, m + 1, dtype=float))
         a = (1.0 + qk) * (1.0 + qk)
         g = e1 * qk
         s = 1.0 - g * g
@@ -362,16 +324,14 @@ def qou_transition_pdf(q, delta, x, y, rel_tol=1e-14):
 
     Depends on (s, t) only through delta = t - s.  Zero for target states
     |y| >= x_plus(q); the conditioning state x must lie in [-x_plus(q), x_plus(q)].
-    delta may be an array broadcasting against x and y.  Lags below 1e-307
-    are rejected: the regrouped k = 0 term e^{-2 delta}(1-q)(x-y)^2/u reaches
-    16/u, which overflows below it.
+    delta is a float; x and y broadcast.  Lags below 1e-307 are rejected: the
+    regrouped k = 0 term e^{-2 delta}(1-q)(x-y)^2/u reaches 16/u, which
+    overflows below it.
     """
     xp = x_plus(q)
-    d = _time(delta)
-    ok = (1e-307 <= d) & (d < math.inf)
-    if not _all(ok):
-        raise InvalidTime("q-OU kernel requires a finite lag delta >= 1e-307, "
-                          f"got {_failing(ok, d)}")
+    d = float(delta)
+    if not 1e-307 <= d < math.inf:
+        raise InvalidTime(f"q-OU kernel requires a finite lag delta >= 1e-307, got {d}")
     if not np.max(np.abs(x)) <= xp * (1.0 + 1e-12):
         raise InvalidState(f"conditioning state x={x} outside [{-xp}, {xp}]")
     xarr, yarr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -395,7 +355,7 @@ def qbm_transition_pdf(q, t1, t2, y1, y2):
 
     Supports t1 = 0 only with y1 = 0 (start at the origin).  Zero outside
     the time-t2 support [-2 sqrt(t2/(1-q)), 2 sqrt(t2/(1-q))].  t1 and t2
-    may be arrays broadcasting against y1 and y2.
+    are floats; y1 and y2 broadcast.
 
     Evaluated through the deterministic time change W_{e^{2t}} = e^t X_t:
     the q-OU kernel at lag delta = log(t2/t1)/2 from y1/sqrt(t1) to
@@ -403,24 +363,22 @@ def qbm_transition_pdf(q, t1, t2, y1, y2):
     the sqrt(t2)-dilated q-normal law.
     """
     x_plus(q)  # rejects q outside (-1, 1) before any time or state is read
-    t1a, t2a = _time(t1), _time(t2)
-    ok = (0.0 <= t1a) & (t1a < t2a) & (t2a < math.inf)
-    if not _all(ok):
-        raise InvalidTime("q-BM kernel requires 0 <= t1 < t2 < inf, "
-                          f"got t1={_failing(ok, t1a)}, t2={_failing(ok, t2a)}")
+    t1, t2 = float(t1), float(t2)
+    if not 0.0 <= t1 < t2 < math.inf:
+        raise InvalidTime(f"q-BM kernel requires 0 <= t1 < t2 < inf, got t1={t1}, t2={t2}")
     y1a = np.asarray(y1, dtype=float)
-    b1 = 2.0 * _each(math.sqrt, t1a / (1.0 - q))  # 0 at t1 = 0, where only y1 = 0 passes
-    if not _all(np.abs(y1a) <= b1 * (1.0 + 1e-12)):
+    b1 = 2.0 * math.sqrt(t1 / (1.0 - q))  # 0 at t1 = 0, where only y1 = 0 passes
+    if not np.all(np.abs(y1a) <= b1 * (1.0 + 1e-12)):
         raise InvalidState(f"y1={y1} outside the time-t1 support [-{b1}, {b1}] "
                            "(t1 = 0 requires y1 = 0: the path starts at the origin)")
     y2a = np.asarray(y2, dtype=float)
-    r1, r2 = _each(_bm_root, t1a), _each(math.sqrt, t2a)
+    r1, r2 = _bm_root(t1), math.sqrt(t2)
     # x - y from the exact y1 - y2 and t2 - t1 (1/r1 - 1/r2 = (t2 - t1)/((r1 + r2) r1 r2)):
     # x and y rounded apart lose digits where the kernel is narrow, t2 - t1 << t1
     with np.errstate(over="ignore"):  # far targets overflow for t2 < 1: outside in the core
-        x_minus_y = (y1a - y2a) / r2 + y1a * ((t2a - t1a) / (r1 + r2) / r1 / r2)
+        x_minus_y = (y1a - y2a) / r2 + y1a * ((t2 - t1) / (r1 + r2) / r1 / r2)
         y = y2a / r2
-    out = _qou_core(q, _each(_bm_lag, t1a, t2a), y1a / r1, y, x_minus_y, 1e-14)
+    out = _qou_core(q, _bm_lag(t1, t2), y1a / r1, y, x_minus_y, 1e-14)
     return _as_float_or_array(out / r2)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (EnvelopeExceeded, InvalidCount, InvalidState, InvalidThreshold, InvalidTime,
                      NonFinite, UnknownProcess)
-from .kernels import _bm_lag, _log_moduli, _phi0_u, qou_transition_pdf, x_plus
+from .kernels import _bm_lag, _log_moduli, _phi0_u, qou_transition_pdf, series_terms, x_plus
 from .sampling import uniforms
 
 __all__ = [
@@ -73,7 +73,10 @@ class TimeGrid:
 
     @property
     def times(self):
-        return np.linspace(self.t0, self.t1, self.steps + 1)
+        # near the largest double linspace's step product overflows in its last entry,
+        # which it then overwrites with t1: every time it returns is finite
+        with np.errstate(over="ignore"):
+            return np.linspace(self.t0, self.t1, self.steps + 1)
 
 
 def _parts(q):
@@ -103,8 +106,6 @@ def _from(table, lo, n):
 
 def _first_above(cum, col, t):
     """For each entry, the first bin j with cum[j, col] > t (the last bin if none), by bisection."""
-    if cum.shape[1] == 1:  # one state, such as every row at the flat lag: numpy's bisection
-        return np.minimum(np.searchsorted(cum[:, 0], t, side="right"), cum.shape[0] - 1)
     flat, n = cum.ravel(), cum.shape[1]
     lo, hi = np.zeros(t.shape, dtype=np.intp), np.full(t.shape, cum.shape[0] - 1, dtype=np.intp)
     for _ in range(cum.shape[0].bit_length()):
@@ -338,6 +339,7 @@ def simulate_ensemble(process, q, grid: TimeGrid, x0, base_seed, n_paths):
     repeat = np.flatnonzero(times[1:] <= times[:-1]) if process == "qbm" else ()
     if len(repeat):  # a q-BM step of lag 0; every q-OU step has the lag (t1 - t0)/steps > 0
         raise InvalidTime(f"q-BM grid repeats the time {float(times[repeat[0]])!r}: too many steps")
+    series_terms(q, _SIM_REL_TOL)  # a q the kernel refuses exits before _Bins sizes ~1/(1-|q|) bins
     bins, k = _Bins(q), _tries(n_paths)
     # q-OU is time-homogeneous: every step of the grid has one lag and one envelope
     step = _Envelope(bins, (grid.t1 - grid.t0) / grid.steps) if process == "qou" else None

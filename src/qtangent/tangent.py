@@ -24,9 +24,8 @@ target coordinate falls outside the state space the exact density is 0 and
 is integrated as such, so every rung of an epsilon ladder is measured on the
 same window and the distances are comparable.
 
-A study builds the window grid once and evaluates the whole ladder in one
-kernel call: the rungs enter as an (R, 1) column of eps that broadcasts
-against the grid, and each row equals the one-rung evaluation bit for bit.
+A study builds the window grid and the limit density once, and evaluates
+the exact kernel on that grid once per rung.
 
 The window's time horizon defaults to a q-scaled value: the finite-epsilon
 corrections of the exact kernels enter through eps * t2 (the limits are
@@ -138,34 +137,31 @@ def rescaled_pdf(case: TangentCase, eps, t1, t2, y1, y2):
     Computed from the closed-form kernels by change of variables; zero where
     the rescaled target coordinate leaves the state space.  Raises
     OutOfSupport when the conditioning coordinate (the y1 side) leaves it.
-    ``eps`` broadcasts against ``y2``: an (R, 1) column of rungs gives one
-    row per rung, each equal to the call with that eps alone.
+    ``eps`` is a float; ``y2`` may be an array.
     """
-    e = np.asarray(eps, dtype=float)
-    if not np.all(e > 0.0):
+    if not eps > 0.0:
         raise InvalidTime(f"eps must be positive, got {eps}")
     if t1 < 0.0 or not t2 > t1:
         raise InvalidTime(f"need 0 <= t1 < t2, got t1={t1}, t2={t2}")
     q, x = case.q, case.x
     # the frame x - a t eps + eps^beta y; g = eps^(beta - 1), and a = 0 and
     # g = 1 add and multiply exactly, so the interior frame is x + eps y bit for bit
-    a, g = (0.0, 1.0) if case.interior else (case.boundary_frame()[0], e)
+    a, g = (0.0, 1.0) if case.interior else (case.boundary_frame()[0], eps)
     # past double range a time is inf (rejected) and a target leaves the state space
     with np.errstate(over="ignore", invalid="ignore"):
         if case.qbm:
-            tau1, tau2 = case.s + t1 * e, case.s + t2 * e
+            tau1, tau2 = case.s + t1 * eps, case.s + t2 * eps
             kernel = partial(qbm_transition_pdf, q, tau1, tau2)
-            half = 2.0 * np.sqrt(tau1 / (1.0 - q))
+            half = 2.0 * math.sqrt(tau1 / (1.0 - q))
         else:
-            kernel, half = partial(qou_transition_pdf, q, e * (t2 - t1)), x_plus(q)
-        w1 = x - a * t1 * e + y1 * e * g
-        w2 = x - a * t2 * e + np.asarray(y2) * e * g
-    if np.any(np.abs(w1) > half):
-        w = float(np.asarray(w1)[np.abs(w1) > half].flat[0])
-        raise OutOfSupport(f"conditioning point {w} outside the time-t1 support")
+            kernel, half = partial(qou_transition_pdf, q, eps * (t2 - t1)), x_plus(q)
+        w1 = x - a * t1 * eps + y1 * eps * g
+        w2 = x - a * t2 * eps + np.asarray(y2) * eps * g
+    if abs(w1) > half:
+        raise OutOfSupport(f"conditioning point {w1} outside the time-t1 support")
     if np.isnan(w2).any():
-        raise InvalidTime(f"eps up to {np.max(e)} takes the frame's terms beyond double range")
-    return kernel(w1, w2) * e * g
+        raise InvalidTime(f"eps {eps} takes the frame's terms beyond double range")
+    return kernel(w1, w2) * eps * g
 
 
 def limit_pdf(case: TangentCase, t1, t2, y1, y2, scale_override=None):
@@ -252,12 +248,12 @@ def distance(case: TangentCase, ladder, window: Window, resolution=2001, scale_o
 
     Trapezoid rule on the mixed uniform/quantile grid.  Regions of the
     window that the rescaled process cannot reach at an eps contribute the
-    limit's mass there (the exact density is zero on them).  One grid and
-    one kernel call serve every rung.
+    limit's mass there (the exact density is zero on them).  One grid serves
+    every rung, with one kernel call per rung.
     """
-    rungs = np.asarray(ladder, dtype=float).reshape(-1, 1)
     grid = _window_grid(case, window, resolution)
-    resc = rescaled_pdf(case, rungs, window.t1, window.t2, window.y1, grid)
+    resc = np.array([rescaled_pdf(case, eps, window.t1, window.t2, window.y1, grid)
+                     for eps in ladder])
     lim = np.asarray(limit_pdf(case, window.t1, window.t2, window.y1, grid, scale_override))
     diff = np.abs(resc - lim)
     l1 = np.trapezoid(diff, grid, axis=-1)

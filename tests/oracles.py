@@ -84,7 +84,8 @@ def half_stable_cdf(t, x):
 
 
 # The mpmath forms run at the caller's working precision (mp.workdps) and
-# multiply factors until |q|^k drops below 10^-(dps + 5).
+# multiply factors until |q|^k drops below 10^-(dps + 5); q^k is carried as a
+# running product, which agrees with q ** k far below that cut.
 
 def _terms(q):
     return 1 if q == 0 else int(math.ceil((mp.mp.dps + 5) / -math.log10(abs(q))))
@@ -98,8 +99,9 @@ def mp_qnormal(q, x):
     """sqrt(1-q) (q;q)_inf / (2 pi) sqrt(4 - (1-q) x^2) prod_{k>=1} psi_{q,k}(x)."""
     q, x = mp.mpf(q), mp.mpf(x)
     val = _c_q(q) * mp.sqrt(4 - (1 - q) * x * x)
-    for k in range(1, _terms(q) + 1):
-        qk = q ** k
+    qk = mp.mpf(1)
+    for _ in range(_terms(q)):
+        qk *= q
         val *= (1 + qk) ** 2 - (1 - q) * x * x * qk
     return val
 
@@ -116,8 +118,9 @@ def mp_qou(q, delta, x, y):
                 + (1 - q) * e2 * q2k * (x * x + y * y))
 
     val = _c_q(q) * (1 - e2) * mp.sqrt(4 - (1 - q) * y * y) / phi(mp.mpf(1))
-    for k in range(1, _terms(q) + 1):
-        qk = q ** k
+    qk = mp.mpf(1)
+    for _ in range(_terms(q)):
+        qk *= q
         val *= (1 - e2 * qk) * ((1 + qk) ** 2 - (1 - q) * y * y * qk) / phi(qk)
     return val
 
@@ -133,8 +136,9 @@ def mp_qbm(q, t1, t2, y1, y2):
 
     val = (1 - q) ** 1.5 * (t2 - t1) / (2 * mp.pi) * mp.sqrt(4 * t2 - (1 - q) * y2 * y2)
     val /= phi(mp.mpf(1))
-    for k in range(1, _terms(q) + 1):
-        qk = q ** k
+    qk = mp.mpf(1)
+    for _ in range(_terms(q)):
+        qk *= q
         val *= (t2 - t1 * qk) * (1 - q * qk) * (t2 * (1 + qk) ** 2 - (1 - q) * y2 * y2 * qk)
         val /= phi(qk)
     return val

@@ -96,6 +96,13 @@ class TestInputValidation:
          "--steps", "2"],
         ["jumps", "--q", "0.5", "--S", "1", "--T", "1.0000000000000002", "--a", "1",
          "--paths", "2", "--steps", "2"],
+        # q the kernel refuses, checked before the envelope sizes ~1/(1-|q|) bins
+        ["simulate", "--process", "qou", "--q", "0.9999", "--t1", "1", "--steps", "2"],
+        ["simulate", "--process", "qou", "--q", "0.9999999999999999", "--t1", "1",
+         "--steps", "2"],
+        ["jumps", "--q", "0.9999", "--T", "1", "--a", "1", "--paths", "2", "--steps", "2"],
+        ["jumps", "--q", "0.9999999999999999", "--T", "1", "--a", "1", "--paths", "2",
+         "--steps", "2"],
     ], ids=["simulate-paths-0", "jumps-paths-0", "init-fixed-abc", "init-fixed-nan",
             "simulate-t1-inf", "density-x-nan", "density-t-inf", "density-grid-inf",
             "density-grid-minus-inf", "density-grid-span-overflow", "density-qou-subnormal-lag",
@@ -108,7 +115,8 @@ class TestInputValidation:
             "simulate-qou-subnormal-lag", "density-grid-count-1e20", "biane-grid-count-1e20",
             "simulate-steps-1e20", "simulate-paths-1e20", "jumps-paths-1e20", "jumps-steps-1e20",
             "verify-freeprob-samples-1e20", "tangent-resolution-1e20", "simulate-qbm-repeated-time",
-            "jumps-repeated-time"])
+            "jumps-repeated-time", "simulate-q-0.9999", "simulate-q-next-below-1", "jumps-q-0.9999",
+            "jumps-q-next-below-1"])
     def test_exits_one_with_one_line(self, argv, tmp_path, capsys):
         code, out, err = run(argv + (["--output-dir", str(tmp_path)] if argv[0] == "simulate"
                                      else []), capsys)
@@ -178,6 +186,20 @@ class TestExtremeInputs:
                             "--output-dir", str(tmp_path)], capsys)
         assert code == 0, err
         assert len((tmp_path / "path_000.csv").read_text().split("\n")) == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--process", "qou", "--q", "0.5", "--t1", "1.7976931348623157e308"],
+        ["simulate", "--process", "qbm", "--q", "0.5", "--t1", "1.7976931348623157e308"],
+        ["jumps", "--q", "0.5", "--T", "1.7976931348623157e308", "--a", "1"],
+    ], ids=["simulate-qou", "simulate-qbm", "jumps"])
+    def test_grid_to_the_largest_double(self, argv, tmp_path, capsys):
+        # the grid's last step overflows inside linspace, which then writes t1 there
+        out_dir = ["--output-dir", str(tmp_path)] if argv[0] == "simulate" else []
+        code, _, err = run(argv + ["--steps", "3", "--paths", "2"] + out_dir, capsys)
+        assert code == 0 and err == (f"wrote 2 path files to {tmp_path}\n" if out_dir else "")
+        if out_dir:
+            rows = (tmp_path / "path_000.csv").read_text().split("\n")[1:-1]
+            assert [float(r.split(",")[0]) for r in rows][-1] == 1.7976931348623157e308
 
     def test_density_overflow_exits_one(self, capsys):
         # the Cauchy peak 1/(pi dt) is not a double below dt ~ 5.6e-309

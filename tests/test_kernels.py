@@ -738,61 +738,23 @@ class TestHalfStableQuantile:
 
 
 class TestArrayTimes:
-    """An array of times broadcasts against the states; each entry equals the
-    scalar-time call bit for bit, whichever tail-product form either call takes."""
-
-    # 5 rungs x n points: 200 and 4,000 and 10,000 broadcast points, with the
-    # one-rung calls at 40, 800 and 2,000 points on either side of _LOOP_POINTS
-    @pytest.mark.parametrize("n", [40, 800, 2000])
-    def test_qou_lag_array_matches_scalar_calls(self, n):
-        gen = np.random.default_rng(n)
-        for q in (-0.7, 0.0, 0.5, 0.9, 0.95, 0.99):
-            delta = 10.0 ** gen.uniform(-5.0, 0.5, (5, 1))
-            x = gen.uniform(-0.99, 0.99, (5, 1)) * x_plus(q)
-            y = gen.uniform(-1.0, 1.0, n) * x_plus(q)
-            batched = qou_transition_pdf(q, delta, x, y)
-            assert batched.shape == (5, n)
-            for r in range(5):
-                single = qou_transition_pdf(q, float(delta[r, 0]), float(x[r, 0]), y)
-                np.testing.assert_array_equal(batched[r], single)
-
-    @pytest.mark.parametrize("n", [40, 800, 2000])
-    def test_qbm_time_arrays_match_scalar_calls(self, n):
-        gen = np.random.default_rng(100 + n)
-        for q in (-0.7, 0.0, 0.5, 0.9, 0.95, 0.99):
-            t1 = gen.uniform(0.1, 2.0, (5, 1))
-            t1[0, 0] = 0.0
-            t2 = t1 + 10.0 ** gen.uniform(-5.0, 0.5, (5, 1))
-            y1 = gen.uniform(-0.99, 0.99, (5, 1)) * 2.0 * np.sqrt(t1 / (1.0 - q))
-            y2 = gen.uniform(-1.0, 1.0, n) * 2.0 * math.sqrt(float(t2.max()) / (1.0 - q))
-            batched = qbm_transition_pdf(q, t1, t2, y1, y2)
-            assert batched.shape == (5, n)
-            for r in range(5):
-                single = qbm_transition_pdf(q, float(t1[r, 0]), float(t2[r, 0]), float(y1[r, 0]), y2)
-                np.testing.assert_array_equal(batched[r], single)
-
-    def test_scalar_time_broadcasts_against_time_array(self):
-        q = 0.5
-        y = np.linspace(-2.0, 2.0, 9)
-        t2 = np.array([[1.5], [2.5]])
-        np.testing.assert_array_equal(qbm_transition_pdf(q, 1.0, t2, 0.3, y)[1],
-                                      qbm_transition_pdf(q, 1.0, 2.5, 0.3, y))
+    """Times are floats: each bad time, and each state outside its time's support, is rejected."""
 
     def test_bad_element_is_rejected(self):
         q = 0.5
         y = np.linspace(-2.0, 2.0, 9)
         for bad in (0.0, -0.1, math.inf, math.nan):
             with pytest.raises(InvalidTime):
-                qou_transition_pdf(q, np.array([[0.1], [bad]]), 0.0, y)
-        # t1 >= t2 in one pair, or a negative start
+                qou_transition_pdf(q, bad, 0.0, y)
+        # t1 >= t2, or a negative start
         with pytest.raises(InvalidTime):
-            qbm_transition_pdf(q, np.array([[0.5], [1.0]]), np.array([[1.0], [1.0]]), 0.0, y)
+            qbm_transition_pdf(q, 1.0, 1.0, 0.0, y)
         with pytest.raises(InvalidTime):
-            qbm_transition_pdf(q, np.array([[0.5], [-0.1]]), 2.0, 0.0, y)
-        # a state inside the support of one start time but outside its own
-        t1 = np.array([[4.0], [0.25]])
+            qbm_transition_pdf(q, -0.1, 2.0, 0.0, y)
+        # a state inside the support of a later start time but outside its own
+        qbm_transition_pdf(q, 4.0, 5.0, 5.0, y)
         with pytest.raises(InvalidState):
-            qbm_transition_pdf(q, t1, 5.0, np.array([[5.0], [5.0]]), y)
+            qbm_transition_pdf(q, 0.25, 5.0, 5.0, y)
         # a start at t1 = 0 away from the origin
         with pytest.raises(InvalidState):
-            qbm_transition_pdf(q, np.array([[1.0], [0.0]]), 2.0, np.array([[0.1], [0.1]]), y)
+            qbm_transition_pdf(q, 0.0, 2.0, 0.1, y)

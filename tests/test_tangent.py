@@ -235,8 +235,7 @@ CASES = [
 
 
 class TestBatchedLadder:
-    """One grid and one kernel call per ladder: each rung's row equals the
-    one-rung evaluation bit for bit."""
+    """One grid per ladder: each rung's distance equals the one-rung study bit for bit."""
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c.case)
     def test_rows_equal_single_rung_distance(self, case):
@@ -247,20 +246,15 @@ class TestBatchedLadder:
             one_l1, one_sup = distance(case, (eps,), w)
             assert (one_l1[0], one_sup[0]) == (l1, sup)
 
-    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.case)
-    def test_rescaled_rows_equal_single_rung_calls(self, case):
-        w = default_window(case)
-        grid = np.linspace(w.y2_lo, w.y2_hi, 300)
-        rows = rescaled_pdf(case, np.array(LADDER)[:, None], w.t1, w.t2, w.y1, grid)
-        for eps, row in zip(LADDER, rows):
-            np.testing.assert_array_equal(row, rescaled_pdf(case, eps, w.t1, w.t2, w.y1, grid))
-
     def test_one_rung_out_of_support_raises(self):
         case = TangentCase("qou_interior", 0.5, x=0.9 * 2 / math.sqrt(0.5))
+        assert rescaled_pdf(case, 0.01, 0.0, 1.0, 10.0, 0.0) >= 0.0
         with pytest.raises(OutOfSupport):
-            rescaled_pdf(case, np.array([[0.01], [0.5]]), 0.0, 1.0, 10.0, 0.0)
+            rescaled_pdf(case, 0.5, 0.0, 1.0, 10.0, 0.0)
         with pytest.raises(InvalidTime):
-            rescaled_pdf(case, np.array([[0.1], [0.0]]), 0.0, 1.0, 0.0, 0.0)
+            rescaled_pdf(case, 0.0, 0.0, 1.0, 0.0, 0.0)
+        with pytest.raises(OutOfSupport):
+            distance(case, (0.5, 0.01), Window(0.0, 1.0, 10.0, -1.0, 1.0))
 
     def test_resolution_below_minimum_rejected(self):
         case = TangentCase("qou_interior", 0.0, x=0.0)
